@@ -129,10 +129,13 @@ def F_eval(spec: NonlinearitySpec, t, nonneg=False):
         vals = np.array([_rational_primitive_scalar(spec.q1, spec.q2, float(u))
                          for u in flat]).reshape(at.shape) * spec.M
     else:
-        # f is min of powers, so for t < 0 the integrand is -max of powers
         pos = _min_powers_primitive(spec.q1, spec.q2, at)
-        neg = _max_powers_primitive(spec.q1, spec.q2, at)
-        vals = spec.M * np.where(t >= 0, pos, neg)
+        if nonneg:
+            vals = spec.M * pos  # t < 0 is zeroed below
+        else:
+            # f is min of powers, so for t < 0 the integrand is -max of powers
+            neg = _max_powers_primitive(spec.q1, spec.q2, at)
+            vals = spec.M * np.where(t >= 0, pos, neg)
     if nonneg:
         vals = np.where(t < 0, 0.0, vals)
     if np.ndim(t) == 0:

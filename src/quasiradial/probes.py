@@ -225,9 +225,12 @@ def probe_infinity(table: PotentialTable, q: float, R_list, family: TrialFamily)
 
 def decay_verdict(curve: ProbeCurve, threshold: float = 0.9) -> str:
     """'decays' when every successive per-decade ratio toward the limit is
-    below the threshold, else 'stalls'."""
+    below the threshold, else 'stalls'; 'inconclusive' when no sample has a
+    finite log value (an empty family probes nothing)."""
     if len(curve.samples) < 3:
         raise TooFewSamples("need at least three samples for a verdict")
+    if not any(math.isfinite(lv) for lv in curve.log_values):
+        return "inconclusive"
     rs = [s[0] for s in curve.samples]
     logs = list(curve.log_values)
     if curve.end == "origin":

@@ -23,10 +23,11 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.optimize import brentq
 from scipy.special import logsumexp
 
 from .exponents import EndpointAsymptotics, ProblemDims, pointwise_decay_exponent
-from .nonlinearity import NonlinearitySpec, F_eval, f_eval
+from .nonlinearity import PURE_POWER, RATIONAL, NonlinearitySpec, F_eval, f_eval
 from .potentials import PotentialTable
 
 
@@ -146,31 +147,40 @@ def _a_cell(table: PotentialTable):
     return np.exp(0.5 * (table.log_A[:-1] + table.log_A[1:]))
 
 
-def _grad_energy_parts(u, grid, table, p, eps):
-    """A-term energy density phi(u') = (u'^2 + eps^2)^(p/2) - eps^p per cell."""
-    du = np.diff(u) / grid.dr
-    dens = (du * du + eps * eps) ** (p / 2.0) - eps ** p
-    return du, float(np.dot(_a_cell(table) * dens, grid.cell_measure))
+@dataclass(frozen=True)
+class _OnGrid:
+    """A potential table checked against one grid, with its cell values of A.
+    solve_ground_state builds one per solve and passes it where a
+    PotentialTable is expected."""
+
+    grid: RadialGrid
+    table: PotentialTable
+    a_cell: np.ndarray
+    wv: np.ndarray  # quadrature weight times V per node
+    wk: np.ndarray  # quadrature weight times K per node
 
 
-def _norm_p(u, grid, table):
+def _on_grid(grid: RadialGrid, table) -> _OnGrid:
+    if isinstance(table, _OnGrid) and table.grid is grid:
+        return table
+    _check_alignment(grid, table)
+    return _OnGrid(grid, table, _a_cell(table), grid.quad_weights * table.values_V,
+                   grid.quad_weights * table.values_K)
+
+
+def _norm_p(u, on: _OnGrid):
     """Unregularized p-th power of the weighted norm."""
+    grid = on.grid
     p = grid.dims.p
     du = np.diff(u) / grid.dr
-    ea = float(np.dot(_a_cell(table) * np.abs(du) ** p, grid.cell_measure))
-    ev = float(np.dot(grid.quad_weights * table.values_V, np.abs(u) ** p))
+    ea = float(np.dot(on.a_cell * np.abs(du) ** p, grid.cell_measure))
+    ev = float(np.dot(on.wv, np.abs(u) ** p))
     return ea + ev
 
 
 def weighted_norm(u: RadialFunction, table: PotentialTable) -> float:
     """Norm combining the A-weighted gradient term and the V-weighted mass term."""
-    _check_alignment(u.grid, table)
-    return _norm_p(u.values, u.grid, table) ** (1.0 / u.grid.dims.p)
-
-
-def _source_integral(u, grid, table, nl):
-    return float(np.dot(grid.quad_weights * table.values_K,
-                        F_eval(nl, u, nonneg=True)))
+    return _norm_p(u.values, _on_grid(u.grid, table)) ** (1.0 / u.grid.dims.p)
 
 
 def _eps_for(u, grid, scale=1e-10):
@@ -181,54 +191,64 @@ def _eps_for(u, grid, scale=1e-10):
 
 def energy(u: RadialFunction, table: PotentialTable, nl: NonlinearitySpec) -> float:
     """Discrete value of the variational energy at u."""
-    _check_alignment(u.grid, table)
+    on = _on_grid(u.grid, table)
     grid, p = u.grid, u.grid.dims.p
     eps = _eps_for(u.values, grid)
-    _, ea = _grad_energy_parts(u.values, grid, table, p, eps)
-    ev = float(np.dot(grid.quad_weights * table.values_V, np.abs(u.values) ** p))
-    return (ea + ev) / p - _source_integral(u.values, grid, table, nl)
+    du = np.diff(u.values) / grid.dr
+    # A-term energy density phi(u') = (u'^2 + eps^2)^(p/2) - eps^p per cell
+    dens = (du * du + eps * eps) ** (p / 2.0) - eps ** p
+    ea = float(np.dot(on.a_cell * dens, grid.cell_measure))
+    ev = float(np.dot(on.wv, np.abs(u.values) ** p))
+    return (ea + ev) / p - float(np.dot(on.wk, F_eval(nl, u.values, nonneg=True)))
 
 
-def _gradient_array(u, grid, table, nl, eps):
-    """Exact gradient of the discrete energy; outer Dirichlet node excluded."""
+def _lower_order_terms(u, on: _OnGrid, nl):
+    """Nodal V and K terms of the gradient: w V |u|^(p-2) u and w K f(u)."""
+    p = on.grid.dims.p
+    with np.errstate(invalid="ignore", divide="ignore"):
+        zero_order = np.where(u == 0.0, 0.0, np.abs(u) ** (p - 2.0) * u)
+    return on.wv * zero_order, on.wk * f_eval(nl, u, nonneg=True)
+
+
+def _gradient_array(u, on: _OnGrid, eps, lower):
+    """Exact gradient of the discrete energy; outer Dirichlet node excluded.
+
+    lower is _lower_order_terms at u, which does not depend on eps."""
+    grid = on.grid
     p = grid.dims.p
     du = np.diff(u) / grid.dr
     with np.errstate(invalid="ignore", divide="ignore"):
         flux_density = np.where(
             (du == 0.0) & (eps == 0.0), 0.0,
             (du * du + eps * eps) ** ((p - 2.0) / 2.0) * du)
-    flux = _a_cell(table) * flux_density * grid.cell_measure / grid.dr
+    flux = on.a_cell * flux_density * grid.cell_measure / grid.dr
     g = np.zeros_like(u)
     g[:-1] -= flux
     g[1:] += flux
-    with np.errstate(invalid="ignore", divide="ignore"):
-        zero_order = np.where(u == 0.0, 0.0, np.abs(u) ** (p - 2.0) * u)
-    g += grid.quad_weights * table.values_V * zero_order
-    g -= grid.quad_weights * table.values_K * f_eval(nl, u, nonneg=True)
+    g += lower[0]
+    g -= lower[1]
     g[-1] = 0.0
     return g
-
 
 
 def energy_gradient(u: RadialFunction, table: PotentialTable,
                     nl: NonlinearitySpec) -> RadialFunction:
     """Gradient of the discrete energy with respect to nodal values."""
-    _check_alignment(u.grid, table)
+    on = _on_grid(u.grid, table)
     eps = _eps_for(u.values, u.grid)
-    g = _gradient_array(u.values, u.grid, table, nl, eps)
+    g = _gradient_array(u.values, on, eps, _lower_order_terms(u.values, on, nl))
     return RadialFunction(u.grid, g)
 
 
-def _hat_norms(grid, table):
+def _hat_norms(on: _OnGrid):
     """Weighted norm of each nodal hat function (outer node excluded)."""
+    grid = on.grid
     p = grid.dims.p
-    a_cell = _a_cell(table)
-    stiff = a_cell * grid.cell_measure / grid.dr ** p
+    stiff = on.a_cell * grid.cell_measure / grid.dr ** p
     ea = np.zeros(grid.n)
     ea[:-1] += stiff
     ea[1:] += stiff
-    ev = grid.quad_weights * table.values_V
-    return (ea + ev) ** (1.0 / p)
+    return (ea + on.wv) ** (1.0 / p)
 
 
 def residual_weak_form(u: RadialFunction, table: PotentialTable,
@@ -237,9 +257,9 @@ def residual_weak_form(u: RadialFunction, table: PotentialTable,
 
     Uses the unregularized p-Laplacian flux.
     """
-    _check_alignment(u.grid, table)
-    g = _gradient_array(u.values, u.grid, table, nl, eps=0.0)
-    norms = _hat_norms(u.grid, table)
+    on = _on_grid(u.grid, table)
+    g = _gradient_array(u.values, on, 0.0, _lower_order_terms(u.values, on, nl))
+    norms = _hat_norms(on)
     return float(np.max(np.abs(g[:-1]) / norms[:-1]))
 
 
@@ -247,52 +267,83 @@ def nehari_scale(u: RadialFunction, table: PotentialTable,
                  nl: NonlinearitySpec) -> float:
     """Positive scale t with t^p ||u||^p = int K f(tu) tu (natural-constraint hit).
 
-    Closed form for a single power; bisection otherwise.
+    On each branch of the nonlinearity the source term is a power of t times
+    a fixed nodal sum, so the powers of u_+ are formed once.  A single power
+    has a closed form.  For min_powers, with a = w K u_+^q_hi and
+    b = w K u_+^q_lo, the scaled source divided by t^p is
+
+        M (t^(q_hi-p) sum_{t u_+ <= 1} a + t^(q_lo-p) sum_{t u_+ > 1} b);
+
+    for rational, with a = w K u_+^q2 and e = u_+^(q2-q1), it is
+
+        M t^(q2-p) sum a / (1 + t^(q2-q1) e).
+
+    With exponents above p either grows with t; its crossing with ||u||^p
+    is bracketed by doubling and halving from t = 1 and located by Brent's
+    method to a relative tolerance of 1e-13.  Raises NoProjection when no
+    positive t exists.
     """
-    _check_alignment(u.grid, table)
-    grid, p = u.grid, u.grid.dims.p
-    q_norm = _norm_p(u.values, grid, table)
+    on = _on_grid(u.grid, table)
+    p = u.grid.dims.p
+    q_norm = _norm_p(u.values, on)
     if q_norm == 0.0:
         raise NoProjection("u vanishes")
-    wk = grid.quad_weights * table.values_K
-    if nl.kind == "pure_power" or nl.q1 == nl.q2:
-        # t* = (||u||^p / (M int K u_+^q))^(1/(q-p)), computed through logs so
-        # astronomically weighted nodes cannot overflow the source integral
+    supp = u.values > 0.0
+    if nl.M <= 0.0 or not np.any(supp):
+        raise NoProjection("source term vanishes on the positive part")
+    # nodes where u <= 0 add nothing to the source term; the weighted powers
+    # are formed through logs (like the closed form) so astronomically
+    # weighted nodes neither overflow nor underflow
+    log_u = np.log(u.values[supp])
+    log_wk = np.log(u.grid.quad_weights[supp]) + on.table.log_K[supp]
+    if nl.kind == PURE_POWER or nl.q1 == nl.q2:
+        # t* = (||u||^p / (M int K u_+^q))^(1/(q-p))
         q = nl.q1
-        pos = np.maximum(u.values, 0.0)
-        if nl.M <= 0.0 or not np.any(pos > 0.0):
-            raise NoProjection("source term vanishes on the positive part")
-        with np.errstate(divide="ignore"):
-            log_terms = np.log(grid.quad_weights) + table.log_K + q * np.log(pos)
-        log_s = math.log(nl.M) + float(logsumexp(log_terms[pos > 0.0]))
+        log_s = math.log(nl.M) + float(logsumexp(log_wk + q * log_u))
         return math.exp((math.log(q_norm) - log_s) / (q - p))
 
-    def shifted(t):
-        tu = t * u.values
-        return float(np.dot(wk, f_eval(nl, tu, nonneg=True) * tu)) / t ** p
+    # brentq wraps its function in a self-referencing closure, so the arrays
+    # go in through args: captured here they would outlive the call until the
+    # cyclic garbage collector ran
+    if nl.kind == RATIONAL:
+        excess = _rational_excess
+        args = (np.exp(log_wk + nl.q2 * log_u), np.exp((nl.q2 - nl.q1) * log_u),
+                nl.q2 - nl.q1, nl.q2 - p, nl.M, q_norm)
+    else:
+        q_hi, q_lo = max(nl.q1, nl.q2), min(nl.q1, nl.q2)
+        excess = _min_powers_excess
+        args = (u.values[supp], np.exp(log_wk + q_hi * log_u), np.exp(log_wk + q_lo * log_u),
+                q_hi - p, q_lo - p, nl.M, q_norm)
 
     lo = hi = 1.0
-    for _ in range(300):
-        if shifted(hi) >= q_norm:
-            break
-        hi *= 2.0
-    else:
-        raise NoProjection("scaled source never reaches the norm level")
-    for _ in range(300):
-        if shifted(lo) <= q_norm:
-            break
-        lo /= 2.0
-    else:
-        raise NoProjection("scaled source exceeds the norm level at any scale")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if shifted(mid) < q_norm:
-            lo = mid
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(300):
+            if excess(hi, *args) >= 0.0:
+                break
+            lo, hi = hi, 2.0 * hi
         else:
-            hi = mid
-        if hi - lo <= 1e-13 * hi:
-            break
-    return 0.5 * (lo + hi)
+            raise NoProjection("scaled source never reaches the norm level")
+        for _ in range(300):
+            if excess(lo, *args) <= 0.0:
+                break
+            lo, hi = 0.5 * lo, lo
+        else:
+            raise NoProjection("scaled source exceeds the norm level at any scale")
+        return brentq(excess, lo, hi, args=args, xtol=1e-13 * lo, rtol=1e-13)
+
+
+def _min_powers_excess(t, pos, a, b, k_hi, k_lo, M, level):
+    """M (t^k_hi sum_{t pos <= 1} a + t^k_lo sum_{t pos > 1} b) - level."""
+    t = np.float64(t)  # t ** k overflows to inf instead of raising
+    small = t * pos <= 1.0
+    return M * (t ** k_hi * float(np.dot(a, small))
+                + t ** k_lo * float(np.dot(b, ~small))) - level
+
+
+def _rational_excess(t, a, e, d, k, M, level):
+    """M t^k sum a / (1 + t^d e) - level."""
+    t = np.float64(t)
+    return M * t ** k * float(np.sum(a / (1.0 + t ** d * e))) - level
 
 
 def decay_slopes(u: RadialFunction, floor_ratio=1e-12):
@@ -329,18 +380,19 @@ def initial_bump(grid: RadialGrid) -> np.ndarray:
     return vals
 
 
-def _solve_preconditioned(g, u, grid, table, eps, eps_u):
+def _solve_preconditioned(g, u, on: _OnGrid, eps, eps_u):
     """Solve the tridiagonal linearized-metric system P d = g on the free nodes.
 
     P is the second derivative of the quadratic part of the energy with the
     p-dependent weights lagged at the current iterate; eps and eps_u keep it
     positive definite for every p.
     """
+    grid = on.grid
     p = grid.dims.p
     du = np.diff(u) / grid.dr
-    coef = (p - 1.0) * _a_cell(table) * (du * du + eps * eps) ** ((p - 2.0) / 2.0)
+    coef = (p - 1.0) * on.a_cell * (du * du + eps * eps) ** ((p - 2.0) / 2.0)
     stiff = coef * grid.cell_measure / grid.dr ** 2
-    diag_v = (p - 1.0) * grid.quad_weights * table.values_V \
+    diag_v = (p - 1.0) * grid.quad_weights * on.table.values_V \
         * (u * u + eps_u * eps_u) ** ((p - 2.0) / 2.0)
     n = grid.n
     diag = diag_v.copy()
@@ -374,32 +426,32 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
     critical point is reachable and NotConverged when the iteration budget is
     exhausted above tolerance.
     """
-    _check_alignment(grid, table)
-    p = grid.dims.p
+    on = _on_grid(grid, table)
     u = initial_bump(grid)
     try:
-        u = u * nehari_scale(RadialFunction(grid, u), table, nl)
+        u = u * nehari_scale(RadialFunction(grid, u), on, nl)
     except NoProjection as exc:
         raise CollapsedToZero(f"initial projection failed: {exc}") from None
 
-    hat_norms = _hat_norms(grid, table)
-    i_cur = energy(RadialFunction(grid, u), table, nl)
+    hat_norms = _hat_norms(on)
+    i_cur = energy(RadialFunction(grid, u), on, nl)
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
         eps = _eps_for(u, grid)
         eps_u = 1e-10 * float(np.max(np.abs(u)))
-        g = _gradient_array(u, grid, table, nl, eps)
-        # convergence is judged on the unregularized defect reported by
+        # convergence is judged on the unregularized defect g0 reported by
         # residual_weak_form; for p < 2 the two can differ near flat cells
-        g0 = _gradient_array(u, grid, table, nl, eps=0.0)
+        lower = _lower_order_terms(u, on, nl)
+        g = _gradient_array(u, on, eps, lower)
+        g0 = _gradient_array(u, on, 0.0, lower)
         residual = float(np.max(np.abs(g0[:-1]) / hat_norms[:-1]))
-        norm_p = _norm_p(u, grid, table)
+        norm_p = _norm_p(u, on)
         gap = abs(float(np.dot(g0, u))) / norm_p
         if residual <= tol and gap <= tol:
             converged = True
             break
-        d = _solve_preconditioned(g, u, grid, table, eps, eps_u)
+        d = _solve_preconditioned(g, u, on, eps, eps_u)
         slope = float(np.dot(g, d))
         if not math.isfinite(slope) or slope <= 0.0:
             d = g / np.max(hat_norms)  # fall back to a raw gradient step
@@ -413,7 +465,7 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
                 t *= 0.5
                 continue
             try:
-                scale = nehari_scale(RadialFunction(grid, trial), table, nl)
+                scale = nehari_scale(RadialFunction(grid, trial), on, nl)
             except NoProjection:
                 t *= 0.5
                 continue
@@ -421,7 +473,7 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
                 t *= 0.5
                 continue
             trial *= scale
-            i_new = energy(RadialFunction(grid, trial), table, nl)
+            i_new = energy(RadialFunction(grid, trial), on, nl)
             if math.isfinite(i_new) and i_new <= i_cur - 1e-4 * t * slope:
                 u, i_cur = trial, i_new
                 accepted = True
@@ -435,9 +487,9 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
             raise CollapsedToZero("iterate vanished under descent")
 
     uf = RadialFunction(grid, u)
-    residual = residual_weak_form(uf, table, nl)
-    norm_p = _norm_p(u, grid, table)
-    g0 = _gradient_array(u, grid, table, nl, eps=0.0)
+    g0 = _gradient_array(u, on, 0.0, _lower_order_terms(u, on, nl))
+    residual = float(np.max(np.abs(g0[:-1]) / hat_norms[:-1]))
+    norm_p = _norm_p(u, on)
     gap = abs(float(np.dot(g0, u))) / norm_p
     if not converged and not (residual <= tol and gap <= tol):
         raise NotConverged(
@@ -451,7 +503,7 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
     nu_inf = pointwise_decay_exponent(asym_infinity.a, asym_infinity.gamma, grid.dims) \
         if asym_infinity is not None else math.nan
     report = SolveReport(
-        energy=energy(uf, table, nl),
+        energy=i_cur,
         norm_X_p=norm_p,
         residual=residual,
         nehari_gap=gap,

@@ -270,7 +270,9 @@ class TestExampleCommand:
         assert code == EXIT_OK
         assert doc["check"]["passed"] is True
         assert doc["probe"]["origin"]["verdict"] == "decays"
-        assert doc["probe"]["infinity"]["verdict"] == "decays"
+        # the edge filter drops every infinity profile: nothing was probed
+        assert doc["probe"]["infinity"]["family_size"] == 0
+        assert doc["probe"]["infinity"]["verdict"] == "inconclusive"
         assert doc["solve"]["residual"] < 1e-5
         # bounded interval branch: upper bound is the smaller critical exponent
         assert doc["region"]["q1_interval"]["upper"] == 8.0

@@ -154,6 +154,13 @@ class TestDecayVerdict:
                            log_values=[math.log(1e-6), math.log(1e-4), math.log(1e-2)])
         assert decay_verdict(curve) == "decays"
 
+    def test_empty_probe_is_inconclusive(self):
+        # an empty family gives -inf logs (samples 0.0): nothing decayed
+        curve = ProbeCurve(q=3.0, end="infinity",
+                           samples=[(1.0, 0.0), (10.0, 0.0), (100.0, 0.0)],
+                           log_values=[-math.inf, -math.inf, -math.inf])
+        assert decay_verdict(curve) == "inconclusive"
+
     def test_too_few_samples(self):
         curve = ProbeCurve(q=3.0, end="infinity", samples=[(1.0, 1.0), (10.0, 0.5)],
                            log_values=[0.0, math.log(0.5)])

@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+import quasiradial.solver as solver_module
+from quasiradial.cli import example_config, load_config
 from quasiradial.exponents import ProblemDims
-from quasiradial.nonlinearity import NonlinearitySpec, pure_power
+from quasiradial.nonlinearity import NonlinearitySpec, f_eval, pure_power
 from quasiradial.potentials import Constant, Power, eval_potentials
 from quasiradial.solver import (
     BadRange,
     CollapsedToZero,
     Degenerate,
+    NoProjection,
     RadialFunction,
     build_grid,
     decay_slopes,
@@ -38,6 +41,33 @@ def smooth_table(grid):
     v = Power(2.0, 0.25)
     k = Power(1.0, -0.25)
     return eval_potentials(a, v, k, grid.nodes)
+
+
+def bisection_nehari_scale(u, table, nl):
+    """Reference projection: bisection on the scaled source integral, with
+    f evaluated at t u on every trial."""
+    grid, p = u.grid, u.grid.dims.p
+    q_norm = weighted_norm(u, table) ** p
+    wk = grid.quad_weights * table.values_K
+
+    def shifted(t):
+        tu = t * u.values
+        return float(np.dot(wk, f_eval(nl, tu, nonneg=True) * tu)) / t ** p
+
+    lo = hi = 1.0
+    while shifted(hi) < q_norm:
+        hi *= 2.0
+    while shifted(lo) > q_norm:
+        lo /= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if shifted(mid) < q_norm:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-13 * hi:
+            break
+    return 0.5 * (lo + hi)
 
 
 class TestGrid:
@@ -200,6 +230,74 @@ class TestNehari:
         lhs = ts ** 2 * weighted_norm(u, t) ** 2
         rhs = grid.integrate(f_eval(nl, tu, nonneg=True) * tu)
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+class TestNehariAgainstBisection:
+    # the projected bump exceeds 1 on part of its support, so both regimes
+    # of each nonlinearity are active; amplitudes 0.05 and 20 put the root
+    # far above and below t = 1 (doubling and halving brackets)
+    @pytest.mark.parametrize("nl", [
+        NonlinearitySpec("min_powers", 3, 5),
+        NonlinearitySpec("min_powers", 5, 3),
+        NonlinearitySpec("rational", 3, 5),
+        NonlinearitySpec("min_powers", 3, 8.5, M=0.37),
+        NonlinearitySpec("rational", 2.5, 4, M=4.0),
+    ], ids=["min_q1_lt_q2", "min_q1_gt_q2", "rational", "min_M", "rational_M"])
+    @pytest.mark.parametrize("amplitude", [0.05, 1.0, 20.0])
+    def test_agrees_with_bisection(self, nl, amplitude):
+        grid = build_grid(0.05, 20.0, 300, D23)
+        t = smooth_table(grid)
+        u = RadialFunction(grid, amplitude * initial_bump(grid))
+        assert nehari_scale(u, t, nl) == pytest.approx(
+            bisection_nehari_scale(u, t, nl), rel=1e-12)
+
+    def test_negative_entries_are_inert(self):
+        grid = build_grid(0.05, 20.0, 300, D23)
+        t = smooth_table(grid)
+        vals = 2.0 * initial_bump(grid) * np.cos(3.0 * np.log(grid.nodes))
+        assert np.min(vals) < 0.0 < np.max(vals)
+        u = RadialFunction(grid, vals)
+        for nl in (NonlinearitySpec("min_powers", 3, 5), NonlinearitySpec("rational", 3, 5)):
+            assert nehari_scale(u, t, nl) == pytest.approx(
+                bisection_nehari_scale(u, t, nl), rel=1e-12)
+
+    def test_widely_weighted_example_table(self):
+        # ex2_I at 4000 nodes: w K spans about 60 decades over the grid
+        cfg = load_config(example_config("ex2_I"))
+        grid = build_grid(cfg.r_min, cfg.r_max, 4000, cfg.dims)
+        t = eval_potentials(cfg.spec_A, cfg.spec_V, cfg.spec_K, grid.nodes)
+        wk = grid.quad_weights * t.values_K
+        assert np.log10(wk.max() / wk.min()) > 55
+        vals = np.minimum(1.0, grid.nodes ** -3.0)
+        vals[-1] = 0.0
+        u = RadialFunction(grid, vals)
+        nl = cfg.solver_nonlinearity()
+        assert nehari_scale(u, t, nl) == pytest.approx(
+            bisection_nehari_scale(u, t, nl), rel=1e-12)
+
+    @pytest.mark.parametrize("nl", [NonlinearitySpec("min_powers", 3, 5),
+                                    NonlinearitySpec("rational", 3, 5)])
+    def test_nonpositive_iterate_has_no_projection(self, nl):
+        grid = build_grid(0.1, 10.0, 200, D23)
+        u = RadialFunction(grid, -initial_bump(grid))
+        with pytest.raises(NoProjection):
+            nehari_scale(u, unit_table(grid), nl)
+
+    def test_no_nonlinearity_evaluations(self, monkeypatch):
+        # the powers of u_+ are formed once; trial scales never call f
+        calls = []
+        real = solver_module.f_eval
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "f_eval", counting)
+        grid = build_grid(0.1, 10.0, 200, D23)
+        u = RadialFunction(grid, initial_bump(grid))
+        for nl in (NonlinearitySpec("min_powers", 3, 5), NonlinearitySpec("rational", 3, 5)):
+            nehari_scale(u, unit_table(grid), nl)
+        assert calls == []
 
 
 class TestDecaySlopes:
