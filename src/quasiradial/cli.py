@@ -20,7 +20,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -88,7 +88,6 @@ class RunConfig:
     probe_n_nodes: int
     R_origin: list
     R_infinity: list
-    seed: int = 0
 
     @property
     def q_sorted(self):
@@ -157,7 +156,6 @@ def load_config(obj) -> RunConfig:
             probe_n_nodes=int(probe.get("n_nodes", 2400)),
             R_origin=[float(x) for x in probe.get("R_origin", [0.1, 0.01, 0.001])],
             R_infinity=[float(x) for x in probe.get("R_infinity", [10.0, 100.0, 1000.0])],
-            seed=int(obj.get("seed", 0)),
         )
     except ConfigError:
         raise
@@ -425,13 +423,11 @@ def _example2_formula_layer(d=10.0):
 def smallest_sampled_d(dims: ProblemDims, d_max=20.0, step=0.5):
     """Smallest sampled d at which the second threshold strictly exceeds the
     first for the far-field data of the second example (empirical, grid 0.5)."""
-    d = step
-    while d <= d_max:
+    for d in (k * step for k in range(1, math.floor(d_max / step) + 1)):
         qs = q_star(d, 0.0, -0.5, dims)
         qss = q_double_star(-2.0, d, 0.0, -0.5, dims)
         if qss > qs:
             return d
-        d += step
     return math.nan
 
 
@@ -486,8 +482,10 @@ def _parse_range(text):
 
 def _parse_sweep(text):
     key, _, rng = text.partition("=")
-    lo, hi, step = rng.split(":")
-    return key, float(lo), float(hi), float(step)
+    lo, hi, step = (float(x) for x in rng.split(":"))
+    if not (math.isfinite(hi - lo) and step > 0 and hi >= lo):
+        raise argparse.ArgumentTypeError(f"sweep {text!r}: need finite LO <= HI, STEP > 0")
+    return key, lo, hi, step
 
 
 def build_parser():
@@ -533,25 +531,47 @@ def build_parser():
     return parser
 
 
-def sweep_example_d(name: str, out_dir: Path, lo, hi, step):
+def sweep_solves(sweep, cfg_at, out_dir: Path, prefix, entry=lambda cfg, rep: rep):
+    """Independent solves of cfg_at(lo + k*step), k = 0..floor((hi - lo) / step).
+
+    Returns the document listing entry(cfg, report) per value and the worst exit code."""
+    key, lo, hi, step = sweep
+    ks = range(math.floor((hi - lo + 1e-12) / step) + 1)
+    try:  # validate every value first; nothing is kept, so a long sweep costs no memory
+        for k in ks:
+            cfg_at(lo + k * step)
+    except ValueError as exc:  # NonlinearitySpec and load_config reject bad values
+        raise ConfigError(f"sweep {key}: {exc}")
+    results, code = {}, EXIT_OK
+    for k in ks:
+        label, cfg = f"{lo + k * step:g}", cfg_at(lo + k * step)
+        rep, c = solve_to_files(cfg, out_dir, prefix=f"{prefix}{label}")
+        results[label] = entry(cfg, rep)
+        code = max(code, c)
+    return {"schema_version": SCHEMA_VERSION, "sweep": key, "results": results}, code
+
+
+def sweep_example_d(name: str, out_dir: Path, sweep):
     """Independent solves of the second example across far-field growth rates d."""
     if not name.startswith("ex2"):
         raise ConfigError("the d sweep applies to the ex2_* examples only")
-    summary = {}
-    code = EXIT_OK
-    d = lo
-    while d <= hi + 1e-12:
+
+    def cfg_at(d):
         cfg_json = example_config(name)
         cfg_json["potentials"]["K"]["args"][0]["e"] = d
         cfg_json["asymptotics"]["infinity"]["alpha"] = d
-        cfg = load_config(cfg_json)
-        rep, c = solve_to_files(cfg, out_dir, prefix=f"{name}_d_{d:g}")
-        bound = q2_lower_bound(cfg.asym_infinity, cfg.dims)
-        summary[f"{d:g}"] = {"q2_lower_bound": float(bound), "solve": rep}
-        code = max(code, c)
-        d += step
-    return {"schema_version": SCHEMA_VERSION, "example": name, "sweep": "d",
-            "results": summary}, code
+        return load_config(cfg_json)
+
+    doc, code = sweep_solves(sweep, cfg_at, out_dir, f"{name}_d_", lambda cfg, rep: {
+        "q2_lower_bound": float(q2_lower_bound(cfg.asym_infinity, cfg.dims)), "solve": rep})
+    return {"example": name, **doc}, code
+
+
+def _config_at_q(cfg: RunConfig, key, q):
+    nl = cfg.nonlinearity
+    return replace(cfg, nonlinearity=NonlinearitySpec(
+        kind=nl.kind, q1=q if key in ("q", "q1") else nl.q1,
+        q2=q if key in ("q", "q2") else nl.q2, M=nl.M, t0=nl.t0))
 
 
 def _emit(doc):
@@ -565,10 +585,9 @@ def main(argv=None) -> int:
         if args.command == "example":
             out_dir.mkdir(parents=True, exist_ok=True)
             if args.sweep is not None:
-                key, lo, hi, step = args.sweep
-                if key != "d":
+                if args.sweep[0] != "d":
                     raise ConfigError("example sweeps support the key 'd' only")
-                doc, code = sweep_example_d(args.name, out_dir, lo, hi, step)
+                doc, code = sweep_example_d(args.name, out_dir, args.sweep)
                 _emit(doc)
                 return code
             doc = run_example(args.name, out_dir)
@@ -613,25 +632,12 @@ def main(argv=None) -> int:
                 _emit({"error": "hypothesis_check_failed", "check": check})
                 return EXIT_HYPOTHESIS
             if args.sweep is not None:
-                key, lo, hi, step = args.sweep
+                key = args.sweep[0]
                 if key not in ("q", "q1", "q2"):
                     raise ConfigError(f"unsupported sweep key {key!r}")
-                summary = {}
-                code = EXIT_OK
-                val = lo
-                while val <= hi + 1e-12:
-                    nl = cfg.nonlinearity
-                    q1 = val if key in ("q", "q1") else nl.q1
-                    q2 = val if key in ("q", "q2") else nl.q2
-                    cfg.nonlinearity = NonlinearitySpec(
-                        kind=nl.kind, q1=q1, q2=q2, M=nl.M, t0=nl.t0)
-                    rep, c = solve_to_files(cfg, out_dir,
-                                            prefix=f"solution_{key}_{val:g}")
-                    summary[f"{val:g}"] = rep
-                    code = max(code, c)
-                    val += step
-                _emit({"schema_version": SCHEMA_VERSION, "sweep": key,
-                       "results": summary})
+                doc, code = sweep_solves(args.sweep, lambda q: _config_at_q(cfg, key, q),
+                                         out_dir, f"solution_{key}_")
+                _emit(doc)
                 return code
             rep, code = solve_to_files(cfg, out_dir)
             _emit(rep)

@@ -306,25 +306,6 @@ class WitnessInterval:
         return above and below
 
 
-def origin_witness_system(asym: EndpointAsymptotics, dims: ProblemDims):
-    """Coefficients (m, M, D, E, G) of the shift-feasibility system at the origin.
-
-    A shift xi is feasible for exponent q iff
-        m <= xi <= M,   p*beta + p*xi < q,   D*q < p*(E + G*xi),
-    where m = max{0, (1-p*beta)/p}, M = 1-beta, D = p(N-1) - (p-1)*gamma + a,
-    E = p*(alpha+N) - beta*((p-1)*gamma + p - a) and G = gamma - p + a > 0.
-    """
-    p, N, a, alpha, beta, gamma = _exact(
-        dims.p, dims.N, asym.a, asym.alpha, asym.beta, asym.gamma)
-    zero = p - p
-    m = max(zero, (1 - p * beta) / p)
-    M = 1 - beta
-    D = p * (N - 1) - (p - 1) * gamma + a
-    E = p * (alpha + N) - beta * ((p - 1) * gamma + p - a)
-    G = gamma - p + a
-    return m, M, D, E, G
-
-
 def xi_witness_origin(asym: EndpointAsymptotics, q1, dims: ProblemDims) -> WitnessInterval:
     """Exact feasible shift interval certifying origin admissibility of q1.
 

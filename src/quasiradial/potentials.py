@@ -42,9 +42,6 @@ class PotentialSpec:
 
     kind = "abstract"
 
-    def __call__(self, r):
-        return self.evaluate(np.asarray(r, dtype=float))
-
     def evaluate(self, r):
         raise NotImplementedError
 
@@ -205,7 +202,6 @@ class PotentialTable:
     values_A: np.ndarray
     values_V: np.ndarray
     values_K: np.ndarray
-    refinement_level: int = 0
     log_A: Optional[np.ndarray] = None
     log_V: Optional[np.ndarray] = None
     log_K: Optional[np.ndarray] = None

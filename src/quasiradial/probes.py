@@ -17,7 +17,7 @@ unit-ball member) and are filtered out of the family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -40,44 +40,51 @@ def _log_abs_diff(la, lb):
     return np.where(np.isneginf(hi), -np.inf, out)
 
 
-def _log_norm_p(log_u, grid: RadialGrid, table: PotentialTable):
-    """log of ||u||^p for a profile given by nodal log-values."""
+def _log_norm_terms(log_u, grid: RadialGrid, table: PotentialTable):
+    """log of each gradient-cell and mass-node term of ||u||^p.
+
+    log_u holds nodal log-values of one profile (1-D) or of a block of
+    profiles (one per row); the cell terms and then the node terms are
+    concatenated along the last axis.
+    """
     p = grid.dims.p
-    log_du = _log_abs_diff(log_u[1:], log_u[:-1]) - np.log(grid.dr)
+    log_du = _log_abs_diff(log_u[..., 1:], log_u[..., :-1]) - np.log(grid.dr)
     log_a_cell = 0.5 * (table.log_A[:-1] + table.log_A[1:])
     grad_terms = log_a_cell + p * log_du + np.log(grid.cell_measure)
     with np.errstate(divide="ignore"):
         log_w = np.log(grid.quad_weights)
     mass_terms = log_w + table.log_V + p * log_u
-    return float(logsumexp(np.concatenate([grad_terms, mass_terms])))
+    return np.concatenate([grad_terms, mass_terms], axis=-1)
+
+
+def _log_norm_p(log_u, grid: RadialGrid, table: PotentialTable):
+    """log of ||u||^p for a profile (a float) or a block of rows (an array)."""
+    return logsumexp(_log_norm_terms(log_u, grid, table), axis=-1)
 
 
 @dataclass
 class TrialFamily:
-    """Normalized cutoff power profiles stored as nodal log-values."""
+    """Normalized cutoff power profiles: nodal log-values, one row each."""
 
     grid: RadialGrid
     table: PotentialTable
-    log_profiles: list = field(default_factory=list)
-    nus: list = field(default_factory=list)
-    cuts: list = field(default_factory=list)
+    log_profiles: np.ndarray
+    nus: list
+    cuts: list
 
     def __len__(self):
         return len(self.log_profiles)
 
     def as_radial_functions(self):
         """Linear-space views; values below the float range underflow to 0."""
-        out = []
-        for lp in self.log_profiles:
-            with np.errstate(over="ignore"):
-                vals = np.exp(lp)
-            vals[-1] = 0.0
-            out.append(RadialFunction(self.grid, vals))
-        return out
+        with np.errstate(over="ignore"):
+            vals = np.exp(self.log_profiles)
+        vals[:, -1] = 0.0
+        return [RadialFunction(self.grid, row) for row in vals]
 
     def norm_defects(self):
         """|log ||u||^p| per profile; all ~0 since profiles are normalized."""
-        return [abs(_log_norm_p(lp, self.grid, self.table)) for lp in self.log_profiles]
+        return np.abs(_log_norm_p(self.log_profiles, self.grid, self.table)).tolist()
 
 
 def _raw_log_profile(grid, nu, cut_lo, cut_hi):
@@ -101,33 +108,6 @@ def _raw_log_profile(grid, nu, cut_lo, cut_hi):
     return vals
 
 
-def _edge_fraction(log_u, grid, table, end):
-    """Fraction of ||u||^p carried by the nodes where truncation bites.
-
-    Origin side: the first half-decade (cut profiles vanish there, so only
-    profiles genuinely reaching the edge register).  Infinity side: the last
-    full decade, since the outer taper itself occupies the final half-decade.
-    """
-    p = grid.dims.p
-    r = grid.nodes
-    if end == "origin":
-        node_mask = r <= r[0] * math.sqrt(10.0)
-    else:
-        node_mask = r >= r[-1] / 10.0
-    cell_mask = node_mask[:-1] | node_mask[1:]
-    log_du = _log_abs_diff(log_u[1:], log_u[:-1]) - np.log(grid.dr)
-    log_a_cell = 0.5 * (table.log_A[:-1] + table.log_A[1:])
-    grad_terms = log_a_cell + p * log_du + np.log(grid.cell_measure)
-    with np.errstate(divide="ignore"):
-        log_w = np.log(grid.quad_weights)
-    mass_terms = log_w + table.log_V + p * log_u
-    total = logsumexp(np.concatenate([grad_terms, mass_terms]))
-    pieces = np.concatenate([grad_terms[cell_mask], mass_terms[node_mask]])
-    if not len(pieces) or total == -np.inf:
-        return 0.0
-    return float(np.exp(logsumexp(pieces) - total))
-
-
 def make_trial_family(grid: RadialGrid, table: PotentialTable, nu_center: float,
                       end: str, n_exponents: int = 16, n_cuts: int = 12,
                       edge_fraction_max: float = 0.25) -> TrialFamily:
@@ -137,6 +117,13 @@ def make_trial_family(grid: RadialGrid, table: PotentialTable, nu_center: float,
     is close to zero).  Origin families also sweep the inner cut radius so the
     small balls being probed contain profile mass; infinity families use a
     fixed moderate inner cut and reach to the outer truncation.
+
+    A profile is dropped when more than edge_fraction_max of its norm sits
+    where truncation bites: on the origin side the first half-decade (cut
+    profiles vanish there, so only profiles genuinely reaching the edge
+    register), on the infinity side the last full decade, since the outer
+    taper itself occupies the final half-decade.  Normalizing shifts every
+    log-term by the same constant, so the fraction is read from the raw terms.
     """
     if abs(nu_center) > 1e-9:
         nus = np.linspace(0.5 * nu_center, 1.5 * nu_center, n_exponents)
@@ -149,26 +136,28 @@ def make_trial_family(grid: RadialGrid, table: PotentialTable, nu_center: float,
         cuts = np.logspace(math.log10(5.0 * r_min), math.log10(min(0.3, r_max / 10)),
                            n_cuts)
         cut_hi = min(5.0, r_max / 4.0)
-        combos = [(nu, cut, cut_hi) for nu in nus for cut in cuts]
+        edge_nodes = grid.nodes <= r_min * math.sqrt(10.0)
     elif end == "infinity":
-        cut = min(0.3, r_max / 100.0)
-        combos = [(nu, cut, r_max) for nu in nus]
-        cuts = np.array([cut])
+        cuts = np.array([min(0.3, r_max / 100.0)])
+        cut_hi = r_max
+        edge_nodes = grid.nodes >= r_max / 10.0
     else:
         raise ValueError(f"unknown end {end!r}")
-    family = TrialFamily(grid=grid, table=table)
-    for nu, cut_lo, cut_hi in combos:
-        raw = _raw_log_profile(grid, nu, cut_lo, cut_hi)
-        log_np = _log_norm_p(raw, grid, table)
-        if not math.isfinite(log_np):
-            continue
-        normalized = raw - log_np / grid.dims.p
-        if _edge_fraction(normalized, grid, table, end) > edge_fraction_max:
-            continue
-        family.log_profiles.append(normalized)
-        family.nus.append(float(nu))
-        family.cuts.append(float(cut_lo))
-    return family
+    edge_terms = np.concatenate([edge_nodes[:-1] | edge_nodes[1:], edge_nodes])
+    profiles = np.empty((len(nus) * len(cuts), grid.n))
+    kept_nus, kept_cuts = [], []
+    for nu in nus:
+        raw = np.array([_raw_log_profile(grid, nu, cut, cut_hi) for cut in cuts])
+        terms = _log_norm_terms(raw, grid, table)
+        log_np = logsumexp(terms, axis=-1)
+        with np.errstate(invalid="ignore"):
+            edge_fraction = np.exp(logsumexp(terms[:, edge_terms], axis=-1) - log_np)
+        keep = np.isfinite(log_np) & ~(edge_fraction > edge_fraction_max)
+        at, n_kept = len(kept_nus), int(keep.sum())
+        profiles[at:at + n_kept] = raw[keep] - (log_np[keep] / grid.dims.p)[:, None]
+        kept_nus += [float(nu)] * n_kept
+        kept_cuts += cuts[keep].tolist()
+    return TrialFamily(grid, table, profiles[:len(kept_nus)], kept_nus, kept_cuts)
 
 
 @dataclass
@@ -180,23 +169,28 @@ class ProbeCurve:
     samples: list          # list of (R, value)
     log_values: list       # matching log values, safe against underflow
 
-    def to_rows(self):
-        return [(R, v) for R, v in self.samples]
+
+_PROBE_ROWS = 16  # profiles per logsumexp call; bounds the temporaries
 
 
 def _probe(table, q, R_list, family, end):
-    grid = family.grid
+    if q <= 1:
+        raise ValueError("probe exponent must exceed 1")
+    nodes = family.grid.nodes
     with np.errstate(divide="ignore"):
-        log_w = np.log(grid.quad_weights)
-    base = log_w + table.log_K
+        base = np.log(family.grid.quad_weights) + table.log_K
     samples, logs = [], []
-    for R in R_list:
-        mask = grid.nodes <= R if end == "origin" else grid.nodes >= R
+    for R in sorted(R_list):
+        # the ball is a prefix (origin) or a suffix (infinity) of the nodes
+        if end == "origin":
+            ball = slice(0, np.searchsorted(nodes, R, side="right"))
+        else:
+            ball = slice(np.searchsorted(nodes, R, side="left"), len(nodes))
         best = -math.inf
-        for lp in family.log_profiles:
-            terms = base[mask] + q * lp[mask]
-            if len(terms):
-                best = max(best, float(logsumexp(terms)))
+        if ball.stop > ball.start:
+            for at in range(0, len(family), _PROBE_ROWS):
+                rows = family.log_profiles[at:at + _PROBE_ROWS, ball]
+                best = max(best, float(np.max(logsumexp(base[ball] + q * rows, axis=1))))
         with np.errstate(over="ignore"):
             samples.append((float(R), float(np.exp(best))))
         logs.append(best)
@@ -208,9 +202,7 @@ def probe_origin(table: PotentialTable, q: float, R_list, family: TrialFamily) -
 
     Nondecreasing in R by integral monotonicity on the fixed family.
     """
-    if q <= 1:
-        raise ValueError("probe exponent must exceed 1")
-    return _probe(table, q, sorted(R_list), family, "origin")
+    return _probe(table, q, R_list, family, "origin")
 
 
 def probe_infinity(table: PotentialTable, q: float, R_list, family: TrialFamily) -> ProbeCurve:
@@ -218,9 +210,7 @@ def probe_infinity(table: PotentialTable, q: float, R_list, family: TrialFamily)
 
     Nonincreasing in R on the fixed family.
     """
-    if q <= 1:
-        raise ValueError("probe exponent must exceed 1")
-    return _probe(table, q, sorted(R_list), family, "infinity")
+    return _probe(table, q, R_list, family, "infinity")
 
 
 def decay_verdict(curve: ProbeCurve, threshold: float = 0.9) -> str:

@@ -1,14 +1,17 @@
+import argparse
 import csv
 import json
 
 import pytest
 
+from quasiradial import cli
 from quasiradial.cli import (
     EXIT_COLLAPSED,
     EXIT_CONFIG,
     EXIT_HYPOTHESIS,
     EXIT_NOT_CONVERGED,
     EXIT_OK,
+    _parse_sweep,
     example_config,
     main,
 )
@@ -223,6 +226,56 @@ class TestSolve:
         assert set(doc["results"]) == {"4", "5"}
         assert (tmp_path / "solution_q_4.csv").exists()
         assert (tmp_path / "solution_q_5.csv").exists()
+
+    @pytest.mark.parametrize("text", ["q=4:5:0", "q=4:5:-0.5", "q=5:4:0.5", "q=4:inf:1"])
+    def test_bad_sweep_range_rejected(self, text):
+        # a zero step would re-solve q = 4 forever
+        with pytest.raises(argparse.ArgumentTypeError):
+            _parse_sweep(text)
+
+    def test_bad_sweep_range_exits_two(self, tmp_path):
+        path = write_config(tmp_path, unit_benchmark_config())
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--config", path, "--out", str(tmp_path), "--force",
+                  "--sweep", "q=4:5:0"])
+        assert exc.value.code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("nonlinearity, sweep", [
+        ({"kind": "pure_power", "q1": 4.0, "q2": 4.0}, "q=0.5:1:0.5"),    # q <= 1
+        ({"kind": "rational", "q1": 3.0, "q2": 5.0}, "q1=4:6:1"),         # q1 > q2
+    ])
+    def test_invalid_swept_value_is_config_error(self, tmp_path, capsys, nonlinearity,
+                                                 sweep):
+        cfg = unit_benchmark_config()
+        cfg["nonlinearity"] = nonlinearity
+        path = write_config(tmp_path, cfg)
+        code, doc = run_cli(capsys, ["solve", "--config", path, "--out", str(tmp_path),
+                                     "--force", "--sweep", sweep])
+        assert code == EXIT_CONFIG
+        assert doc["error"] == "invalid_config"
+        assert not list(tmp_path.glob("solution_*"))  # rejected before any solve
+
+    def test_sweep_values_are_exact_and_config_unchanged(self, tmp_path, capsys,
+                                                         monkeypatch):
+        base = cli.load_config(unit_benchmark_config())
+        solved = []
+
+        def record(cfg, out_dir, prefix="solution"):
+            solved.append((prefix, cfg.nonlinearity.q1, cfg.nonlinearity.q2))
+            return {}, EXIT_OK
+
+        monkeypatch.setattr(cli, "solve_to_files", record)
+        monkeypatch.setattr(cli, "load_config_file", lambda path: base)
+        code, doc = run_cli(capsys, ["solve", "--config", "unused", "--out", str(tmp_path),
+                                     "--force", "--sweep", "q=4:5:0.1"])
+        assert code == EXIT_OK
+        # lo + k*step, not a running sum, which drifts to 4.9999999999999964
+        expected = [4 + k * 0.1 for k in range(11)]
+        assert [q1 for _, q1, _ in solved] == expected
+        assert [q2 for _, _, q2 in solved] == expected
+        assert solved[-1][:2] == ("solution_q_5", 5.0)
+        assert sorted(doc["results"], key=float) == [f"{q:g}" for q in expected]
+        assert (base.nonlinearity.q1, base.nonlinearity.q2) == (4.0, 4.0)
 
     def test_solver_determinism(self, tmp_path, capsys):
         path = write_config(tmp_path, unit_benchmark_config())

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
-from quasiradial.exponents import ProblemDims
+from quasiradial.cli import example_config, load_config
+from quasiradial.exponents import ProblemDims, pointwise_decay_exponent
 from quasiradial.potentials import (
     Constant,
     ExpInv,
@@ -14,6 +16,8 @@ from quasiradial.potentials import (
 from quasiradial.probes import (
     ProbeCurve,
     TooFewSamples,
+    _log_abs_diff,
+    _raw_log_profile,
     decay_verdict,
     make_trial_family,
     probe_infinity,
@@ -173,3 +177,112 @@ class TestDecayVerdict:
                            log_values=[0.0, math.log(0.8), math.log(0.64)])
         assert decay_verdict(curve) == "decays"
         assert decay_verdict(curve, threshold=0.7) == "stalls"
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-profile loop the array implementation replaced.  Each
+# profile's norm and edge fraction are assembled on their own, and each probe
+# value is one scalar logsumexp per profile.
+# ---------------------------------------------------------------------------
+
+def _ref_terms(log_u, grid, table):
+    p = grid.dims.p
+    log_du = _log_abs_diff(log_u[1:], log_u[:-1]) - np.log(grid.dr)
+    log_a_cell = 0.5 * (table.log_A[:-1] + table.log_A[1:])
+    grad_terms = log_a_cell + p * log_du + np.log(grid.cell_measure)
+    with np.errstate(divide="ignore"):
+        log_w = np.log(grid.quad_weights)
+    return grad_terms, log_w + table.log_V + p * log_u
+
+
+def _ref_log_norm_p(log_u, grid, table):
+    return float(logsumexp(np.concatenate(_ref_terms(log_u, grid, table))))
+
+
+def _ref_edge_fraction(log_u, grid, table, end):
+    r = grid.nodes
+    node_mask = r <= r[0] * math.sqrt(10.0) if end == "origin" else r >= r[-1] / 10.0
+    cell_mask = node_mask[:-1] | node_mask[1:]
+    grad_terms, mass_terms = _ref_terms(log_u, grid, table)
+    total = logsumexp(np.concatenate([grad_terms, mass_terms]))
+    pieces = np.concatenate([grad_terms[cell_mask], mass_terms[node_mask]])
+    if not len(pieces) or total == -np.inf:
+        return 0.0
+    return float(np.exp(logsumexp(pieces) - total))
+
+
+def _ref_family(grid, table, nu_center, end, n_exponents=16, n_cuts=12):
+    if abs(nu_center) > 1e-9:
+        nus = np.linspace(0.5 * nu_center, 1.5 * nu_center, n_exponents)
+    else:
+        nus = np.linspace(-0.5, 0.5, n_exponents)
+    r_min, r_max = grid.nodes[0], grid.nodes[-1]
+    if end == "origin":
+        cuts = np.logspace(math.log10(5.0 * r_min), math.log10(min(0.3, r_max / 10)),
+                           n_cuts)
+        combos = [(nu, cut, min(5.0, r_max / 4.0)) for nu in nus for cut in cuts]
+    else:
+        combos = [(nu, min(0.3, r_max / 100.0), r_max) for nu in nus]
+    profiles, kept_nus, kept_cuts = [], [], []
+    for nu, cut_lo, cut_hi in combos:
+        raw = _raw_log_profile(grid, nu, cut_lo, cut_hi)
+        log_np = _ref_log_norm_p(raw, grid, table)
+        if not math.isfinite(log_np):
+            continue
+        normalized = raw - log_np / grid.dims.p
+        if _ref_edge_fraction(normalized, grid, table, end) > 0.25:
+            continue
+        profiles.append(normalized)
+        kept_nus.append(float(nu))
+        kept_cuts.append(float(cut_lo))
+    return profiles, kept_nus, kept_cuts
+
+
+def _ref_probe_logs(table, q, R_list, grid, profiles, end):
+    with np.errstate(divide="ignore"):
+        base = np.log(grid.quad_weights) + table.log_K
+    logs = []
+    for R in sorted(R_list):
+        mask = grid.nodes <= R if end == "origin" else grid.nodes >= R
+        best = -math.inf
+        for lp in profiles:
+            terms = base[mask] + q * lp[mask]
+            if len(terms):
+                best = max(best, float(logsumexp(terms)))
+        logs.append(best)
+    return logs
+
+
+class TestProbesAgainstPerProfileLoop:
+    """The array family and probes reproduce the per-profile loop exactly,
+    on the probe grid and exponents that `probe_report` uses."""
+
+    @pytest.mark.parametrize("name, end, kept", [
+        ("ex1", "origin", 192),     # all 16 x 12 candidates kept
+        ("ex1", "infinity", 9),     # the edge filter drops 7 of 16
+        ("ex2_I", "infinity", 0),   # the edge filter drops all 16
+    ])
+    def test_identical_family_and_probe(self, name, end, kept):
+        cfg = load_config(example_config(name))
+        grid = build_grid(cfg.probe_r_min, cfg.probe_r_max, cfg.probe_n_nodes, cfg.dims)
+        table = eval_potentials(cfg.spec_A, cfg.spec_V, cfg.spec_K, grid.nodes)
+        asym = cfg.asym_origin if end == "origin" else cfg.asym_infinity
+        nu = float(pointwise_decay_exponent(asym.a, asym.gamma, cfg.dims))
+        fam = make_trial_family(grid, table, nu, end)
+        ref_profiles, ref_nus, ref_cuts = _ref_family(grid, table, nu, end)
+
+        assert len(fam) == len(ref_profiles) == kept
+        assert fam.log_profiles.shape == (kept, grid.n)
+        assert np.array_equal(fam.log_profiles,
+                              np.reshape(ref_profiles, (kept, grid.n)))
+        assert fam.nus == ref_nus
+        assert fam.cuts == ref_cuts
+
+        q1, q2 = cfg.q_sorted
+        if end == "origin":
+            curve = probe_origin(table, q1, cfg.R_origin, fam)
+            ref = _ref_probe_logs(table, q1, cfg.R_origin, grid, ref_profiles, end)
+        else:
+            curve = probe_infinity(table, q2, cfg.R_infinity, fam)
+            ref = _ref_probe_logs(table, q2, cfg.R_infinity, grid, ref_profiles, end)
+        assert curve.log_values == ref
