@@ -297,9 +297,11 @@ def nehari_scale(u: RadialFunction, table: PotentialTable,
     log_u = np.log(u.values[supp])
     log_wk = np.log(u.grid.quad_weights[supp]) + on.table.log_K[supp]
     if nl.kind == PURE_POWER or nl.q1 == nl.q2:
-        # t* = (||u||^p / (M int K u_+^q))^(1/(q-p))
+        # f = c t^(q-1) with c = M, or M/2 for the rational splice:
+        # t* = (||u||^p / (c int K u_+^q))^(1/(q-p))
         q = nl.q1
-        log_s = math.log(nl.M) + float(logsumexp(log_wk + q * log_u))
+        c = 0.5 * nl.M if nl.kind == RATIONAL else nl.M
+        log_s = math.log(c) + float(logsumexp(log_wk + q * log_u))
         return math.exp((math.log(q_norm) - log_s) / (q - p))
 
     # brentq wraps its function in a self-referencing closure, so the arrays

@@ -1,6 +1,9 @@
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -354,3 +357,13 @@ class TestExampleCommand:
     def test_unknown_example_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["example", "nope"])
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # quadrature is only the test reference of the rational primitive
+    pkg_root = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, quasiradial.cli; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=pkg_root)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from quasiradial.nonlinearity import (
     NonlinearitySpec,
     F_eval,
+    _rational_primitive_scalar,
     check_ar,
     check_growth,
     f_eval,
@@ -96,6 +99,69 @@ class TestPrimitive:
     def test_positivity_witness(self):
         for spec in (minp(3, 5), rat(3, 5)):
             assert F_eval(spec, spec.t0) > 0
+
+
+class TestRationalAgainstQuadrature:
+    """The closed form against the cached adaptive quadrature, node by node."""
+
+    U = np.concatenate([[0.0], np.logspace(-4, 3, 200)])
+
+    @staticmethod
+    def quadrature(spec, u):
+        return spec.M * np.array([_rational_primitive_scalar(float(spec.q1), float(spec.q2),
+                                                             float(x)) for x in u])
+
+    # (3,6) and (3,4.5) have integer b - 1 = q1/(q2-q1), where the
+    # hypergeometric transform to 1/z degenerates; (3,3.0001) has b = 3e4
+    @pytest.mark.parametrize("spec", [
+        rat(3, 9), rat(3, 9.5), rat(3, 10), rat(3, 5), rat(2.5, 4), rat(3, 6),
+        rat(3, 4.5), rat(3, 3.0001), rat(4, 4), rat(3, 9, M=2.5),
+    ], ids=lambda s: f"{s.q1}-{s.q2}-M{s.M}")
+    def test_matches_quadrature(self, spec):
+        np.testing.assert_allclose(F_eval(spec, self.U), self.quadrature(spec, self.U),
+                                   rtol=1e-9, atol=0.0)
+
+    def test_equal_exponents_closed_form(self):
+        # f = t^(q-1) / 2, so F = t^q / (2q)
+        np.testing.assert_allclose(F_eval(rat(4, 4), self.U), self.U ** 4 / 8, rtol=1e-15)
+
+    def test_even_in_t(self):
+        spec = rat(3, 9)
+        t = np.linspace(-4.0, 4.0, 81)
+        np.testing.assert_array_equal(F_eval(spec, -t), F_eval(spec, t))
+        np.testing.assert_allclose(F_eval(spec, -t), self.quadrature(spec, np.abs(t)),
+                                   rtol=1e-9, atol=0.0)
+
+    def test_solver_mode_zeroes_negative_t(self):
+        spec = rat(3, 9)
+        t = np.linspace(-4.0, 4.0, 81)
+        vals = F_eval(spec, t, nonneg=True)
+        assert np.all(vals[t < 0] == 0.0)
+        np.testing.assert_array_equal(vals[t >= 0], F_eval(spec, t[t >= 0]))
+
+    def test_scalar_input_returns_float(self):
+        val = F_eval(rat(3, 9), 1.7)
+        assert type(val) is float
+        assert val == pytest.approx(self.quadrature(rat(3, 9), [1.7])[0], rel=1e-9)
+
+    def test_shape_is_kept(self):
+        spec = rat(3, 9)
+        t = self.U[1:].reshape(20, 10)
+        vals = F_eval(spec, t)
+        assert vals.shape == (20, 10)
+        np.testing.assert_array_equal(vals.ravel(), F_eval(spec, t.ravel()))
+
+    def test_large_argument_is_finite(self):
+        # u^q2 and u^(q2-q1) overflow at u = 1e4; F = u^3/3 + O(1)
+        val = F_eval(rat(3, 100), np.array([1e4]))
+        assert np.all(np.isfinite(val))
+        assert val[0] == pytest.approx(1e12 / 3, rel=1e-9)
+
+    def test_overflowing_power_below_largest_float(self):
+        # u^q1 overflows here while F = u^q1 / q2 * (x 2F1) is about 1.7e308
+        val = F_eval(rat(3, 3.0001), 1e103)
+        assert math.isfinite(val)
+        assert val == pytest.approx(1.6864018218222413e308, rel=1e-12)
 
 
 class TestSuperlinearity:

@@ -371,6 +371,15 @@ class TestSolve:
         assert np.min(u.values) >= 0.0
         assert np.max(u.values) > 1.0
 
+    def test_rational_equal_exponents_is_half_power(self):
+        # rational with q1 == q2 is f = M t^(q-1) / 2, the pure power with M/2
+        grid = build_grid(1e-3, 30.0, 400, D23)
+        t = unit_table(grid)
+        _, rep = solve_ground_state(t, NonlinearitySpec("rational", 4.0, 4.0), grid, tol=1e-6)
+        _, ref = solve_ground_state(t, pure_power(4, M=0.5), grid, tol=1e-6)
+        assert ref.energy == pytest.approx(37.7844444, rel=1e-8)
+        assert rep.energy == pytest.approx(ref.energy, rel=1e-10)
+
     def test_rational_nonlinearity_smoke(self):
         grid = build_grid(5e-2, 15.0, 80, D23)
         t = unit_table(grid)
