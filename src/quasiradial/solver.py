@@ -9,7 +9,8 @@ values for the zero-order terms, and quadrature weights that integrate the
 r^(N-1) surface measure exactly per cell.  A nonnegative nontrivial critical
 point is computed by descent on the Nehari-projected energy: a gradient step
 preconditioned by the linearized quadratic metric, a positive-part clamp, and
-re-projection, with Armijo backtracking.
+re-projection, with an Armijo line search that backtracks from the unit
+step and expands an accepted unit step while the projected energy falls.
 
 Boundary conditions: homogeneous Dirichlet at the outer truncation radius,
 natural (free) at the inner one.
@@ -23,7 +24,6 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.optimize import brentq
 from scipy.special import logsumexp
 
 from .exponents import EndpointAsymptotics, ProblemDims, pointwise_decay_exponent
@@ -183,8 +183,8 @@ def weighted_norm(u: RadialFunction, table: PotentialTable) -> float:
     return _norm_p(u.values, _on_grid(u.grid, table)) ** (1.0 / u.grid.dims.p)
 
 
-def _eps_for(u, grid, scale=1e-10):
-    du = np.diff(u) / grid.dr
+def _eps_for(du, scale=1e-10):
+    """Flux regularization: scale times the largest cell slope |u'|."""
     m = float(np.max(np.abs(du))) if len(du) else 0.0
     return scale * m
 
@@ -193,8 +193,8 @@ def energy(u: RadialFunction, table: PotentialTable, nl: NonlinearitySpec) -> fl
     """Discrete value of the variational energy at u."""
     on = _on_grid(u.grid, table)
     grid, p = u.grid, u.grid.dims.p
-    eps = _eps_for(u.values, grid)
     du = np.diff(u.values) / grid.dr
+    eps = _eps_for(du)
     # A-term energy density phi(u') = (u'^2 + eps^2)^(p/2) - eps^p per cell
     dens = (du * du + eps * eps) ** (p / 2.0) - eps ** p
     ea = float(np.dot(on.a_cell * dens, grid.cell_measure))
@@ -235,7 +235,7 @@ def energy_gradient(u: RadialFunction, table: PotentialTable,
                     nl: NonlinearitySpec) -> RadialFunction:
     """Gradient of the discrete energy with respect to nodal values."""
     on = _on_grid(u.grid, table)
-    eps = _eps_for(u.values, u.grid)
+    eps = _eps_for(np.diff(u.values) / u.grid.dr)
     g = _gradient_array(u.values, on, eps, _lower_order_terms(u.values, on, nl))
     return RadialFunction(u.grid, g)
 
@@ -303,6 +303,8 @@ def nehari_scale(u: RadialFunction, table: PotentialTable,
         c = 0.5 * nl.M if nl.kind == RATIONAL else nl.M
         log_s = math.log(c) + float(logsumexp(log_wk + q * log_u))
         return math.exp((math.log(q_norm) - log_s) / (q - p))
+
+    from scipy.optimize import brentq  # deferred: only double powers need it
 
     # brentq wraps its function in a self-referencing closure, so the arrays
     # go in through args: captured here they would outlive the call until the
@@ -414,6 +416,30 @@ def _solve_preconditioned(g, u, on: _OnGrid, eps, eps_u):
     return d
 
 
+# step lengths of the line search, in units of the preconditioned direction
+_MIN_STEP = 1e-14
+_MAX_STEP = 64.0
+
+
+def _projected_trial(u, d, t, on: _OnGrid, nl):
+    """The step u - t d, clamped nonnegative (zero at the outer node) and
+    scaled onto the Nehari set, with its energy: (trial, E), or None when
+    the step has no projection or no finite energy."""
+    trial = np.maximum(u - t * d, 0.0)
+    trial[-1] = 0.0
+    if not np.any(trial > 0.0):
+        return None
+    try:
+        scale = nehari_scale(RadialFunction(on.grid, trial), on, nl)
+    except NoProjection:
+        return None
+    if not math.isfinite(scale) or scale <= 0.0:
+        return None
+    trial *= scale
+    e = energy(RadialFunction(on.grid, trial), on, nl)
+    return (trial, e) if math.isfinite(e) else None
+
+
 def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
                        grid: RadialGrid, tol: float = 1e-6,
                        max_iter: int = 20000,
@@ -423,10 +449,13 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
     """Compute a nonnegative nontrivial critical point of the discrete energy.
 
     Descent on the Nehari-projected energy: preconditioned gradient step,
-    positive-part clamp, re-projection, Armijo backtracking (contraction 0.5,
-    slope parameter 1e-4).  Raises CollapsedToZero when only the trivial
-    critical point is reachable and NotConverged when the iteration budget is
-    exhausted above tolerance.
+    positive-part clamp, re-projection and an Armijo line search (slope
+    parameter 1e-4).  The search backtracks from t = 1 with contraction 0.5
+    down to t = 1e-14.  When t = 1 passes, t is doubled, up to 64, while
+    each doubled trial has a strictly lower projected energy than the last
+    one taken; the last one taken is the step.  Raises CollapsedToZero when
+    only the trivial critical point is reachable and NotConverged when the
+    iteration budget is exhausted above tolerance.
     """
     on = _on_grid(grid, table)
     u = initial_bump(grid)
@@ -440,7 +469,7 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        eps = _eps_for(u, grid)
+        eps = _eps_for(np.diff(u) / grid.dr)
         eps_u = 1e-10 * float(np.max(np.abs(u)))
         # convergence is judged on the unregularized defect g0 reported by
         # residual_weak_form; for p < 2 the two can differ near flat cells
@@ -458,33 +487,27 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
         if not math.isfinite(slope) or slope <= 0.0:
             d = g / np.max(hat_norms)  # fall back to a raw gradient step
             slope = float(np.dot(g, d))
-        t = 1.0
-        accepted = False
-        while t > 1e-14:
-            trial = np.maximum(u - t * d, 0.0)
-            trial[-1] = 0.0
-            if not np.any(trial > 0.0):
-                t *= 0.5
-                continue
-            try:
-                scale = nehari_scale(RadialFunction(grid, trial), on, nl)
-            except NoProjection:
-                t *= 0.5
-                continue
-            if not math.isfinite(scale) or scale <= 0.0:
-                t *= 0.5
-                continue
-            trial *= scale
-            i_new = energy(RadialFunction(grid, trial), on, nl)
-            if math.isfinite(i_new) and i_new <= i_cur - 1e-4 * t * slope:
-                u, i_cur = trial, i_new
-                accepted = True
+        t, step = 1.0, None
+        while t > _MIN_STEP:
+            trial = _projected_trial(u, d, t, on, nl)
+            if trial is not None and trial[1] <= i_cur - 1e-4 * t * slope:
+                step = trial
                 break
             t *= 0.5
-        if accepted and on_iterate is not None:
-            on_iterate(iterations, i_cur)
-        if not accepted:
+        if step is not None and t == 1.0:
+            # an accepted unit step is doubled while the projected energy
+            # falls; every iteration starts again from t = 1
+            while t < _MAX_STEP:
+                t *= 2.0
+                longer = _projected_trial(u, d, t, on, nl)
+                if longer is None or longer[1] >= step[1]:
+                    break
+                step = longer
+        if step is None:
             break
+        u, i_cur = step
+        if on_iterate is not None:
+            on_iterate(iterations, i_cur)
         if float(np.max(u)) < 1e-300:
             raise CollapsedToZero("iterate vanished under descent")
 

@@ -359,11 +359,21 @@ class TestExampleCommand:
             main(["example", "nope"])
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    # quadrature is only the test reference of the rational primitive
+def _is_loaded_after_cli_import(module):
+    """'True' or 'False', printed by a fresh interpreter."""
     pkg_root = os.path.dirname(os.path.dirname(cli.__file__))
-    code = "import sys, quasiradial.cli; print('scipy.integrate' in sys.modules)"
+    code = f"import sys, quasiradial.cli; print({module!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=pkg_root)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    return out.strip()
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # quadrature is only the test reference of the rational primitive
+    assert _is_loaded_after_cli_import("scipy.integrate") == "False"
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # brentq is imported by the double-power Nehari projection when it runs
+    assert _is_loaded_after_cli_import("scipy.optimize") == "False"

@@ -335,12 +335,76 @@ class TestSolve:
 
     def test_energy_decreases_monotonically(self):
         grid = build_grid(1e-2, 20.0, 300, D23)
-        t = unit_table(grid)
-        energies = []
-        solve_ground_state(t, pure_power(4), grid, tol=1e-5,
-                           on_iterate=lambda k, e: energies.append(e))
-        assert len(energies) >= 2
-        assert all(b < a for a, b in zip(energies, energies[1:]))
+        cases = [(unit_table(grid), pure_power(4), grid, 1e-5)]
+        # ex2_I at 1600 nodes, where most unit steps are lengthened
+        cfg = load_config(example_config("ex2_I"))
+        grid = build_grid(cfg.r_min, cfg.r_max, cfg.n_nodes, cfg.dims)
+        cases.append((eval_potentials(cfg.spec_A, cfg.spec_V, cfg.spec_K, grid.nodes),
+                      cfg.solver_nonlinearity(), grid, cfg.solve_tol))
+        for t, nl, grid, tol in cases:
+            energies = []
+            solve_ground_state(t, nl, grid, tol=tol,
+                               on_iterate=lambda k, e: energies.append(e))
+            assert len(energies) >= 2
+            assert all(b < a for a, b in zip(energies, energies[1:]))
+
+    def test_line_search_trials(self, monkeypatch):
+        # per iteration the trial steps are either t = 1, 1/2, 1/4, ... with
+        # the last one taken, or t = 1, 2, 4, ... (at most 64) with strictly
+        # falling energies, ended by the first trial that does not fall
+        trials = []
+        projected_trial = solver_module._projected_trial
+
+        def spy(u, d, t, on, nl):
+            out = projected_trial(u, d, t, on, nl)
+            trials.append((t, None if out is None else out[1]))
+            return out
+
+        monkeypatch.setattr(solver_module, "_projected_trial", spy)
+        accepted = []
+        # on the unit data, p = 2 reaches the cap at its first step and
+        # p = 3 both backtracks and expands
+        for dims in (D23, ProblemDims(N=4, p=3)):
+            grid = build_grid(1e-3, 30.0, 2000, dims)
+            solve_ground_state(unit_table(grid), pure_power(4), grid, tol=1e-6,
+                               on_iterate=lambda k, e: accepted.append((len(trials), e)))
+        start, expanded, capped, shortened = 0, 0, 0, 0
+        for end, e in accepted:
+            ts = [tr[0] for tr in trials[start:end]]
+            es = [tr[1] for tr in trials[start:end]]
+            start = end
+            assert ts[0] == 1.0
+            if len(ts) > 1 and ts[1] == 2.0:
+                expanded += 1
+                assert ts == [2.0 ** k for k in range(len(ts))]
+                assert ts[-1] <= 64.0
+                assert all(b < a for a, b in zip(es[:-1], es[1:-1]))
+                if es[-1] is not None and es[-1] < es[-2]:
+                    capped += 1
+                    assert ts[-1] == 64.0 and e == es[-1]
+                else:
+                    assert e == es[-2]
+            else:
+                shortened += len(ts) > 1
+                assert ts == [0.5 ** k for k in range(len(ts))]
+                assert e == es[-1]
+        assert expanded > 0 and capped > 0 and shortened > 0
+
+    def test_ex2_fine_mesh_iterations(self):
+        # backtracking alone, without expansion, needs 2904 iterations here
+        cfg = load_config(example_config("ex2_I"))
+        grid = build_grid(cfg.r_min, cfg.r_max, 4000, cfg.dims)
+        t = eval_potentials(cfg.spec_A, cfg.spec_V, cfg.spec_K, grid.nodes)
+        _, rep = solve_ground_state(t, cfg.solver_nonlinearity(), grid,
+                                    tol=cfg.solve_tol, max_iter=cfg.max_iter)
+        assert rep.iterations <= 1000
+        assert rep.energy == pytest.approx(41.75397482417385, rel=1e-6)
+
+    def test_unit_benchmark_iterations(self):
+        grid = build_grid(1e-3, 30.0, 2000, D23)
+        u, rep = solve_ground_state(unit_table(grid), pure_power(4), grid, tol=1e-6)
+        assert rep.iterations < 26
+        assert u.values[0] == pytest.approx(4.337387680187417, abs=1e-3)
 
     def test_degenerate_source_collapses(self):
         grid = build_grid(1e-2, 20.0, 100, D23)
