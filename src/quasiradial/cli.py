@@ -48,8 +48,10 @@ from .potentials import (
 )
 from .probes import decay_verdict, make_trial_family, probe_infinity, probe_origin
 from .solver import (
+    BadRange,
     CollapsedToZero,
     NotConverged,
+    _check_range,
     build_grid,
     solve_ground_state,
 )
@@ -102,7 +104,7 @@ class RunConfig:
         powers is symmetric in the pair."""
         q1, q2 = self.q_sorted
         nl = self.nonlinearity
-        return NonlinearitySpec(kind=nl.kind, q1=q1, q2=q2, M=nl.M, t0=nl.t0)
+        return NonlinearitySpec(kind=nl.kind, q1=q1, q2=q2, M=nl.M)
 
 
 def _endpoint_from_json(end, obj):
@@ -144,6 +146,15 @@ def load_config(obj) -> RunConfig:
         n_nodes = int(grid.get("n_nodes", 2000))
         tols = obj.get("tolerances", {})
         probe = obj.get("probe", {})
+        probe_r_min = float(probe.get("r_min", min(r_min, 5e-5)))
+        probe_r_max = float(probe.get("r_max", max(r_max, 1e5)))
+        probe_n_nodes = int(probe.get("n_nodes", 2400))
+        for key, rng in (("grid", (r_min, r_max, n_nodes)),
+                         ("probe", (probe_r_min, probe_r_max, probe_n_nodes))):
+            try:
+                _check_range(*rng)
+            except BadRange as exc:
+                raise ConfigError(f"{key}: {exc}")
         return RunConfig(
             dims=dims, spec_A=spec_a, spec_V=spec_v, spec_K=spec_k, s_loc=s_loc,
             asym_origin=asym_o, asym_infinity=asym_i, nonlinearity=nl,
@@ -151,9 +162,7 @@ def load_config(obj) -> RunConfig:
             solve_tol=float(tols.get("solve_tol", 1e-6)),
             max_iter=int(tols.get("max_iter", 20000)),
             probe_threshold=float(tols.get("probe_threshold", 0.9)),
-            probe_r_min=float(probe.get("r_min", min(r_min, 5e-5))),
-            probe_r_max=float(probe.get("r_max", max(r_max, 1e5))),
-            probe_n_nodes=int(probe.get("n_nodes", 2400)),
+            probe_r_min=probe_r_min, probe_r_max=probe_r_max, probe_n_nodes=probe_n_nodes,
             R_origin=[float(x) for x in probe.get("R_origin", [0.1, 0.01, 0.001])],
             R_infinity=[float(x) for x in probe.get("R_infinity", [10.0, 100.0, 1000.0])],
         )
@@ -178,10 +187,8 @@ def region_report(cfg: RunConfig) -> dict:
     bound = q2_lower_bound(cfg.asym_infinity, dims)
     q1, q2 = cfg.q_sorted
     admissible = s.contains(q1) and q2 > max(float(bound), dims.p)
-    ce_o = critical_exponents(cfg.asym_origin.a, cfg.asym_origin.alpha,
-                              cfg.asym_origin.beta, cfg.asym_origin.gamma, dims)
-    ce_i = critical_exponents(cfg.asym_infinity.a, cfg.asym_infinity.alpha,
-                              cfg.asym_infinity.beta, cfg.asym_infinity.gamma, dims)
+    ces = [(asym.end, critical_exponents(asym.a, asym.alpha, asym.beta, asym.gamma, dims))
+           for asym in (cfg.asym_origin, cfg.asym_infinity)]
     constraints = []
     if s.alpha_constraint is not None:
         constraints.append({"kind": s.alpha_constraint.kind,
@@ -194,20 +201,11 @@ def region_report(cfg: RunConfig) -> dict:
         "q1": q1, "q2": q2,
         "q_order_swapped": cfg.q_order_swapped,
         "admissible": bool(admissible),
-        "thresholds": {
-            "origin": {
-                "q_star": None if ce_o.q_star is None else float(ce_o.q_star),
-                "q_double_star": None if ce_o.q_double_star is None
-                else float(ce_o.q_double_star),
-                "p_sobolev": float(ce_o.p_sobolev),
-            },
-            "infinity": {
-                "q_star": None if ce_i.q_star is None else float(ce_i.q_star),
-                "q_double_star": None if ce_i.q_double_star is None
-                else float(ce_i.q_double_star),
-                "p_sobolev": float(ce_i.p_sobolev),
-            },
-        },
+        "thresholds": {end: {
+            "q_star": None if ce.q_star is None else float(ce.q_star),
+            "q_double_star": None if ce.q_double_star is None else float(ce.q_double_star),
+            "p_sobolev": float(ce.p_sobolev),
+        } for end, ce in ces},
     }
 
 
@@ -250,22 +248,11 @@ def probe_report(cfg: RunConfig) -> dict:
     fam_i = make_trial_family(grid, table, nu_i, "infinity")
     curve_o = probe_origin(table, q1, cfg.R_origin, fam_o)
     curve_i = probe_infinity(table, q2, cfg.R_infinity, fam_i)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "origin": {
-            "q": q1,
-            "samples": [[R, v] for R, v in curve_o.samples],
-            "verdict": decay_verdict(curve_o, cfg.probe_threshold),
-            "family_size": len(fam_o),
-        },
-        "infinity": {
-            "q": q2,
-            "samples": [[R, v] for R, v in curve_i.samples],
-            "verdict": decay_verdict(curve_i, cfg.probe_threshold),
-            "family_size": len(fam_i),
-        },
-        "_curves": (curve_o, curve_i),
-    }
+    doc = {end: {"q": q, "samples": [[R, v] for R, v in curve.samples],
+                 "verdict": decay_verdict(curve, cfg.probe_threshold), "family_size": len(fam)}
+           for end, q, fam, curve in (("origin", q1, fam_o, curve_o),
+                                      ("infinity", q2, fam_i, curve_i))}
+    return {"schema_version": SCHEMA_VERSION, **doc, "_curves": (curve_o, curve_i)}
 
 
 def _write_csv(path, header, rows):
@@ -480,6 +467,13 @@ def _parse_range(text):
     return float(lo), float(hi)
 
 
+def _parse_resolution(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"resolution {text!r}: need at least 1")
+    return n
+
+
 def _parse_sweep(text):
     key, _, rng = text.partition("=")
     lo, hi, step = (float(x) for x in rng.split(":"))
@@ -506,7 +500,7 @@ def build_parser():
     add_common(sp)
     sp.add_argument("--alpha-range", type=_parse_range, default=(-10.0, 5.0))
     sp.add_argument("--q-range", type=_parse_range, default=(1.0, 15.0))
-    sp.add_argument("--resolution", type=int, default=64)
+    sp.add_argument("--resolution", type=_parse_resolution, default=64)
 
     sp = sub.add_parser("check", help="validate the admissibility hypotheses")
     add_common(sp)
@@ -571,7 +565,7 @@ def _config_at_q(cfg: RunConfig, key, q):
     nl = cfg.nonlinearity
     return replace(cfg, nonlinearity=NonlinearitySpec(
         kind=nl.kind, q1=q if key in ("q", "q1") else nl.q1,
-        q2=q if key in ("q", "q2") else nl.q2, M=nl.M, t0=nl.t0))
+        q2=q if key in ("q", "q2") else nl.q2, M=nl.M))
 
 
 def _emit(doc):
@@ -619,10 +613,8 @@ def main(argv=None) -> int:
             doc = probe_report(cfg)
             curves = doc.pop("_curves")
             out_dir.mkdir(parents=True, exist_ok=True)
-            _write_csv(out_dir / "probe_origin.csv", ["R", "value"],
-                       curves[0].samples)
-            _write_csv(out_dir / "probe_infinity.csv", ["R", "value"],
-                       curves[1].samples)
+            for end, curve in zip(("origin", "infinity"), curves):
+                _write_csv(out_dir / f"probe_{end}.csv", ["R", "value"], curve.samples)
             _emit(doc)
             return EXIT_OK
 

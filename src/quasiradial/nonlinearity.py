@@ -30,8 +30,7 @@ class NonlinearitySpec:
     """Parameters of one model nonlinearity.
 
     theta defaults to the family's superlinearity exponent; M scales the
-    whole nonlinearity and doubles as the growth constant; t0 is the
-    positivity witness (F(t0) > 0 whenever M > 0).
+    whole nonlinearity and doubles as the growth constant.
     """
 
     kind: str
@@ -39,7 +38,6 @@ class NonlinearitySpec:
     q2: float
     theta: float = None
     M: float = 1.0
-    t0: float = 1.0
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -56,14 +54,13 @@ class NonlinearitySpec:
 
     def to_json(self):
         return {"kind": self.kind, "q1": self.q1, "q2": self.q2,
-                "theta": self.theta, "M": self.M, "t0": self.t0}
+                "theta": self.theta, "M": self.M}
 
     @staticmethod
     def from_json(obj):
         return NonlinearitySpec(
             kind=obj["kind"], q1=float(obj["q1"]), q2=float(obj["q2"]),
-            theta=obj.get("theta"), M=float(obj.get("M", 1.0)),
-            t0=float(obj.get("t0", 1.0)))
+            theta=obj.get("theta"), M=float(obj.get("M", 1.0)))
 
 
 def pure_power(q, M=1.0):
@@ -90,21 +87,12 @@ def f_eval(spec: NonlinearitySpec, t, nonneg=False):
     return vals
 
 
-def _min_powers_primitive(q1, q2, u):
-    """Antiderivative of min(s^(q1-1), s^(q2-1)) on s >= 0, evaluated at u >= 0."""
-    q_hi = max(q1, q2)  # active power on (0, 1)
-    q_lo = min(q1, q2)  # active power on (1, inf)
-    small = u ** q_hi / q_hi
-    large = 1.0 / q_hi - 1.0 / q_lo + u ** q_lo / q_lo
-    return np.where(u <= 1.0, small, large)
-
-
-def _max_powers_primitive(q1, q2, u):
-    """Antiderivative of max(s^(q1-1), s^(q2-1)) on s >= 0, evaluated at u >= 0."""
-    q_lo = min(q1, q2)
-    q_hi = max(q1, q2)
-    small = u ** q_lo / q_lo
-    large = 1.0 / q_lo - 1.0 / q_hi + u ** q_hi / q_hi
+def _spliced_power_primitive(q_in, q_out, u):
+    """Antiderivative on s >= 0 of s^(q_in-1) on (0, 1) and s^(q_out-1) beyond,
+    evaluated at u >= 0.  The min of two powers is (q_hi, q_lo), the max is
+    (q_lo, q_hi)."""
+    small = u ** q_in / q_in
+    large = 1.0 / q_in - 1.0 / q_out + u ** q_out / q_out
     return np.where(u <= 1.0, small, large)
 
 
@@ -162,12 +150,13 @@ def F_eval(spec: NonlinearitySpec, t, nonneg=False):
     if spec.kind == RATIONAL:
         vals = spec.M * _rational_primitive(spec.q1, spec.q2, at)
     else:
-        pos = _min_powers_primitive(spec.q1, spec.q2, at)
+        q_lo, q_hi = sorted((spec.q1, spec.q2))
+        pos = _spliced_power_primitive(q_hi, q_lo, at)
         if nonneg:
             vals = spec.M * pos  # t < 0 is zeroed below
         else:
             # f is min of powers, so for t < 0 the integrand is -max of powers
-            neg = _max_powers_primitive(spec.q1, spec.q2, at)
+            neg = _spliced_power_primitive(q_lo, q_hi, at)
             vals = spec.M * np.where(t >= 0, pos, neg)
     if nonneg:
         vals = np.where(t < 0, 0.0, vals)

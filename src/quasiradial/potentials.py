@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -40,8 +40,6 @@ class InsufficientRange(ValueError):
 class PotentialSpec:
     """Base class for closed-form radial potentials on (0, inf)."""
 
-    kind = "abstract"
-
     def evaluate(self, r):
         raise NotImplementedError
 
@@ -57,7 +55,6 @@ class PotentialSpec:
 class Power(PotentialSpec):
     c: float = 1.0
     e: float = 0.0
-    kind = "power"
 
     def evaluate(self, r):
         with np.errstate(over="ignore"):
@@ -75,7 +72,6 @@ class Power(PotentialSpec):
 @dataclass(frozen=True)
 class Constant(PotentialSpec):
     c: float = 1.0
-    kind = "constant"
 
     def evaluate(self, r):
         return np.full_like(np.asarray(r, dtype=float), self.c)
@@ -94,7 +90,6 @@ class ExpInv(PotentialSpec):
     """e^{scale / r}: singular at the origin for scale > 0."""
 
     scale: float = 1.0
-    kind = "exp_inv"
 
     def evaluate(self, r):
         with np.errstate(over="ignore"):
@@ -110,7 +105,6 @@ class ExpInv(PotentialSpec):
 @dataclass(frozen=True)
 class MinOf(PotentialSpec):
     parts: tuple
-    kind = "min"
 
     def evaluate(self, r):
         return np.minimum.reduce([s.evaluate(r) for s in self.parts])
@@ -125,7 +119,6 @@ class MinOf(PotentialSpec):
 @dataclass(frozen=True)
 class MaxOf(PotentialSpec):
     parts: tuple
-    kind = "max"
 
     def evaluate(self, r):
         return np.maximum.reduce([s.evaluate(r) for s in self.parts])
@@ -144,7 +137,6 @@ class Piecewise(PotentialSpec):
     breakpoint: float
     inner: PotentialSpec
     outer: PotentialSpec
-    kind = "piecewise"
 
     def evaluate(self, r):
         r = np.asarray(r, dtype=float)
@@ -302,12 +294,43 @@ def _refine_radii(radii, idx, factor=2):
     return np.logspace(math.log10(lo), math.log10(hi), n)
 
 
-def _log_ratio(table, alpha, beta, mask):
-    log_r = np.log(table.radii[mask])
-    out = table.log_K[mask] - alpha * log_r
-    if beta != 0:
-        out = out - beta * table.log_V[mask]
-    return out
+def _ratio_log(r, log_V, log_K, alpha, beta):
+    """log K / (r^alpha V^beta); V^0 is 1 by convention, so beta = 0 never reads V."""
+    out = log_K - alpha * np.log(r)
+    return out - beta * log_V if beta != 0 else out
+
+
+def _weighted_log(r, log_V, gamma):
+    """log r^gamma V."""
+    return gamma * np.log(r) + log_V
+
+
+def _refined_sup(table: PotentialTable, interval, log_q, tol):
+    """Grid sup of a log-quantity over interval with one local dyadic refinement.
+
+    log_q(r, log_V, log_K) is the quantity at radii r; the refinement around
+    the grid argmax evaluates it from the specs.  Returns (log value, grid
+    points, converged); a sample-backed table is not refined.
+    """
+    r_lo, r_hi = interval
+    mask = table.interval_mask(r_lo, r_hi)
+    if not np.any(mask):
+        raise InsufficientRange(f"no grid points inside ({r_lo}, {r_hi})")
+    log_vals = log_q(table.radii[mask], table.log_V[mask], table.log_K[mask])
+    i_rel = int(np.argmax(log_vals))
+    log_v0 = log_v1 = log_vals[i_rel]
+    n_pts = int(mask.sum())
+    if table.specs is None:
+        return log_v1, n_pts, True
+    sub_r = _refine_radii(table.radii, np.flatnonzero(mask)[i_rel])
+    sub_r = sub_r[(sub_r >= r_lo) & (sub_r <= r_hi)]
+    if len(sub_r):
+        _, spec_V, spec_K = table.specs
+        sub = log_q(sub_r, spec_V.evaluate_log(sub_r), spec_K.evaluate_log(sub_r))
+        log_v1 = max(log_v0, float(np.max(sub)))
+        n_pts += len(sub_r)
+    # equal infinite values (the inf where V vanishes) count as converged
+    return log_v1, n_pts, bool(log_v1 == log_v0 or abs(log_v1 - log_v0) <= tol)
 
 
 def esssup_ratio(table: PotentialTable, alpha: float, beta: float,
@@ -316,34 +339,14 @@ def esssup_ratio(table: PotentialTable, alpha: float, beta: float,
 
     V^0 is 1 everywhere by convention, so a beta = 0 call never reads V.
     """
-    r_lo, r_hi = interval
-    mask = table.interval_mask(r_lo, r_hi)
-    if not np.any(mask):
-        raise InsufficientRange(f"no grid points inside ({r_lo}, {r_hi})")
-    if beta != 0 and np.any(table.values_V[mask] == 0):
+    if beta != 0 and np.any(table.values_V[table.interval_mask(*interval)] == 0):
         raise DivisionByZeroV("V vanishes on the sample while beta > 0")
-    log_vals = _log_ratio(table, alpha, beta, mask)
-    i_rel = int(np.argmax(log_vals))
-    idx = np.flatnonzero(mask)[i_rel]
-    log_v0 = log_vals[i_rel]
-    n_pts = int(mask.sum())
-    converged = True
-    log_v1 = log_v0
-    if table.specs is not None:
-        sub_r = _refine_radii(table.radii, idx)
-        sub_r = sub_r[(sub_r >= r_lo) & (sub_r <= r_hi)]
-        if len(sub_r):
-            spec_A, spec_V, spec_K = table.specs
-            sub = spec_K.evaluate_log(sub_r) - alpha * np.log(sub_r)
-            if beta != 0:
-                sub = sub - beta * spec_V.evaluate_log(sub_r)
-            log_v1 = max(log_v0, float(np.max(sub)))
-            n_pts += len(sub_r)
-        converged = abs(log_v1 - log_v0) <= tol
+    log_v, n_pts, converged = _refined_sup(
+        table, interval, lambda r, log_V, log_K: _ratio_log(r, log_V, log_K, alpha, beta), tol)
     with np.errstate(over="ignore"):
-        value = float(np.exp(log_v1))
-    return AsymptoticBound(QUANTITY_ESSSUP, (float(r_lo), float(r_hi)), value,
-                           n_pts, bool(converged), heuristic=table.specs is None)
+        value = float(np.exp(log_v))
+    return AsymptoticBound(QUANTITY_ESSSUP, (float(interval[0]), float(interval[1])), value,
+                           n_pts, converged, heuristic=table.specs is None)
 
 
 def essinf_weighted(table: PotentialTable, gamma: float, interval,
@@ -352,30 +355,21 @@ def essinf_weighted(table: PotentialTable, gamma: float, interval,
 
     Returns 0 (no error) when V vanishes on the sample.
     """
-    r_lo, r_hi = interval
-    mask = table.interval_mask(r_lo, r_hi)
-    if not np.any(mask):
-        raise InsufficientRange(f"no grid points inside ({r_lo}, {r_hi})")
-    log_vals = gamma * np.log(table.radii[mask]) + table.log_V[mask]
-    i_rel = int(np.argmin(log_vals))
-    idx = np.flatnonzero(mask)[i_rel]
-    log_v0 = log_vals[i_rel]
-    n_pts = int(mask.sum())
-    converged = True
-    log_v1 = log_v0
-    if table.specs is not None:
-        sub_r = _refine_radii(table.radii, idx)
-        sub_r = sub_r[(sub_r >= r_lo) & (sub_r <= r_hi)]
-        if len(sub_r):
-            spec_V = table.specs[1]
-            sub = gamma * np.log(sub_r) + spec_V.evaluate_log(sub_r)
-            log_v1 = min(log_v0, float(np.min(sub)))
-            n_pts += len(sub_r)
-        converged = (log_v1 == -math.inf and log_v0 == -math.inf) \
-            or abs(log_v1 - log_v0) <= tol
-    value = 0.0 if log_v1 == -math.inf else float(np.exp(log_v1))
-    return AsymptoticBound(QUANTITY_ESSINF, (float(r_lo), float(r_hi)), value,
-                           n_pts, bool(converged), heuristic=table.specs is None)
+    neg_log_v, n_pts, converged = _refined_sup(
+        table, interval, lambda r, log_V, log_K: -_weighted_log(r, log_V, gamma), tol)
+    with np.errstate(over="ignore"):
+        value = float(np.exp(-neg_log_v))
+    return AsymptoticBound(QUANTITY_ESSINF, (float(interval[0]), float(interval[1])), value,
+                           n_pts, converged, heuristic=table.specs is None)
+
+
+def _end_decade(r, end):
+    """Mask of the last decade of the increasing grid r toward one endpoint."""
+    if end == "origin":
+        return r <= r[0] * 10.0
+    if end == "infinity":
+        return r >= r[-1] / 10.0
+    raise ValueError(f"unknown end {end!r}")
 
 
 def estimate_limit_exponent(table: PotentialTable, which: str, end: str,
@@ -387,12 +381,7 @@ def estimate_limit_exponent(table: PotentialTable, which: str, end: str,
     if total_decades < min_decades:
         raise InsufficientRange(
             f"table spans {total_decades:.2f} decades, need >= {min_decades}")
-    if end == "origin":
-        mask = r <= r[0] * 10.0
-    elif end == "infinity":
-        mask = r >= r[-1] / 10.0
-    else:
-        raise ValueError(f"unknown end {end!r}")
+    mask = _end_decade(r, end)
     x = np.log(r[mask])
     y = logs[mask]
     if not np.all(np.isfinite(y)):
@@ -417,8 +406,7 @@ class CheckResult:
     gating: bool = True
 
     def to_dict(self):
-        return {"name": self.name, "passed": self.passed, "value": self.value,
-                "detail": self.detail, "gating": self.gating}
+        return asdict(self)
 
 
 @dataclass
@@ -437,19 +425,13 @@ class HypothesisReport:
         return {
             "passed": self.passed,
             "checks": [e.to_dict() for e in self.entries],
-            "bounds": {k: {"quantity": b.quantity, "interval": list(b.interval),
-                           "value": b.value, "grid_points": b.grid_points,
-                           "converged": b.converged, "heuristic": b.heuristic}
-                       for k, b in self.bounds.items()},
+            "bounds": {k: asdict(b) for k, b in self.bounds.items()},
         }
 
 
 def _end_trend(r_sub, log_sub, end):
     """Fitted log-log slope of a sampled quantity over its end decade."""
-    if end == "origin":
-        m = r_sub <= r_sub[0] * 10
-    else:
-        m = r_sub >= r_sub[-1] / 10
+    m = _end_decade(r_sub, end)
     x = np.log(r_sub[m])
     y = log_sub[m]
     good = np.isfinite(y)
@@ -505,18 +487,17 @@ def validate_hypotheses(specs, dims: ProblemDims,
             rep.add(f"asymptotics_{label}_consistent", False, detail=str(exc))
 
     # declared growth rate of A at each end, plus the ratio band A / r^a
-    for label, end, a_decl in (("origin", "origin", asym_origin.a),
-                               ("infinity", "infinity", asym_infinity.a)):
+    for end, a_decl in (("origin", asym_origin.a), ("infinity", asym_infinity.a)):
         est = estimate_limit_exponent(table, "A", end)
         ok = abs(est.exponent - a_decl) < 0.05 and est.c_lo > 0 \
             and math.isfinite(est.c_hi)
-        rep.add(f"A_rate_{label}", ok, value=est.exponent,
+        rep.add(f"A_rate_{end}", ok, value=est.exponent,
                 detail=f"declared a = {a_decl}, fitted band [{est.c_lo:.3g}, {est.c_hi:.3g}]")
         r = table.radii
-        mask = r <= r[0] * 10 if end == "origin" else r >= r[-1] / 10
+        mask = _end_decade(r, end)
         log_ratio = table.log_A[mask] - a_decl * np.log(r[mask])
         with np.errstate(over="ignore"):
-            rep.bounds[f"ratio_A_{label}"] = AsymptoticBound(
+            rep.bounds[f"ratio_A_{end}"] = AsymptoticBound(
                 QUANTITY_RATIO_A,
                 (float(r[mask][0]), float(r[mask][-1])),
                 float(np.exp(np.max(log_ratio))),
@@ -525,39 +506,31 @@ def validate_hypotheses(specs, dims: ProblemDims,
 
     r_min, r_max = table.radii[0], table.radii[-1]
 
-    def _sup_check(label, asym, interval, end):
+    # K / (r^alpha V^beta) must stay bounded and r^gamma V bounded away from
+    # zero; toward is the sign of a log-log slope that grows toward the end
+    for end, asym, interval, toward in (
+            ("origin", asym_origin, (r_min, asym_origin.R), -1.0),
+            ("infinity", asym_infinity, (asym_infinity.R, r_max), 1.0)):
+        mask = table.interval_mask(*interval)
+        r_sub, log_V = table.radii[mask], table.log_V[mask]
         try:
             bound = esssup_ratio(table, asym.alpha, asym.beta, interval)
         except DivisionByZeroV:
-            rep.add(f"esssup_{label}_finite", False,
+            rep.add(f"esssup_{end}_finite", False,
                     detail="V vanishes on the sample while beta > 0")
-            return
-        mask = table.interval_mask(*interval)
-        logs = _log_ratio(table, asym.alpha, asym.beta, mask)
-        slope = _end_trend(table.radii[mask], logs, end)
-        diverging = (end == "origin" and slope < -0.01) \
-            or (end == "infinity" and slope > 0.01)
-        ok = math.isfinite(bound.value) and bound.converged and not diverging
-        rep.bounds[f"esssup_{label}"] = bound
-        rep.add(f"esssup_{label}_finite", ok, value=bound.value,
-                detail=f"end trend slope {slope:.3g}")
-
-    def _inf_check(label, asym, interval, end):
+        else:
+            slope = _end_trend(r_sub, _ratio_log(r_sub, log_V, table.log_K[mask],
+                                                 asym.alpha, asym.beta), end)
+            ok = math.isfinite(bound.value) and bound.converged and not toward * slope > 0.01
+            rep.bounds[f"esssup_{end}"] = bound
+            rep.add(f"esssup_{end}_finite", ok, value=bound.value,
+                    detail=f"end trend slope {slope:.3g}")
         bound = essinf_weighted(table, asym.gamma, interval)
-        mask = table.interval_mask(*interval)
-        logs = asym.gamma * np.log(table.radii[mask]) + table.log_V[mask]
-        slope = _end_trend(table.radii[mask], logs, end)
-        vanishing = (end == "origin" and slope > 0.01) \
-            or (end == "infinity" and slope < -0.01)
-        ok = bound.value > 0 and not vanishing
-        rep.bounds[f"essinf_{label}"] = bound
-        rep.add(f"essinf_{label}_positive", ok, value=bound.value,
+        slope = _end_trend(r_sub, _weighted_log(r_sub, log_V, asym.gamma), end)
+        ok = bound.value > 0 and not toward * slope < -0.01
+        rep.bounds[f"essinf_{end}"] = bound
+        rep.add(f"essinf_{end}_positive", ok, value=bound.value,
                 detail=f"end trend slope {slope:.3g}")
-
-    _sup_check("origin", asym_origin, (r_min, asym_origin.R), "origin")
-    _inf_check("origin", asym_origin, (r_min, asym_origin.R), "origin")
-    _sup_check("infinity", asym_infinity, (asym_infinity.R, r_max), "infinity")
-    _inf_check("infinity", asym_infinity, (asym_infinity.R, r_max), "infinity")
 
     # local integrability on an interior compact (the hypotheses only ask for
     # integrability away from the endpoints)

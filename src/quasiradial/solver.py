@@ -66,17 +66,8 @@ class RadialGrid:
     nodes: np.ndarray
     quad_weights: np.ndarray
     dims: ProblemDims
-    cell_measure: np.ndarray = None
-    dr: np.ndarray = None
-
-    def __post_init__(self):
-        r = np.asarray(self.nodes, dtype=float)
-        if self.cell_measure is None:
-            N = self.dims.N
-            omega = unit_sphere_area(N)
-            self.cell_measure = omega * np.diff(r ** N) / N
-        if self.dr is None:
-            self.dr = np.diff(r)
+    cell_measure: np.ndarray
+    dr: np.ndarray
 
     @property
     def n(self):
@@ -87,13 +78,18 @@ class RadialGrid:
         return float(np.dot(self.quad_weights, nodal_values))
 
 
-def build_grid(r_min: float, r_max: float, n_nodes: int, dims: ProblemDims) -> RadialGrid:
-    """Log-uniform grid on [r_min, r_max]; weights are exact cell integrals
-    of omega_{N-1} r^(N-1) dr split evenly between cell endpoints."""
+def _check_range(r_min, r_max, n_nodes):
+    """Raise BadRange unless build_grid accepts the interval and node count."""
     if not (0 < r_min < r_max):
         raise BadRange(f"need 0 < r_min < r_max, got {r_min}, {r_max}")
     if n_nodes < 16:
         raise BadRange(f"need at least 16 nodes, got {n_nodes}")
+
+
+def build_grid(r_min: float, r_max: float, n_nodes: int, dims: ProblemDims) -> RadialGrid:
+    """Log-uniform grid on [r_min, r_max]; weights are exact cell integrals
+    of omega_{N-1} r^(N-1) dr split evenly between cell endpoints."""
+    _check_range(r_min, r_max, n_nodes)
     nodes = np.logspace(math.log10(r_min), math.log10(r_max), n_nodes)
     nodes[0], nodes[-1] = r_min, r_max
     omega = unit_sphere_area(dims.N)
@@ -101,7 +97,8 @@ def build_grid(r_min: float, r_max: float, n_nodes: int, dims: ProblemDims) -> R
     w = np.zeros(n_nodes)
     w[:-1] += 0.5 * cell
     w[1:] += 0.5 * cell
-    return RadialGrid(nodes=nodes, quad_weights=w, dims=dims)
+    return RadialGrid(nodes=nodes, quad_weights=w, dims=dims, cell_measure=cell,
+                      dr=np.diff(nodes))
 
 
 @dataclass
@@ -259,8 +256,23 @@ def residual_weak_form(u: RadialFunction, table: PotentialTable,
     """
     on = _on_grid(u.grid, table)
     g = _gradient_array(u.values, on, 0.0, _lower_order_terms(u.values, on, nl))
-    norms = _hat_norms(on)
-    return float(np.max(np.abs(g[:-1]) / norms[:-1]))
+    return _residual(g, _hat_norms(on))
+
+
+def _residual(g0, hat_norms):
+    """Largest defect g0 per hat-function norm, outer node excluded."""
+    return float(np.max(np.abs(g0[:-1]) / hat_norms[:-1]))
+
+
+def _defects(u, on: _OnGrid, lower, hat_norms):
+    """The stop quantities at u: (residual, Nehari gap, ||u||^p).
+
+    Both defects are read off the unregularized gradient g0, as
+    residual_weak_form does; the gap is |g0 . u| / ||u||^p.  lower is
+    _lower_order_terms at u."""
+    g0 = _gradient_array(u, on, 0.0, lower)
+    norm_p = _norm_p(u, on)
+    return _residual(g0, hat_norms), abs(float(np.dot(g0, u))) / norm_p, norm_p
 
 
 def nehari_scale(u: RadialFunction, table: PotentialTable,
@@ -467,21 +479,17 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
     hat_norms = _hat_norms(on)
     i_cur = energy(RadialFunction(grid, u), on, nl)
     iterations = 0
-    converged = False
     for iterations in range(1, max_iter + 1):
+        # convergence is judged on the unregularized defect g0 reported by
+        # residual_weak_form, descent follows the regularized gradient g; for
+        # p < 2 the two can differ near flat cells
+        lower = _lower_order_terms(u, on, nl)
+        residual, gap, _ = _defects(u, on, lower, hat_norms)
+        if residual <= tol and gap <= tol:
+            break
         eps = _eps_for(np.diff(u) / grid.dr)
         eps_u = 1e-10 * float(np.max(np.abs(u)))
-        # convergence is judged on the unregularized defect g0 reported by
-        # residual_weak_form; for p < 2 the two can differ near flat cells
-        lower = _lower_order_terms(u, on, nl)
         g = _gradient_array(u, on, eps, lower)
-        g0 = _gradient_array(u, on, 0.0, lower)
-        residual = float(np.max(np.abs(g0[:-1]) / hat_norms[:-1]))
-        norm_p = _norm_p(u, on)
-        gap = abs(float(np.dot(g0, u))) / norm_p
-        if residual <= tol and gap <= tol:
-            converged = True
-            break
         d = _solve_preconditioned(g, u, on, eps, eps_u)
         slope = float(np.dot(g, d))
         if not math.isfinite(slope) or slope <= 0.0:
@@ -512,11 +520,8 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
             raise CollapsedToZero("iterate vanished under descent")
 
     uf = RadialFunction(grid, u)
-    g0 = _gradient_array(u, on, 0.0, _lower_order_terms(u, on, nl))
-    residual = float(np.max(np.abs(g0[:-1]) / hat_norms[:-1]))
-    norm_p = _norm_p(u, on)
-    gap = abs(float(np.dot(g0, u))) / norm_p
-    if not converged and not (residual <= tol and gap <= tol):
+    residual, gap, norm_p = _defects(u, on, _lower_order_terms(u, on, nl), hat_norms)
+    if not (residual <= tol and gap <= tol):
         raise NotConverged(
             f"residual {residual:.3e}, gap {gap:.3e} after {iterations} iterations")
     try:

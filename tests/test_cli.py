@@ -154,6 +154,34 @@ class TestRegionPlot:
         assert all(r[2] == "0" for r in rows)
 
 
+class TestBadGrid:
+    """A grid or probe range that build_grid refuses is an invalid config (exit 2)."""
+
+    @pytest.mark.parametrize("command", [["solve", "--force"], ["probe"]])
+    @pytest.mark.parametrize("section, field, value", [
+        ("grid", "n_nodes", 8), ("grid", "r_min", 0.0), ("grid", "r_max", 1e-3),
+        ("probe", "n_nodes", 15), ("probe", "r_min", -1.0),
+    ])
+    def test_bad_range_exits_two(self, tmp_path, capsys, command, section, field, value):
+        cfg = unit_benchmark_config()
+        cfg.setdefault(section, {})[field] = value
+        path = write_config(tmp_path, cfg)
+        code, doc = run_cli(capsys, command + ["--config", path, "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert doc["error"] == "invalid_config"
+        assert doc["detail"].startswith(f"{section}: need ")
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("resolution", ["-2", "0"])
+    def test_bad_resolution_exits_two(self, tmp_path, resolution):
+        path = write_config(tmp_path, example_config("ex1"))
+        with pytest.raises(SystemExit) as exc:
+            main(["region-plot", "--config", path, "--out", str(tmp_path),
+                  "--resolution", resolution])
+        assert exc.value.code == EXIT_CONFIG
+        assert not (tmp_path / "region_plot.csv").exists()
+
+
 class TestCheck:
     def test_example1_passes(self, tmp_path, capsys):
         path = write_config(tmp_path, example_config("ex1"))

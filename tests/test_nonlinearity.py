@@ -98,7 +98,7 @@ class TestPrimitive:
 
     def test_positivity_witness(self):
         for spec in (minp(3, 5), rat(3, 5)):
-            assert F_eval(spec, spec.t0) > 0
+            assert F_eval(spec, 1.0) > 0
 
 
 class TestRationalAgainstQuadrature:

@@ -3,17 +3,25 @@ import math
 import numpy as np
 import pytest
 
+from quasiradial._jsonio import canonical_json
+from quasiradial.cli import example_config, load_config
 from quasiradial.exponents import EndpointAsymptotics, ProblemDims
 from quasiradial.potentials import (
+    QUANTITY_ESSINF,
+    QUANTITY_ESSSUP,
+    AsymptoticBound,
     Constant,
     DivisionByZeroV,
     ExpInv,
+    HypothesisReport,
     InsufficientRange,
     MaxOf,
     MinOf,
     NonPositive,
     Piecewise,
+    PotentialTable,
     Power,
+    _refine_radii,
     default_radii,
     essinf_weighted,
     esssup_ratio,
@@ -271,3 +279,257 @@ class TestSampleBackedTables:
         back = np.array([[float(x) for x in row] for row in rows[1:]])
         np.testing.assert_array_equal(back[:, 0], t.radii)
         np.testing.assert_array_equal(back[:, 1], t.values_A)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the separate sup and inf refinements and the two check closures
+# that validate_hypotheses used before it shared one refined extremum and one
+# check loop.  Test-only code, kept to pin the outputs down exactly.
+# ---------------------------------------------------------------------------
+
+def _reference_log_ratio(table, alpha, beta, mask):
+    log_r = np.log(table.radii[mask])
+    out = table.log_K[mask] - alpha * log_r
+    if beta != 0:
+        out = out - beta * table.log_V[mask]
+    return out
+
+
+def reference_esssup_ratio(table, alpha, beta, interval, tol=1e-3):
+    r_lo, r_hi = interval
+    mask = table.interval_mask(r_lo, r_hi)
+    if not np.any(mask):
+        raise InsufficientRange(f"no grid points inside ({r_lo}, {r_hi})")
+    if beta != 0 and np.any(table.values_V[mask] == 0):
+        raise DivisionByZeroV("V vanishes on the sample while beta > 0")
+    log_vals = _reference_log_ratio(table, alpha, beta, mask)
+    i_rel = int(np.argmax(log_vals))
+    idx = np.flatnonzero(mask)[i_rel]
+    log_v0 = log_vals[i_rel]
+    n_pts = int(mask.sum())
+    converged = True
+    log_v1 = log_v0
+    if table.specs is not None:
+        sub_r = _refine_radii(table.radii, idx)
+        sub_r = sub_r[(sub_r >= r_lo) & (sub_r <= r_hi)]
+        if len(sub_r):
+            spec_A, spec_V, spec_K = table.specs
+            sub = spec_K.evaluate_log(sub_r) - alpha * np.log(sub_r)
+            if beta != 0:
+                sub = sub - beta * spec_V.evaluate_log(sub_r)
+            log_v1 = max(log_v0, float(np.max(sub)))
+            n_pts += len(sub_r)
+        converged = abs(log_v1 - log_v0) <= tol
+    with np.errstate(over="ignore"):
+        value = float(np.exp(log_v1))
+    return AsymptoticBound(QUANTITY_ESSSUP, (float(r_lo), float(r_hi)), value,
+                           n_pts, bool(converged), heuristic=table.specs is None)
+
+
+def reference_essinf_weighted(table, gamma, interval, tol=1e-3):
+    r_lo, r_hi = interval
+    mask = table.interval_mask(r_lo, r_hi)
+    if not np.any(mask):
+        raise InsufficientRange(f"no grid points inside ({r_lo}, {r_hi})")
+    log_vals = gamma * np.log(table.radii[mask]) + table.log_V[mask]
+    i_rel = int(np.argmin(log_vals))
+    idx = np.flatnonzero(mask)[i_rel]
+    log_v0 = log_vals[i_rel]
+    n_pts = int(mask.sum())
+    converged = True
+    log_v1 = log_v0
+    if table.specs is not None:
+        sub_r = _refine_radii(table.radii, idx)
+        sub_r = sub_r[(sub_r >= r_lo) & (sub_r <= r_hi)]
+        if len(sub_r):
+            spec_V = table.specs[1]
+            sub = gamma * np.log(sub_r) + spec_V.evaluate_log(sub_r)
+            log_v1 = min(log_v0, float(np.min(sub)))
+            n_pts += len(sub_r)
+        converged = (log_v1 == -math.inf and log_v0 == -math.inf) \
+            or abs(log_v1 - log_v0) <= tol
+    with np.errstate(over="ignore"):
+        value = 0.0 if log_v1 == -math.inf else float(np.exp(log_v1))
+    return AsymptoticBound(QUANTITY_ESSINF, (float(r_lo), float(r_hi)), value,
+                           n_pts, bool(converged), heuristic=table.specs is None)
+
+
+def _reference_end_trend(r_sub, log_sub, end):
+    if end == "origin":
+        m = r_sub <= r_sub[0] * 10
+    else:
+        m = r_sub >= r_sub[-1] / 10
+    x = np.log(r_sub[m])
+    y = log_sub[m]
+    good = np.isfinite(y)
+    if good.sum() < 2:
+        return math.nan
+    slope, _ = np.polyfit(x[good], y[good], 1)
+    return float(slope)
+
+
+def reference_extremum_checks(table, asym_origin, asym_infinity):
+    """The esssup/essinf entries and bounds, as the two closures made them."""
+    rep = HypothesisReport()
+    r_min, r_max = table.radii[0], table.radii[-1]
+
+    def _sup_check(label, asym, interval, end):
+        try:
+            bound = reference_esssup_ratio(table, asym.alpha, asym.beta, interval)
+        except DivisionByZeroV:
+            rep.add(f"esssup_{label}_finite", False,
+                    detail="V vanishes on the sample while beta > 0")
+            return
+        mask = table.interval_mask(*interval)
+        logs = _reference_log_ratio(table, asym.alpha, asym.beta, mask)
+        slope = _reference_end_trend(table.radii[mask], logs, end)
+        diverging = (end == "origin" and slope < -0.01) \
+            or (end == "infinity" and slope > 0.01)
+        ok = math.isfinite(bound.value) and bound.converged and not diverging
+        rep.bounds[f"esssup_{label}"] = bound
+        rep.add(f"esssup_{label}_finite", ok, value=bound.value,
+                detail=f"end trend slope {slope:.3g}")
+
+    def _inf_check(label, asym, interval, end):
+        bound = reference_essinf_weighted(table, asym.gamma, interval)
+        mask = table.interval_mask(*interval)
+        logs = asym.gamma * np.log(table.radii[mask]) + table.log_V[mask]
+        slope = _reference_end_trend(table.radii[mask], logs, end)
+        vanishing = (end == "origin" and slope > 0.01) \
+            or (end == "infinity" and slope < -0.01)
+        ok = bound.value > 0 and not vanishing
+        rep.bounds[f"essinf_{label}"] = bound
+        rep.add(f"essinf_{label}_positive", ok, value=bound.value,
+                detail=f"end trend slope {slope:.3g}")
+
+    _sup_check("origin", asym_origin, (r_min, asym_origin.R), "origin")
+    _inf_check("origin", asym_origin, (r_min, asym_origin.R), "origin")
+    _sup_check("infinity", asym_infinity, (asym_infinity.R, r_max), "infinity")
+    _inf_check("infinity", asym_infinity, (asym_infinity.R, r_max), "infinity")
+    return rep
+
+
+def assert_same(a, b):
+    """Exact equality, nan equal to nan and types included: repr shows
+    every float to round-trip precision and numpy scalars as such."""
+    assert repr(a) == repr(b)
+
+
+def _vanishing_v_config(outer_only):
+    cfg = example_config("ex1")
+    zero = {"kind": "constant", "c": 0.0}
+    cfg["potentials"]["V"] = {"kind": "piecewise", "breakpoint": 1.0,
+                              "inner": {"kind": "exp_inv", "scale": 1.0},
+                              "outer": zero} if outer_only else zero
+    return cfg
+
+
+def _mismatched_config(name):
+    """Declared rates that the tables contradict, so that the end trends
+    have slopes of both signs at both ends."""
+    cfg = example_config(name)
+    if name == "ex1":  # r^3 V ~ r^-1 and K ~ r toward infinity
+        cfg["potentials"]["V"]["outer"]["e"] = -4.0
+        cfg["potentials"]["K"]["outer"] = {"kind": "power", "c": 1.0, "e": 1.0}
+    else:  # K / r^2 ~ r^-1.5 and r^5 V ~ r toward the origin
+        cfg["asymptotics"]["origin"].update(alpha=2.0, gamma=5.0)
+    return cfg
+
+
+class TestChecksAgainstTwoRoutines:
+    """One refined extremum and one check loop against the two of each they replace."""
+
+    CONFIGS = {
+        "ex1": example_config("ex1"),
+        "ex2_I": example_config("ex2_I"),
+        "ex2_II": example_config("ex2_II"),
+        "ex2_III": example_config("ex2_III"),
+        "v_zero": _vanishing_v_config(False),
+        "v_zero_tail": _vanishing_v_config(True),
+        "ex1_mismatched": _mismatched_config("ex1"),
+        "ex2_I_mismatched": _mismatched_config("ex2_I"),
+    }
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_check_entries_and_bounds(self, name):
+        cfg = load_config(self.CONFIGS[name])
+        specs = (cfg.spec_A, cfg.spec_V, cfg.spec_K)
+        rep = validate_hypotheses(specs, cfg.dims, cfg.asym_origin, cfg.asym_infinity,
+                                  s_loc=cfg.s_loc)
+        ref = reference_extremum_checks(eval_potentials(*specs, default_radii()),
+                                        cfg.asym_origin, cfg.asym_infinity)
+        entries = [e for e in rep.entries if e.name.startswith(("esssup_", "essinf_"))]
+        assert [e.name for e in entries] == [
+            "esssup_origin_finite", "essinf_origin_positive",
+            "esssup_infinity_finite", "essinf_infinity_positive"]
+        assert_same(entries, ref.entries)
+        bounds = {k: b for k, b in rep.bounds.items() if k.startswith(("esssup_", "essinf_"))}
+        assert_same(bounds, ref.bounds)
+        # the serialised bounds and checks keep the keys and values of the
+        # hand-written dicts they replace
+        old_bounds = {k: {"quantity": b.quantity, "interval": list(b.interval),
+                          "value": b.value, "grid_points": b.grid_points,
+                          "converged": b.converged, "heuristic": b.heuristic}
+                      for k, b in ref.bounds.items()}
+        old_checks = [{"name": e.name, "passed": e.passed, "value": e.value,
+                       "detail": e.detail, "gating": e.gating} for e in ref.entries]
+        doc = rep.to_dict()
+        assert canonical_json({k: doc["bounds"][k] for k in old_bounds}) \
+            == canonical_json(old_bounds)
+        assert canonical_json([c for c in doc["checks"] if c["name"] in
+                               {e.name for e in ref.entries}]) == canonical_json(old_checks)
+
+    def test_mismatched_rates_fail_every_end_trend(self):
+        failed = set()
+        for name in ("ex1_mismatched", "ex2_I_mismatched"):
+            cfg = load_config(self.CONFIGS[name])
+            rep = validate_hypotheses((cfg.spec_A, cfg.spec_V, cfg.spec_K), cfg.dims,
+                                      cfg.asym_origin, cfg.asym_infinity)
+            failed |= {e.name for e in rep.entries if not e.passed}
+        assert failed >= {"esssup_origin_finite", "essinf_origin_positive",
+                          "esssup_infinity_finite", "essinf_infinity_positive"}
+
+    def test_vanishing_v_takes_both_special_paths(self):
+        cfg = load_config(self.CONFIGS["v_zero"])
+        rep = validate_hypotheses((cfg.spec_A, cfg.spec_V, cfg.spec_K), cfg.dims,
+                                  cfg.asym_origin, cfg.asym_infinity)
+        names = {e.name: e for e in rep.entries}
+        # beta = 1 at the origin: the ratio sup is +inf and gets no bound
+        assert names["esssup_origin_finite"].detail.startswith("V vanishes")
+        assert "esssup_origin" not in rep.bounds
+        assert rep.bounds["essinf_origin"].value == 0.0
+        assert rep.bounds["essinf_origin"].converged
+
+    @staticmethod
+    def _compare(table, rng, n=50):
+        r = table.radii
+        for _ in range(n):
+            lo = 10 ** rng.uniform(math.log10(r[0]) - 0.5, math.log10(r[-1]))
+            hi = lo * 10 ** rng.uniform(-0.2, 4.0)  # some intervals hold no node
+            alpha, gamma = rng.uniform(-3, 3), rng.uniform(-3, 3)
+            beta = float(rng.choice([0.0, 0.5, 1.0]))
+            for new, ref, args in ((esssup_ratio, reference_esssup_ratio,
+                                    (table, alpha, beta, (lo, hi))),
+                                   (essinf_weighted, reference_essinf_weighted,
+                                    (table, gamma, (lo, hi)))):
+                try:
+                    expected = ref(*args)
+                except (InsufficientRange, DivisionByZeroV) as exc:
+                    with pytest.raises(type(exc)):
+                        new(*args)
+                    continue
+                assert_same(new(*args), expected)
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2_I"])
+    def test_random_intervals(self, name):
+        cfg = load_config(self.CONFIGS[name])
+        table = eval_potentials(cfg.spec_A, cfg.spec_V, cfg.spec_K, default_radii())
+        self._compare(table, np.random.default_rng(11))
+
+    def test_random_intervals_sample_backed(self):
+        r = np.logspace(-3, 3, 700)
+        table = PotentialTable(radii=r, values_A=np.ones_like(r),
+                               values_V=np.where(r > 100.0, 0.0, r ** -1.5 + np.sin(r) ** 2),
+                               values_K=np.exp(np.cos(3 * np.log(r))))
+        assert table.specs is None
+        self._compare(table, np.random.default_rng(12))
