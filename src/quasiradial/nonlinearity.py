@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import hyp2f1
 
 MIN_POWERS = "min_powers"
 RATIONAL = "rational"
@@ -109,6 +108,8 @@ def _rational_primitive(q1, q2, u):
     d = q2 - q1
     if d == 0.0:
         return u ** q1 / (2.0 * q1)
+    from scipy.special import hyp2f1  # deferred: no other path needs scipy
+
     b = q2 / d
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x = u ** d

@@ -308,26 +308,41 @@ def _weighted_log(r, log_V, gamma):
 def _refined_sup(table: PotentialTable, interval, log_q, tol):
     """Grid sup of a log-quantity over interval with one local dyadic refinement.
 
-    log_q(r, log_V, log_K) is the quantity at radii r; the refinement around
-    the grid argmax evaluates it from the specs.  Returns (log value, grid
-    points, converged); a sample-backed table is not refined.
+    log_q(r, log_V, log_K) is the quantity at radii r.  With specs, each end
+    of the interval (clipped to the table's range) that is not a grid node
+    joins the grid sample, and the refinement around the sample's argmax
+    evaluates the quantity from the specs.  Returns (log value, points,
+    converged), where points counts the grid nodes and the refinement radii;
+    a sample-backed table is not refined.
     """
     r_lo, r_hi = interval
     mask = table.interval_mask(r_lo, r_hi)
     if not np.any(mask):
         raise InsufficientRange(f"no grid points inside ({r_lo}, {r_hi})")
-    log_vals = log_q(table.radii[mask], table.log_V[mask], table.log_K[mask])
-    i_rel = int(np.argmax(log_vals))
-    log_v0 = log_v1 = log_vals[i_rel]
+    r = table.radii[mask]
+    log_vals = log_q(r, table.log_V[mask], table.log_K[mask])
     n_pts = int(mask.sum())
     if table.specs is None:
-        return log_v1, n_pts, True
-    sub_r = _refine_radii(table.radii, np.flatnonzero(mask)[i_rel])
+        return log_vals.max(), n_pts, True
+    _, spec_V, spec_K = table.specs
+
+    def from_specs(radii):
+        return log_q(radii, spec_V.evaluate_log(radii), spec_K.evaluate_log(radii))
+
+    # no grid node reaches a sup at an end that lies between nodes.  The ends
+    # follow the nodes in the sample, so a tie keeps the grid argmax; the
+    # refinement spans the argmax's neighbours among the table's radii.
+    lo, hi = max(r_lo, table.radii[0]), min(r_hi, table.radii[-1])
+    ends = np.array([e for e, inside in ((lo, lo < r[0]), (hi, hi > r[-1])) if inside])
+    r = np.concatenate((r, ends))
+    log_vals = np.concatenate((log_vals, from_specs(ends)))
+    i_max = int(np.argmax(log_vals))
+    log_v0 = log_v1 = log_vals[i_max]
+    radii = np.union1d(table.radii, r[i_max])
+    sub_r = _refine_radii(radii, int(np.searchsorted(radii, r[i_max])))
     sub_r = sub_r[(sub_r >= r_lo) & (sub_r <= r_hi)]
     if len(sub_r):
-        _, spec_V, spec_K = table.specs
-        sub = log_q(sub_r, spec_V.evaluate_log(sub_r), spec_K.evaluate_log(sub_r))
-        log_v1 = max(log_v0, float(np.max(sub)))
+        log_v1 = max(log_v0, float(np.max(from_specs(sub_r))))
         n_pts += len(sub_r)
     # equal infinite values (the inf where V vanishes) count as converged
     return log_v1, n_pts, bool(log_v1 == log_v0 or abs(log_v1 - log_v0) <= tol)

@@ -20,9 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .solver import RadialFunction, RadialGrid
+from .solver import RadialFunction, RadialGrid, logsumexp
 from .potentials import PotentialTable
 
 

@@ -23,8 +23,6 @@ from dataclasses import dataclass, asdict
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.special import logsumexp
 
 from .exponents import EndpointAsymptotics, ProblemDims, pointwise_decay_exponent
 from .nonlinearity import PURE_POWER, RATIONAL, NonlinearitySpec, F_eval, f_eval
@@ -40,7 +38,15 @@ class NoProjection(RuntimeError):
 
 
 class NotConverged(RuntimeError):
-    """Descent exhausted its iteration budget above tolerance."""
+    """Descent stopped above tolerance.
+
+    stop_reason is "line_search_stalled" when no step length down to the
+    smallest one lowered the projected energy, and "budget_exhausted" when
+    the iteration budget ran out."""
+
+    def __init__(self, message, stop_reason):
+        super().__init__(f"{message} ({stop_reason})")
+        self.stop_reason = stop_reason
 
 
 class CollapsedToZero(RuntimeError):
@@ -49,6 +55,107 @@ class CollapsedToZero(RuntimeError):
 
 class Degenerate(ValueError):
     """The function support is too small for the requested diagnostic."""
+
+
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) over axis (every axis when None), by the formula of
+    scipy.special.logsumexp: the largest term is taken out of the sum and
+    added back through log1p.  Where that is not finite (a row of -inf, or
+    an infinite entry) the direct log(sum(exp(a))) is returned."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    if axis is None:
+        axis = tuple(range(a.ndim))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, axis=axis, keepdims=True, initial=-np.inf)
+        at_max = a == a_max
+        m = np.sum(at_max, axis=axis, keepdims=True, dtype=float)
+        s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=axis, keepdims=True)
+        out = np.log1p(np.where(s == 0, s, s / m)) + np.log(m) + a_max
+        bad = ~np.isfinite(out)
+        if np.any(bad):
+            out = np.where(bad, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)), out)
+    out = np.squeeze(out, axis=axis)
+    return out[()] if out.ndim == 0 else out
+
+
+def solve_banded(ab, rhs):
+    """Solve a tridiagonal system by cyclic reduction.
+
+    ab is LAPACK's (1, 1) band layout: ab[0, 1:] is the superdiagonal, ab[1]
+    the diagonal and ab[2, :-1] the subdiagonal.  Each level eliminates the
+    even-indexed unknowns from the odd-indexed rows; a ghost row (diagonal
+    1, the rest 0) first pads an even length.  There is no pivoting, which
+    is stable for diagonally dominant matrices (Heller, SIAM J. Numer. Anal.
+    1976) such as the preconditioner's metric, not for indefinite ones.
+    """
+    n = ab.shape[1]
+    a = np.concatenate(([0.0], ab[2, :-1]))  # row i's coefficient of x[i-1]
+    b = np.array(ab[1], dtype=float)
+    c = np.concatenate((ab[0, 1:], [0.0]))  # row i's coefficient of x[i+1]
+    d = np.array(rhs, dtype=float)
+    levels = []
+    while len(b) > 1:
+        if len(b) % 2 == 0:
+            a, b, c, d = (np.append(v, g) for v, g in zip((a, b, c, d), (0.0, 1.0, 0.0, 0.0)))
+        levels.append((a, b, c, d))
+        lo = a[1::2] / b[:-1:2]
+        hi = c[1::2] / b[2::2]
+        a, b, c, d = (-lo * a[:-1:2], b[1::2] - lo * c[:-1:2] - hi * a[2::2],
+                      -hi * c[2::2], d[1::2] - lo * d[:-1:2] - hi * d[2::2])
+    x = d / b
+    for a, b, c, d in reversed(levels):
+        x = x[: len(b) // 2]  # drop the ghost unknown of the level below
+        even = d[::2].copy()
+        even[1:] -= a[2::2] * x
+        even[:-1] -= c[:-1:2] * x
+        full = np.empty(len(b))
+        full[1::2] = x
+        full[::2] = even / b[::2]
+        x = full
+    return x[:n]
+
+
+def _brentq(f, xa, xb, args, xtol, rtol):
+    """Root of f(x, *args) in [xa, xb] by Brent's method: a line-for-line
+    port of scipy.optimize.brentq (scipy/optimize/Zeros/brentq.c), which it
+    matches to the last bit.  f(xa) and f(xb) must differ in sign and f must
+    not be NaN on the bracket, which scipy's wrapper checks and this does not.
+    """
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre, *args), f(xcur, *args)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    for _ in range(100):  # scipy's default maxiter
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur, *args)
+    raise RuntimeError(f"failed to converge after 100 iterations, value is {xcur}")
 
 
 def unit_sphere_area(N: int) -> float:
@@ -316,11 +423,6 @@ def nehari_scale(u: RadialFunction, table: PotentialTable,
         log_s = math.log(c) + float(logsumexp(log_wk + q * log_u))
         return math.exp((math.log(q_norm) - log_s) / (q - p))
 
-    from scipy.optimize import brentq  # deferred: only double powers need it
-
-    # brentq wraps its function in a self-referencing closure, so the arrays
-    # go in through args: captured here they would outlive the call until the
-    # cyclic garbage collector ran
     if nl.kind == RATIONAL:
         excess = _rational_excess
         args = (np.exp(log_wk + nl.q2 * log_u), np.exp((nl.q2 - nl.q1) * log_u),
@@ -345,7 +447,7 @@ def nehari_scale(u: RadialFunction, table: PotentialTable,
             lo, hi = 0.5 * lo, lo
         else:
             raise NoProjection("scaled source exceeds the norm level at any scale")
-        return brentq(excess, lo, hi, args=args, xtol=1e-13 * lo, rtol=1e-13)
+        return float(_brentq(excess, lo, hi, args, xtol=1e-13 * lo, rtol=1e-13))
 
 
 def _min_powers_excess(t, pos, a, b, k_hi, k_lo, M, level):
@@ -424,7 +526,7 @@ def _solve_preconditioned(g, u, on: _OnGrid, eps, eps_u):
     ab[1, :] = diag[:m] + 1e-300
     ab[2, : m - 1] = off[: m - 1]
     d = np.zeros(n)
-    d[:m] = solve_banded((1, 1), ab, g[:m])
+    d[:m] = solve_banded(ab, g[:m])
     return d
 
 
@@ -466,8 +568,9 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
     down to t = 1e-14.  When t = 1 passes, t is doubled, up to 64, while
     each doubled trial has a strictly lower projected energy than the last
     one taken; the last one taken is the step.  Raises CollapsedToZero when
-    only the trivial critical point is reachable and NotConverged when the
-    iteration budget is exhausted above tolerance.
+    only the trivial critical point is reachable and NotConverged, with its
+    stop_reason, when the line search stalls or the iteration budget is
+    exhausted above tolerance.
     """
     on = _on_grid(grid, table)
     u = initial_bump(grid)
@@ -478,7 +581,7 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
 
     hat_norms = _hat_norms(on)
     i_cur = energy(RadialFunction(grid, u), on, nl)
-    iterations = 0
+    iterations, stop_reason = 0, "budget_exhausted"
     for iterations in range(1, max_iter + 1):
         # convergence is judged on the unregularized defect g0 reported by
         # residual_weak_form, descent follows the regularized gradient g; for
@@ -512,6 +615,7 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
                     break
                 step = longer
         if step is None:
+            stop_reason = "line_search_stalled"
             break
         u, i_cur = step
         if on_iterate is not None:
@@ -523,7 +627,8 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
     residual, gap, norm_p = _defects(u, on, _lower_order_terms(u, on, nl), hat_norms)
     if not (residual <= tol and gap <= tol):
         raise NotConverged(
-            f"residual {residual:.3e}, gap {gap:.3e} after {iterations} iterations")
+            f"residual {residual:.3e}, gap {gap:.3e} after {iterations} iterations",
+            stop_reason)
     try:
         slope0, slope_inf = decay_slopes(uf)
     except Degenerate:

@@ -247,6 +247,8 @@ class TestSolve:
         code, doc = run_cli(capsys, ["solve", "--config", path,
                                      "--out", str(tmp_path), "--force"])
         assert code == EXIT_NOT_CONVERGED
+        assert doc["error"] == "not_converged"
+        assert doc["detail"].endswith("(budget_exhausted)")
 
     def test_sweep_writes_per_value_files(self, tmp_path, capsys):
         path = write_config(tmp_path, unit_benchmark_config())
@@ -387,10 +389,18 @@ class TestExampleCommand:
             main(["example", "nope"])
 
 
-def _is_loaded_after_cli_import(module):
-    """'True' or 'False', printed by a fresh interpreter."""
+def _is_loaded_after_cli_import(*modules, argv=None):
+    """'True' or 'False' per module, space-separated, printed by a fresh
+    interpreter: whether the module or one below it is loaded after
+    importing quasiradial.cli and, given argv, running the CLI on it."""
     pkg_root = os.path.dirname(os.path.dirname(cli.__file__))
-    code = f"import sys, quasiradial.cli; print({module!r} in sys.modules)"
+    code = (
+        "import contextlib, io, sys, quasiradial.cli\n"
+        f"if {argv!r} is not None:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        quasiradial.cli.main({argv!r})\n"
+        f"print(*(any(m == p or m.startswith(p + '.') for m in sys.modules)"
+        f" for p in {modules!r}))")
     env = dict(os.environ, PYTHONPATH=pkg_root)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
@@ -403,5 +413,28 @@ def test_import_leaves_scipy_integrate_unloaded():
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # brentq is imported by the double-power Nehari projection when it runs
+    # Brent's method for the double-power Nehari projection is the solver's own
     assert _is_loaded_after_cli_import("scipy.optimize") == "False"
+
+
+def test_import_loads_no_scipy():
+    assert _is_loaded_after_cli_import("scipy") == "False"
+
+
+@pytest.mark.parametrize("command", [["example", "ex2_I"], ["solve", "--force"]])
+def test_non_rational_commands_load_no_scipy(tmp_path, command):
+    # ex2_I and the unit solve run the double-power and the pure-power
+    # projection, the banded solves and the probes' logsumexp
+    if command[0] == "solve":
+        command = command + ["--config", write_config(tmp_path, unit_benchmark_config())]
+    argv = command + ["--out", str(tmp_path)]
+    assert _is_loaded_after_cli_import("scipy", argv=argv) == "False"
+
+
+def test_rational_solve_loads_scipy_special_only(tmp_path):
+    cfg = unit_benchmark_config()
+    cfg["nonlinearity"] = {"kind": "rational", "q1": 3.0, "q2": 5.0}
+    argv = ["solve", "--force", "--config", write_config(tmp_path, cfg),
+            "--out", str(tmp_path)]
+    assert _is_loaded_after_cli_import("scipy.special", "scipy.linalg", "scipy.optimize",
+                                       argv=argv) == "True False False"

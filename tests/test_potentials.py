@@ -167,6 +167,19 @@ class TestEsssupRatio:
         b = esssup_ratio(t, alpha=0.0, beta=0.0, interval=(0.1, 10.0))
         assert b.converged
 
+    def test_sup_at_an_interval_end_between_nodes(self):
+        # K = r on (r_0, 0.5): the sup sits at 0.5, which is no grid node
+        r = np.logspace(-3, 3, 1537)
+        specs = (Power(1.0, -1.0), Constant(1.0), Power(1.0, 1.0))
+        assert not np.any(r == 0.5)
+        b = esssup_ratio(eval_potentials(*specs, r), alpha=0.0, beta=0.0, interval=(r[0], 0.5))
+        assert b.value == pytest.approx(0.5, rel=1e-12)
+        assert b.converged
+        rep = validate_hypotheses(
+            specs, D24, EndpointAsymptotics("origin", -1.0, 0.0, 0.0, 0.0, R=0.5),
+            EndpointAsymptotics("infinity", -1.0, 1.0, 0.0, 0.0, R=1.0), radii=r)
+        assert {e.name: e.passed for e in rep.entries}["esssup_origin_finite"]
+
     def test_monotone_in_interval(self):
         rng = np.random.default_rng(5)
         t = eval_potentials(*example2_specs(), default_radii(4, 64))
@@ -295,6 +308,23 @@ def _reference_log_ratio(table, alpha, beta, mask):
     return out
 
 
+def _reference_end_sample(table, interval, mask, idx, log_v0, log_q, better):
+    """Sample each interval end (clipped to the table) that lies strictly
+    between grid nodes; an end replaces the grid extremum at node idx only
+    when it is strictly better.  Returns the radii to refine among, the index
+    of the refinement centre in them and the sample extremum."""
+    radii = table.radii[mask]
+    centre = table.radii[idx]
+    lo, hi = max(interval[0], table.radii[0]), min(interval[1], table.radii[-1])
+    for end, outside in ((lo, lo < radii[0]), (hi, hi > radii[-1])):
+        if outside:
+            v = float(log_q(np.array([end]))[0])
+            if better(v, log_v0):
+                centre, log_v0 = end, v
+    grid = np.union1d(table.radii, centre)
+    return grid, int(np.searchsorted(grid, centre)), log_v0
+
+
 def reference_esssup_ratio(table, alpha, beta, interval, tol=1e-3):
     r_lo, r_hi = interval
     mask = table.interval_mask(r_lo, r_hi)
@@ -310,13 +340,19 @@ def reference_esssup_ratio(table, alpha, beta, interval, tol=1e-3):
     converged = True
     log_v1 = log_v0
     if table.specs is not None:
-        sub_r = _refine_radii(table.radii, idx)
+        spec_A, spec_V, spec_K = table.specs
+
+        def log_ratio(r):
+            sub = spec_K.evaluate_log(r) - alpha * np.log(r)
+            return sub - beta * spec_V.evaluate_log(r) if beta != 0 else sub
+
+        grid, at, log_v0 = _reference_end_sample(table, interval, mask, idx, log_v0,
+                                                 log_ratio, lambda v, best: v > best)
+        log_v1 = log_v0
+        sub_r = _refine_radii(grid, at)
         sub_r = sub_r[(sub_r >= r_lo) & (sub_r <= r_hi)]
         if len(sub_r):
-            spec_A, spec_V, spec_K = table.specs
-            sub = spec_K.evaluate_log(sub_r) - alpha * np.log(sub_r)
-            if beta != 0:
-                sub = sub - beta * spec_V.evaluate_log(sub_r)
+            sub = log_ratio(sub_r)
             log_v1 = max(log_v0, float(np.max(sub)))
             n_pts += len(sub_r)
         converged = abs(log_v1 - log_v0) <= tol
@@ -339,11 +375,18 @@ def reference_essinf_weighted(table, gamma, interval, tol=1e-3):
     converged = True
     log_v1 = log_v0
     if table.specs is not None:
-        sub_r = _refine_radii(table.radii, idx)
+        spec_V = table.specs[1]
+
+        def log_weighted(r):
+            return gamma * np.log(r) + spec_V.evaluate_log(r)
+
+        grid, at, log_v0 = _reference_end_sample(table, interval, mask, idx, log_v0,
+                                                 log_weighted, lambda v, best: v < best)
+        log_v1 = log_v0
+        sub_r = _refine_radii(grid, at)
         sub_r = sub_r[(sub_r >= r_lo) & (sub_r <= r_hi)]
         if len(sub_r):
-            spec_V = table.specs[1]
-            sub = gamma * np.log(sub_r) + spec_V.evaluate_log(sub_r)
+            sub = log_weighted(sub_r)
             log_v1 = min(log_v0, float(np.min(sub)))
             n_pts += len(sub_r)
         converged = (log_v1 == -math.inf and log_v0 == -math.inf) \

@@ -13,6 +13,7 @@ from quasiradial.solver import (
     CollapsedToZero,
     Degenerate,
     NoProjection,
+    NotConverged,
     RadialFunction,
     build_grid,
     decay_slopes,
@@ -443,6 +444,32 @@ class TestSolve:
         _, ref = solve_ground_state(t, pure_power(4, M=0.5), grid, tol=1e-6)
         assert ref.energy == pytest.approx(37.7844444, rel=1e-8)
         assert rep.energy == pytest.approx(ref.energy, rel=1e-10)
+
+    def test_stop_reason_budget_exhausted(self):
+        grid = build_grid(1e-3, 30.0, 800, D23)
+        with pytest.raises(NotConverged) as exc:
+            solve_ground_state(unit_table(grid), pure_power(4), grid, tol=1e-6, max_iter=2)
+        assert exc.value.stop_reason == "budget_exhausted"
+        assert str(exc.value).endswith("after 2 iterations (budget_exhausted)")
+
+    def test_stop_reason_line_search_stalled(self, monkeypatch):
+        # ex1 started from a bump centred at r = 0.01 instead of r = 1: within
+        # a few iterations no step length lowers the projected energy
+        def bump_at(grid, centre=0.01):
+            s = np.log(grid.nodes / centre)
+            vals = np.where(np.abs(s) < 3.0, np.exp(-0.5 * s * s), 0.0)
+            vals[-1] = 0.0
+            return vals
+
+        monkeypatch.setattr(solver_module, "initial_bump", bump_at)
+        cfg = load_config(example_config("ex1"))
+        grid = build_grid(cfg.r_min, cfg.r_max, cfg.n_nodes, cfg.dims)
+        table = eval_potentials(cfg.spec_A, cfg.spec_V, cfg.spec_K, grid.nodes)
+        with pytest.raises(NotConverged) as exc:
+            solve_ground_state(table, cfg.solver_nonlinearity(), grid, tol=cfg.solve_tol,
+                               max_iter=cfg.max_iter)
+        assert exc.value.stop_reason == "line_search_stalled"
+        assert "(line_search_stalled)" in str(exc.value)
 
     def test_rational_nonlinearity_smoke(self):
         grid = build_grid(5e-2, 15.0, 80, D23)
