@@ -235,6 +235,8 @@ class SolveReport:
     decay_slope_infinity: float
     nu0_bound: float
     nu_inf_bound: float
+    # why descent stopped: "converged" here; NotConverged carries the others
+    stop_reason: str
 
     def to_dict(self):
         return asdict(self)
@@ -262,6 +264,9 @@ class _OnGrid:
     a_cell: np.ndarray
     wv: np.ndarray  # quadrature weight times V per node
     wk: np.ndarray  # quadrature weight times K per node
+    # log(w K), formed from log w + log K so that astronomically weighted
+    # nodes neither overflow nor underflow in the projection's powers
+    log_wk: np.ndarray
 
 
 def _on_grid(grid: RadialGrid, table) -> _OnGrid:
@@ -269,7 +274,8 @@ def _on_grid(grid: RadialGrid, table) -> _OnGrid:
         return table
     _check_alignment(grid, table)
     return _OnGrid(grid, table, _a_cell(table), grid.quad_weights * table.values_V,
-                   grid.quad_weights * table.values_K)
+                   grid.quad_weights * table.values_K,
+                   np.log(grid.quad_weights) + table.log_K)
 
 
 def _norm_p(u, on: _OnGrid):
@@ -288,22 +294,29 @@ def weighted_norm(u: RadialFunction, table: PotentialTable) -> float:
 
 
 def _eps_for(du, scale=1e-10):
-    """Flux regularization: scale times the largest cell slope |u'|."""
-    m = float(np.max(np.abs(du))) if len(du) else 0.0
-    return scale * m
+    """Flux regularization: scale times the largest cell slope |u'|, as a
+    numpy float so that its powers overflow to inf instead of raising."""
+    return scale * (np.max(np.abs(du)) if len(du) else np.float64(0.0))
+
+
+def _regularized_norm_p(u, on: _OnGrid):
+    """p times the quadratic part of the energy: the eps-regularized A-term
+    plus the V-term."""
+    grid, p = on.grid, on.grid.dims.p
+    du = np.diff(u) / grid.dr
+    eps = _eps_for(du)
+    # A-term energy density phi(u') = (u'^2 + eps^2)^(p/2) - eps^p per cell
+    dens = (du * du + eps * eps) ** (p / 2.0) - eps ** p
+    ea = float(np.dot(on.a_cell * dens, grid.cell_measure))
+    ev = float(np.dot(on.wv, np.abs(u) ** p))
+    return ea + ev
 
 
 def energy(u: RadialFunction, table: PotentialTable, nl: NonlinearitySpec) -> float:
     """Discrete value of the variational energy at u."""
     on = _on_grid(u.grid, table)
-    grid, p = u.grid, u.grid.dims.p
-    du = np.diff(u.values) / grid.dr
-    eps = _eps_for(du)
-    # A-term energy density phi(u') = (u'^2 + eps^2)^(p/2) - eps^p per cell
-    dens = (du * du + eps * eps) ** (p / 2.0) - eps ** p
-    ea = float(np.dot(on.a_cell * dens, grid.cell_measure))
-    ev = float(np.dot(on.wv, np.abs(u.values) ** p))
-    return (ea + ev) / p - float(np.dot(on.wk, F_eval(nl, u.values, nonneg=True)))
+    return _regularized_norm_p(u.values, on) / u.grid.dims.p \
+        - float(np.dot(on.wk, F_eval(nl, u.values, nonneg=True)))
 
 
 def _lower_order_terms(u, on: _OnGrid, nl):
@@ -386,68 +399,111 @@ def nehari_scale(u: RadialFunction, table: PotentialTable,
                  nl: NonlinearitySpec) -> float:
     """Positive scale t with t^p ||u||^p = int K f(tu) tu (natural-constraint hit).
 
-    On each branch of the nonlinearity the source term is a power of t times
-    a fixed nodal sum, so the powers of u_+ are formed once.  A single power
-    has a closed form.  For min_powers, with a = w K u_+^q_hi and
-    b = w K u_+^q_lo, the scaled source divided by t^p is
-
-        M (t^(q_hi-p) sum_{t u_+ <= 1} a + t^(q_lo-p) sum_{t u_+ > 1} b);
-
-    for rational, with a = w K u_+^q2 and e = u_+^(q2-q1), it is
-
-        M t^(q2-p) sum a / (1 + t^(q2-q1) e).
-
-    With exponents above p either grows with t; its crossing with ||u||^p
-    is bracketed by doubling and halving from t = 1 and located by Brent's
-    method to a relative tolerance of 1e-13.  Raises NoProjection when no
-    positive t exists.
+    See _project, which also gives the source term at that scale.  Raises
+    NoProjection when no positive t exists.
     """
-    on = _on_grid(u.grid, table)
-    p = u.grid.dims.p
-    q_norm = _norm_p(u.values, on)
-    if q_norm == 0.0:
+    return float(_project(u.values, _on_grid(u.grid, table), nl)[0])
+
+
+def _project(v, on: _OnGrid, nl):
+    """The Nehari scale s of v and the source term sum w K F(s v) at it.
+
+    On each branch of the nonlinearity the scaled source is a power of s
+    times a fixed nodal sum, so log v_+ and the weighted powers w K v_+^q are
+    formed once.  A single power q has the closed form
+    s = (||v||^p / (c sum w K v_+^q))^(1/(q-p)), and the source is then
+    s^p ||v||^p / q.  For min_powers, with a = w K v_+^q_hi and
+    b = w K v_+^q_lo, the scaled source divided by s^p is
+
+        M (s^(q_hi-p) sum_{s v_+ <= 1} a + s^(q_lo-p) sum_{s v_+ > 1} b),
+
+    and for rational, with a = w K v_+^q2 and e = v_+^(q2-q1), it is
+
+        M s^(q2-p) sum a / (1 + s^(q2-q1) e).
+
+    With exponents above p either grows with s, so its crossing with
+    ||v||^p is unique.  For min_powers the single-branch closed forms are
+    tried first: the all-small one is the root when s max v_+ <= 1, the
+    all-large one when s min v_+ > 1.  Otherwise the crossing is bracketed
+    and located by _bracketed_root, and the source is the masked sums at s
+    (min_powers) or one F_eval on s v (rational).  Raises NoProjection when
+    no positive s exists.
+    """
+    p = on.grid.dims.p
+    level = _norm_p(v, on)
+    if level == 0.0:
         raise NoProjection("u vanishes")
-    supp = u.values > 0.0
+    supp = v > 0.0
     if nl.M <= 0.0 or not np.any(supp):
         raise NoProjection("source term vanishes on the positive part")
-    # nodes where u <= 0 add nothing to the source term; the weighted powers
-    # are formed through logs (like the closed form) so astronomically
-    # weighted nodes neither overflow nor underflow
-    log_u = np.log(u.values[supp])
-    log_wk = np.log(u.grid.quad_weights[supp]) + on.table.log_K[supp]
+    # nodes where v <= 0 add nothing to the source term
+    pos = v[supp]
+    log_v = np.log(pos)
+    log_wk = on.log_wk[supp]
     if nl.kind == PURE_POWER or nl.q1 == nl.q2:
-        # f = c t^(q-1) with c = M, or M/2 for the rational splice:
-        # t* = (||u||^p / (c int K u_+^q))^(1/(q-p))
+        # f = c t^(q-1) with c = M, or M/2 for the rational splice
         q = nl.q1
         c = 0.5 * nl.M if nl.kind == RATIONAL else nl.M
-        log_s = math.log(c) + float(logsumexp(log_wk + q * log_u))
-        return math.exp((math.log(q_norm) - log_s) / (q - p))
+        log_s = math.log(c) + float(logsumexp(log_wk + q * log_v))
+        s = np.float64(math.exp((math.log(level) - log_s) / (q - p)))
+        with np.errstate(over="ignore"):
+            return s, float(s ** p * level / q)
 
     if nl.kind == RATIONAL:
-        excess = _rational_excess
-        args = (np.exp(log_wk + nl.q2 * log_u), np.exp((nl.q2 - nl.q1) * log_u),
-                nl.q2 - nl.q1, nl.q2 - p, nl.M, q_norm)
-    else:
-        q_hi, q_lo = max(nl.q1, nl.q2), min(nl.q1, nl.q2)
-        excess = _min_powers_excess
-        args = (u.values[supp], np.exp(log_wk + q_hi * log_u), np.exp(log_wk + q_lo * log_u),
-                q_hi - p, q_lo - p, nl.M, q_norm)
+        s = np.float64(_bracketed_root(_rational_excess, (
+            np.exp(log_wk + nl.q2 * log_v), np.exp((nl.q2 - nl.q1) * log_v),
+            nl.q2 - nl.q1, nl.q2 - p, nl.M, level)))
+        return s, float(np.dot(on.wk[supp], F_eval(nl, s * pos, nonneg=True)))
+
+    q_hi, q_lo = max(nl.q1, nl.q2), min(nl.q1, nl.q2)
+    # F(t) is t^q_hi / q_hi up to t = 1 and 1/q_hi - 1/q_lo + t^q_lo / q_lo
+    # beyond; on a single branch the root satisfies M s^q sum = s^p ||v||^p
+    a = np.exp(log_wk + q_hi * log_v)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s = (level / (nl.M * np.sum(a))) ** (1.0 / (q_hi - p))
+        if s * np.max(pos) <= 1.0:
+            return s, float(s ** p * level / q_hi)
+        b = np.exp(log_wk + q_lo * log_v)
+        s = (level / (nl.M * np.sum(b))) ** (1.0 / (q_lo - p))
+        if math.isfinite(s) and s * np.min(pos) > 1.0:
+            return s, float(s ** p * level / q_lo
+                            + nl.M * (1.0 / q_hi - 1.0 / q_lo) * np.sum(on.wk[supp]))
+        s = np.float64(_bracketed_root(_min_powers_excess, (
+            pos, a, b, q_hi - p, q_lo - p, nl.M, level)))
+        large = s * pos > 1.0
+        source = nl.M * (s ** q_hi * np.sum(a[~large]) / q_hi
+                         + s ** q_lo * np.sum(b[large]) / q_lo
+                         + (1.0 / q_hi - 1.0 / q_lo) * np.sum(on.wk[supp][large]))
+    return s, float(source)
+
+
+def _bracketed_root(excess, args):
+    """Root of the increasing excess(t, *args): bracketed by doubling and
+    halving from t = 1, then located by Brent's method to a relative
+    tolerance of 1e-13.  Each t is evaluated once; the bracket ends are
+    remembered, not recomputed."""
+    values = {}
+
+    def at(t):
+        if t not in values:
+            values[t] = excess(t, *args)
+        return values[t]
 
     lo = hi = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(300):
-            if excess(hi, *args) >= 0.0:
+            if at(hi) >= 0.0:
                 break
             lo, hi = hi, 2.0 * hi
         else:
             raise NoProjection("scaled source never reaches the norm level")
         for _ in range(300):
-            if excess(lo, *args) <= 0.0:
+            if at(lo) <= 0.0:
                 break
             lo, hi = 0.5 * lo, lo
         else:
             raise NoProjection("scaled source exceeds the norm level at any scale")
-        return float(_brentq(excess, lo, hi, args, xtol=1e-13 * lo, rtol=1e-13))
+        return float(_brentq(at, lo, hi, (), xtol=1e-13 * lo, rtol=1e-13))
 
 
 def _min_powers_excess(t, pos, a, b, k_hi, k_lo, M, level):
@@ -541,16 +597,14 @@ def _projected_trial(u, d, t, on: _OnGrid, nl):
     the step has no projection or no finite energy."""
     trial = np.maximum(u - t * d, 0.0)
     trial[-1] = 0.0
-    if not np.any(trial > 0.0):
-        return None
     try:
-        scale = nehari_scale(RadialFunction(on.grid, trial), on, nl)
+        scale, source = _project(trial, on, nl)
     except NoProjection:
         return None
     if not math.isfinite(scale) or scale <= 0.0:
         return None
     trial *= scale
-    e = energy(RadialFunction(on.grid, trial), on, nl)
+    e = _regularized_norm_p(trial, on) / on.grid.dims.p - source
     return (trial, e) if math.isfinite(e) else None
 
 
@@ -647,5 +701,6 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
         decay_slope_infinity=slope_inf,
         nu0_bound=float(nu0),
         nu_inf_bound=float(nu_inf),
+        stop_reason="converged",
     )
     return uf, report

@@ -230,6 +230,7 @@ class TestSolve:
         assert len(rows) == 401
         report = json.loads((tmp_path / "solution_report.json").read_text())
         assert report["residual"] == doc["residual"]
+        assert report["stop_reason"] == doc["stop_reason"] == "converged"
 
     def test_degenerate_source_exits_five(self, tmp_path, capsys):
         cfg = unit_benchmark_config()
@@ -339,6 +340,7 @@ class TestExampleCommand:
         assert doc["thresholds_asserted"]["q_star_infinity"] == 8.0
         assert doc["check"]["passed"] is True
         assert doc["solve"]["residual"] < 1e-5
+        assert doc["solve"]["stop_reason"] == "converged"
         assert (tmp_path / "ex1_solution.csv").exists()
 
     def test_ex2_subcase_ii_upper_bound(self, tmp_path, capsys):

@@ -136,9 +136,11 @@ class TestAgainstScipyOnBenchmarkSolves:
 
     def test_brent_port_matches_scipy(self, kernel_calls):
         searched = {name for name, s in kernel_calls.items() if s[2]}
-        # double powers and the rational splice bracket and search; the
-        # pure powers have a closed form
-        assert {"ex2_I_4000", "unit_min_powers_3_5_20000", "rational_3_9"} <= searched
+        # roots with nodes on both branches of min_powers and every rational
+        # root are searched; single powers and single-branch min_powers roots
+        # have closed forms, and every projection of ex2_I keeps t u <= 1
+        assert {"unit_min_powers_3_5_20000", "rational_3_9"} <= searched
+        assert kernel_calls["ex2_I_4000"][2] == 0
         assert all(s[3] == 0 for s in kernel_calls.values())
 
 

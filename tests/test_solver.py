@@ -71,6 +71,63 @@ def bisection_nehari_scale(u, table, nl):
     return 0.5 * (lo + hi)
 
 
+def reference_nehari_scale(v, on, nl):
+    """The Nehari scale of the nodal array v as nehari_scale found it before
+    the single-branch closed forms: a single power in closed form, every
+    double power bracketed by doubling and halving from t = 1 and located by
+    scipy's brentq."""
+    from scipy.optimize import brentq
+
+    p = on.grid.dims.p
+    level = solver_module._norm_p(v, on)
+    if level == 0.0:
+        raise NoProjection("u vanishes")
+    supp = v > 0.0
+    if nl.M <= 0.0 or not np.any(supp):
+        raise NoProjection("source term vanishes on the positive part")
+    log_v = np.log(v[supp])
+    log_wk = np.log(on.grid.quad_weights[supp]) + on.table.log_K[supp]
+    if nl.kind == "pure_power" or nl.q1 == nl.q2:
+        q = nl.q1
+        c = 0.5 * nl.M if nl.kind == "rational" else nl.M
+        log_s = math.log(c) + float(solver_module.logsumexp(log_wk + q * log_v))
+        return math.exp((math.log(level) - log_s) / (q - p))
+    if nl.kind == "rational":
+        excess = solver_module._rational_excess
+        args = (np.exp(log_wk + nl.q2 * log_v), np.exp((nl.q2 - nl.q1) * log_v),
+                nl.q2 - nl.q1, nl.q2 - p, nl.M, level)
+    else:
+        q_hi, q_lo = max(nl.q1, nl.q2), min(nl.q1, nl.q2)
+        excess = solver_module._min_powers_excess
+        args = (v[supp], np.exp(log_wk + q_hi * log_v), np.exp(log_wk + q_lo * log_v),
+                q_hi - p, q_lo - p, nl.M, level)
+    lo = hi = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while excess(hi, *args) < 0.0:
+            lo, hi = hi, 2.0 * hi
+        while excess(lo, *args) > 0.0:
+            lo, hi = 0.5 * lo, lo
+        return float(brentq(excess, lo, hi, args=args, xtol=1e-13 * lo, rtol=1e-13))
+
+
+def reference_projected_trial(u, d, t, on, nl):
+    """The line-search trial in two passes: reference_nehari_scale, then
+    energy() on the scaled trial."""
+    trial = np.maximum(u - t * d, 0.0)
+    trial[-1] = 0.0
+    if not np.any(trial > 0.0):
+        return None
+    try:
+        scale = reference_nehari_scale(trial, on, nl)
+    except NoProjection:
+        return None
+    if not math.isfinite(scale) or scale <= 0.0:
+        return None
+    trial *= scale
+    e = energy(RadialFunction(on.grid, trial), on, nl)
+    return (trial, e) if math.isfinite(e) else None
+
+
 class TestGrid:
     def test_weights_integrate_measure_exactly(self):
         grid = build_grid(0.01, 100.0, 512, D24)
@@ -301,6 +358,153 @@ class TestNehariAgainstBisection:
         assert calls == []
 
 
+def _branch(v, on, nl):
+    """Which branches of min_powers the Nehari root of v puts the nodes on."""
+    s = solver_module._project(v, on, nl)[0]
+    pos = v[v > 0.0]
+    return "small" if s * pos.max() <= 1.0 else "large" if s * pos.min() > 1.0 else "mixed"
+
+
+class TestProjectionAgainstTwoPasses:
+    """_project and _projected_trial against the two-pass trial they
+    replace: the scale and the trial energy agree to 1e-12 relative, and a
+    trial is None on both or on neither."""
+
+    @staticmethod
+    def check(u, d, t, on, nl):
+        got = solver_module._projected_trial(u, d, t, on, nl)
+        ref = reference_projected_trial(u, d, t, on, nl)
+        assert (got is None) == (ref is None)
+        if ref is not None:
+            trial = np.maximum(u - t * d, 0.0)
+            trial[-1] = 0.0
+            assert solver_module._project(trial, on, nl)[0] == pytest.approx(
+                reference_nehari_scale(trial, on, nl), rel=1e-12)
+            np.testing.assert_allclose(got[0], ref[0], rtol=1e-12, atol=0.0)
+            assert got[1] == pytest.approx(ref[1], rel=1e-12)
+        return got
+
+    @staticmethod
+    def smooth_case(dims=D23):
+        grid = build_grid(0.05, 20.0, 300, dims)
+        on = solver_module._on_grid(grid, smooth_table(grid))
+        u = initial_bump(grid)
+        d = 0.3 * u * np.cos(2.0 * np.log(grid.nodes))
+        return u, d, on
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_pure_power(self, p):
+        u, d, on = self.smooth_case(ProblemDims(N=4, p=p))
+        for t in (0.5, 1.0, 4.0):
+            assert self.check(u, d, t, on, pure_power(4, M=0.7)) is not None
+
+    @pytest.mark.parametrize("q", [(3, 5), (5, 3), (3, 8.5)])
+    @pytest.mark.parametrize("M,branch", [(1e4, "small"), (0.01, "large"),
+                                          (0.37, "mixed"), (1.0, "mixed")])
+    def test_min_powers_branches(self, q, M, branch):
+        nl = NonlinearitySpec("min_powers", *q, M=M)
+        u, d, on = self.smooth_case()
+        for t in (0.0, 0.5, 1.0):
+            v = np.maximum(u - t * d, 0.0)
+            assert _branch(v, on, nl) == branch
+            assert self.check(u, d, t, on, nl) is not None
+
+    def test_ex2_iterates_stay_on_the_small_branch(self, monkeypatch):
+        # the trials of an ex2_I solve have all-small roots (every third is checked)
+        cfg = load_config(example_config("ex2_I"))
+        grid = build_grid(cfg.r_min, cfg.r_max, cfg.n_nodes, cfg.dims)
+        on = solver_module._on_grid(
+            grid, eval_potentials(cfg.spec_A, cfg.spec_V, cfg.spec_K, grid.nodes))
+        nl = cfg.solver_nonlinearity()
+        calls = []
+        projected_trial = solver_module._projected_trial
+
+        def spy(u, d, t, on, nl):
+            calls.append((u, d, t))
+            return projected_trial(u, d, t, on, nl)
+
+        monkeypatch.setattr(solver_module, "_projected_trial", spy)
+        solve_ground_state(on, nl, grid, tol=cfg.solve_tol, max_iter=cfg.max_iter)
+        assert len(calls) > 20
+        for u, d, t in calls[::3]:
+            trial = np.maximum(u - t * d, 0.0)
+            trial[-1] = 0.0
+            assert _branch(trial, on, nl) == "small"
+            self.check(u, d, t, on, nl)
+
+    def test_root_exactly_at_the_branch_point(self):
+        # M is chosen so that the all-small root is s = 1 with max v = 1
+        grid = build_grid(0.05, 20.0, 300, D23)
+        on = solver_module._on_grid(grid, smooth_table(grid))
+        v = initial_bump(grid)
+        v /= v.max()
+        level = solver_module._norm_p(v, on)
+        M = level / float(np.dot(on.wk, v ** 5))
+        for q in ((3, 5), (5, 3)):
+            nl = NonlinearitySpec("min_powers", *q, M=M)
+            assert solver_module._project(v, on, nl)[0] == pytest.approx(1.0, rel=1e-14)
+            self.check(v, np.zeros_like(v), 0.0, on, nl)
+
+    @pytest.mark.parametrize("nl", [NonlinearitySpec("rational", 3, 5),
+                                    NonlinearitySpec("rational", 2.5, 4, M=4.0),
+                                    NonlinearitySpec("rational", 4, 4, M=0.3)],
+                             ids=["rational", "rational_M", "rational_equal"])
+    def test_rational(self, nl):
+        u, d, on = self.smooth_case()
+        for amplitude in (0.05, 1.0, 20.0):
+            for t in (0.5, 1.0):
+                assert self.check(amplitude * u, amplitude * d, t, on, nl) is not None
+
+    def test_no_projection(self):
+        u, d, on = self.smooth_case()
+        # the step removes the whole positive part
+        assert self.check(u, u, 2.0, on, NonlinearitySpec("min_powers", 3, 5)) is None
+        assert self.check(u, d, 1.0, on, NonlinearitySpec("min_powers", 3, 5, M=0.0)) is None
+
+    def test_non_finite_energy(self):
+        # a finite scale near 1e200 whose scaled slopes overflow the energy
+        nl = pure_power(3, M=1e-300)
+        u, d, on = self.smooth_case(ProblemDims(N=3, p=1.5))
+        scale = solver_module._project(u, on, nl)[0]
+        assert math.isfinite(scale) and scale > 1e100
+        with np.errstate(over="ignore"):
+            assert self.check(u, d, 0.0, on, nl) is None
+
+
+class TestProjectionEvaluations:
+    def test_no_scale_is_evaluated_twice(self, monkeypatch):
+        # the bracket's ends are remembered by the halving loop and Brent's
+        # method: within one projection no t reaches the excess twice
+        projections = []
+        project = solver_module._project
+
+        def new_projection(v, on, nl):
+            projections.append([])
+            return project(v, on, nl)
+
+        monkeypatch.setattr(solver_module, "_project", new_projection)
+        for name in ("_min_powers_excess", "_rational_excess"):
+            def spy(t, *args, real=getattr(solver_module, name)):
+                projections[-1].append(t)
+                return real(t, *args)
+
+            monkeypatch.setattr(solver_module, name, spy)
+        grid = build_grid(1e-3, 30.0, 20000, D23)
+        solve_ground_state(unit_table(grid), NonlinearitySpec("min_powers", 3, 5), grid,
+                           tol=1e-6)
+        doc = example_config("ex1")
+        doc["nonlinearity"] = {"kind": "rational", "q1": 3.0, "q2": 9.0}
+        doc["grid"]["n_nodes"] = 800
+        cfg = load_config(doc)
+        grid = build_grid(cfg.r_min, cfg.r_max, cfg.n_nodes, cfg.dims)
+        solve_ground_state(eval_potentials(cfg.spec_A, cfg.spec_V, cfg.spec_K, grid.nodes),
+                           cfg.solver_nonlinearity(), grid, tol=cfg.solve_tol,
+                           max_iter=cfg.max_iter)
+        searched = [ts for ts in projections if ts]
+        assert len(searched) > 20
+        assert all(len(set(ts)) == len(ts) for ts in searched)
+
+
 class TestDecaySlopes:
     def test_exact_power(self):
         grid = build_grid(0.01, 100.0, 400, D24)
@@ -444,6 +648,12 @@ class TestSolve:
         _, ref = solve_ground_state(t, pure_power(4, M=0.5), grid, tol=1e-6)
         assert ref.energy == pytest.approx(37.7844444, rel=1e-8)
         assert rep.energy == pytest.approx(ref.energy, rel=1e-10)
+
+    def test_stop_reason_converged(self):
+        grid = build_grid(1e-3, 30.0, 800, D23)
+        _, rep = solve_ground_state(unit_table(grid), pure_power(4), grid, tol=1e-6)
+        assert rep.stop_reason == "converged"
+        assert rep.to_dict()["stop_reason"] == "converged"
 
     def test_stop_reason_budget_exhausted(self):
         grid = build_grid(1e-3, 30.0, 800, D23)
