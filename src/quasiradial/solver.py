@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -78,41 +78,65 @@ def logsumexp(a, axis=None):
     return out[()] if out.ndim == 0 else out
 
 
-def solve_banded(ab, rhs):
-    """Solve a tridiagonal system by cyclic reduction.
+class BandedFactor(NamedTuple):
+    """A tridiagonal matrix reduced by factor_banded, for solve_banded."""
+
+    n: int
+    # per level: the elimination multipliers lo and hi, and the coefficients
+    # a[2::2], c[:-1:2] and b[::2] that the back substitution reads
+    levels: list
+    pivot: np.ndarray  # the one diagonal entry left after the last level
+
+
+def factor_banded(ab) -> BandedFactor:
+    """Reduce a tridiagonal matrix by cyclic reduction, for solve_banded.
 
     ab is LAPACK's (1, 1) band layout: ab[0, 1:] is the superdiagonal, ab[1]
     the diagonal and ab[2, :-1] the subdiagonal.  Each level eliminates the
     even-indexed unknowns from the odd-indexed rows; a ghost row (diagonal
-    1, the rest 0) first pads an even length.  There is no pivoting, which
-    is stable for diagonally dominant matrices (Heller, SIAM J. Numer. Anal.
-    1976) such as the preconditioner's metric, not for indefinite ones.
+    1, the rest 0) first pads an even length.  The factor depends on the
+    matrix only, so one factor serves any number of right-hand sides.  There
+    is no pivoting, which is stable for diagonally dominant matrices
+    (Heller, SIAM J. Numer. Anal. 1976) such as the preconditioner's metric,
+    not for indefinite ones.
     """
     n = ab.shape[1]
     a = np.concatenate(([0.0], ab[2, :-1]))  # row i's coefficient of x[i-1]
     b = np.array(ab[1], dtype=float)
     c = np.concatenate((ab[0, 1:], [0.0]))  # row i's coefficient of x[i+1]
-    d = np.array(rhs, dtype=float)
     levels = []
     while len(b) > 1:
         if len(b) % 2 == 0:
-            a, b, c, d = (np.append(v, g) for v, g in zip((a, b, c, d), (0.0, 1.0, 0.0, 0.0)))
-        levels.append((a, b, c, d))
+            a, b, c = np.append(a, 0.0), np.append(b, 1.0), np.append(c, 0.0)
         lo = a[1::2] / b[:-1:2]
         hi = c[1::2] / b[2::2]
-        a, b, c, d = (-lo * a[:-1:2], b[1::2] - lo * c[:-1:2] - hi * a[2::2],
-                      -hi * c[2::2], d[1::2] - lo * d[:-1:2] - hi * d[2::2])
-    x = d / b
-    for a, b, c, d in reversed(levels):
-        x = x[: len(b) // 2]  # drop the ghost unknown of the level below
+        levels.append((lo, hi, a[2::2], c[:-1:2], b[::2]))
+        a, b, c = -lo * a[:-1:2], b[1::2] - lo * c[:-1:2] - hi * a[2::2], -hi * c[2::2]
+    return BandedFactor(n, levels, b)
+
+
+def solve_banded(factor: BandedFactor, rhs):
+    """Solve the tridiagonal system reduced by factor_banded for rhs: the
+    right-hand side is reduced level by level, then the unknowns are
+    substituted back from the last level up."""
+    d = np.array(rhs, dtype=float)
+    reduced = []
+    for lo, hi, _, _, _ in factor.levels:
+        if len(d) % 2 == 0:
+            d = np.append(d, 0.0)  # the ghost row's right-hand side
+        reduced.append(d)
+        d = d[1::2] - lo * d[:-1:2] - hi * d[2::2]
+    x = d / factor.pivot
+    for (lo, _, a_next, c_prev, b_even), d in zip(reversed(factor.levels), reversed(reduced)):
+        x = x[: len(lo)]  # drop the ghost unknown of the level below
         even = d[::2].copy()
-        even[1:] -= a[2::2] * x
-        even[:-1] -= c[:-1:2] * x
-        full = np.empty(len(b))
+        even[1:] -= a_next * x
+        even[:-1] -= c_prev * x
+        full = np.empty(len(d))
         full[1::2] = x
-        full[::2] = even / b[::2]
+        full[::2] = even / b_even
         x = full
-    return x[:n]
+    return x[: factor.n]
 
 
 def _brentq(f, xa, xb, args, xtol, rtol):
@@ -278,19 +302,23 @@ def _on_grid(grid: RadialGrid, table) -> _OnGrid:
                    np.log(grid.quad_weights) + table.log_K)
 
 
-def _norm_p(u, on: _OnGrid):
-    """Unregularized p-th power of the weighted norm."""
-    grid = on.grid
-    p = grid.dims.p
-    du = np.diff(u) / grid.dr
-    ea = float(np.dot(on.a_cell * np.abs(du) ** p, grid.cell_measure))
+def _slopes(u, grid: RadialGrid):
+    """Cell slopes u' of the nodal array u."""
+    return np.diff(u) / grid.dr
+
+
+def _norm_p(u, du, on: _OnGrid):
+    """Unregularized p-th power of the weighted norm; du is _slopes(u)."""
+    p = on.grid.dims.p
+    ea = float(np.dot(on.a_cell * np.abs(du) ** p, on.grid.cell_measure))
     ev = float(np.dot(on.wv, np.abs(u) ** p))
     return ea + ev
 
 
 def weighted_norm(u: RadialFunction, table: PotentialTable) -> float:
     """Norm combining the A-weighted gradient term and the V-weighted mass term."""
-    return _norm_p(u.values, _on_grid(u.grid, table)) ** (1.0 / u.grid.dims.p)
+    on = _on_grid(u.grid, table)
+    return _norm_p(u.values, _slopes(u.values, u.grid), on) ** (1.0 / u.grid.dims.p)
 
 
 def _eps_for(du, scale=1e-10):
@@ -299,11 +327,10 @@ def _eps_for(du, scale=1e-10):
     return scale * (np.max(np.abs(du)) if len(du) else np.float64(0.0))
 
 
-def _regularized_norm_p(u, on: _OnGrid):
+def _regularized_norm_p(u, du, on: _OnGrid):
     """p times the quadratic part of the energy: the eps-regularized A-term
-    plus the V-term."""
+    plus the V-term.  du is _slopes(u)."""
     grid, p = on.grid, on.grid.dims.p
-    du = np.diff(u) / grid.dr
     eps = _eps_for(du)
     # A-term energy density phi(u') = (u'^2 + eps^2)^(p/2) - eps^p per cell
     dens = (du * du + eps * eps) ** (p / 2.0) - eps ** p
@@ -315,7 +342,7 @@ def _regularized_norm_p(u, on: _OnGrid):
 def energy(u: RadialFunction, table: PotentialTable, nl: NonlinearitySpec) -> float:
     """Discrete value of the variational energy at u."""
     on = _on_grid(u.grid, table)
-    return _regularized_norm_p(u.values, on) / u.grid.dims.p \
+    return _regularized_norm_p(u.values, _slopes(u.values, u.grid), on) / u.grid.dims.p \
         - float(np.dot(on.wk, F_eval(nl, u.values, nonneg=True)))
 
 
@@ -327,19 +354,19 @@ def _lower_order_terms(u, on: _OnGrid, nl):
     return on.wv * zero_order, on.wk * f_eval(nl, u, nonneg=True)
 
 
-def _gradient_array(u, on: _OnGrid, eps, lower):
-    """Exact gradient of the discrete energy; outer Dirichlet node excluded.
+def _gradient_array(du, on: _OnGrid, eps, lower):
+    """Exact gradient of the discrete energy at u; outer Dirichlet node excluded.
 
-    lower is _lower_order_terms at u, which does not depend on eps."""
+    du is _slopes(u) and lower is _lower_order_terms at u, which does not
+    depend on eps."""
     grid = on.grid
     p = grid.dims.p
-    du = np.diff(u) / grid.dr
     with np.errstate(invalid="ignore", divide="ignore"):
         flux_density = np.where(
             (du == 0.0) & (eps == 0.0), 0.0,
             (du * du + eps * eps) ** ((p - 2.0) / 2.0) * du)
     flux = on.a_cell * flux_density * grid.cell_measure / grid.dr
-    g = np.zeros_like(u)
+    g = np.zeros(grid.n)
     g[:-1] -= flux
     g[1:] += flux
     g += lower[0]
@@ -352,8 +379,8 @@ def energy_gradient(u: RadialFunction, table: PotentialTable,
                     nl: NonlinearitySpec) -> RadialFunction:
     """Gradient of the discrete energy with respect to nodal values."""
     on = _on_grid(u.grid, table)
-    eps = _eps_for(np.diff(u.values) / u.grid.dr)
-    g = _gradient_array(u.values, on, eps, _lower_order_terms(u.values, on, nl))
+    du = _slopes(u.values, u.grid)
+    g = _gradient_array(du, on, _eps_for(du), _lower_order_terms(u.values, on, nl))
     return RadialFunction(u.grid, g)
 
 
@@ -375,24 +402,14 @@ def residual_weak_form(u: RadialFunction, table: PotentialTable,
     Uses the unregularized p-Laplacian flux.
     """
     on = _on_grid(u.grid, table)
-    g = _gradient_array(u.values, on, 0.0, _lower_order_terms(u.values, on, nl))
+    g = _gradient_array(_slopes(u.values, u.grid), on, 0.0,
+                        _lower_order_terms(u.values, on, nl))
     return _residual(g, _hat_norms(on))
 
 
 def _residual(g0, hat_norms):
     """Largest defect g0 per hat-function norm, outer node excluded."""
     return float(np.max(np.abs(g0[:-1]) / hat_norms[:-1]))
-
-
-def _defects(u, on: _OnGrid, lower, hat_norms):
-    """The stop quantities at u: (residual, Nehari gap, ||u||^p).
-
-    Both defects are read off the unregularized gradient g0, as
-    residual_weak_form does; the gap is |g0 . u| / ||u||^p.  lower is
-    _lower_order_terms at u."""
-    g0 = _gradient_array(u, on, 0.0, lower)
-    norm_p = _norm_p(u, on)
-    return _residual(g0, hat_norms), abs(float(np.dot(g0, u))) / norm_p, norm_p
 
 
 def nehari_scale(u: RadialFunction, table: PotentialTable,
@@ -402,11 +419,13 @@ def nehari_scale(u: RadialFunction, table: PotentialTable,
     See _project, which also gives the source term at that scale.  Raises
     NoProjection when no positive t exists.
     """
-    return float(_project(u.values, _on_grid(u.grid, table), nl)[0])
+    v, on = u.values, _on_grid(u.grid, table)
+    return float(_project(v, on, nl, _norm_p(v, _slopes(v, u.grid), on))[0])
 
 
-def _project(v, on: _OnGrid, nl):
-    """The Nehari scale s of v and the source term sum w K F(s v) at it.
+def _project(v, on: _OnGrid, nl, level):
+    """The Nehari scale s of v and the source term sum w K F(s v) at it;
+    level is ||v||^p.
 
     On each branch of the nonlinearity the scaled source is a power of s
     times a fixed nodal sum, so log v_+ and the weighted powers w K v_+^q are
@@ -427,10 +446,10 @@ def _project(v, on: _OnGrid, nl):
     all-large one when s min v_+ > 1.  Otherwise the crossing is bracketed
     and located by _bracketed_root, and the source is the masked sums at s
     (min_powers) or one F_eval on s v (rational).  Raises NoProjection when
-    no positive s exists.
+    no positive s exists, or when the closed-form single-power s leaves the
+    float range.
     """
     p = on.grid.dims.p
-    level = _norm_p(v, on)
     if level == 0.0:
         raise NoProjection("u vanishes")
     supp = v > 0.0
@@ -445,7 +464,12 @@ def _project(v, on: _OnGrid, nl):
         q = nl.q1
         c = 0.5 * nl.M if nl.kind == RATIONAL else nl.M
         log_s = math.log(c) + float(logsumexp(log_wk + q * log_v))
-        s = np.float64(math.exp((math.log(level) - log_s) / (q - p)))
+        try:
+            s = np.float64(math.exp((math.log(level) - log_s) / (q - p)))
+        except OverflowError:
+            raise NoProjection("the Nehari scale overflows") from None
+        if s == 0.0:
+            raise NoProjection("the Nehari scale underflows")
         with np.errstate(over="ignore"):
             return s, float(s ** p * level / q)
 
@@ -479,9 +503,10 @@ def _project(v, on: _OnGrid, nl):
 
 def _bracketed_root(excess, args):
     """Root of the increasing excess(t, *args): bracketed by doubling and
-    halving from t = 1, then located by Brent's method to a relative
-    tolerance of 1e-13.  Each t is evaluated once; the bracket ends are
-    remembered, not recomputed."""
+    halving from t = 1, over the powers of 2 that are positive finite
+    floats, then located by Brent's method to a relative tolerance of 1e-13.
+    Each t is evaluated once; the bracket ends are remembered, not
+    recomputed."""
     values = {}
 
     def at(t):
@@ -490,14 +515,15 @@ def _bracketed_root(excess, args):
         return values[t]
 
     lo = hi = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(300):
+    # Brent's extrapolation may divide by zero, which gives inf as in C
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(1024):  # up to 2^1023
             if at(hi) >= 0.0:
                 break
             lo, hi = hi, 2.0 * hi
         else:
             raise NoProjection("scaled source never reaches the norm level")
-        for _ in range(300):
+        for _ in range(1075):  # down to 2^-1074
             if at(lo) <= 0.0:
                 break
             lo, hi = 0.5 * lo, lo
@@ -515,9 +541,13 @@ def _min_powers_excess(t, pos, a, b, k_hi, k_lo, M, level):
 
 
 def _rational_excess(t, a, e, d, k, M, level):
-    """M t^k sum a / (1 + t^d e) - level."""
+    """M t^k sum a / (1 + t^d e) - level.  For t > 1 the ratio is formed as
+    t^(k-d) / (t^-d + e), so that t^k and t^d cannot overflow where the
+    ratio itself is finite (k > d)."""
     t = np.float64(t)
-    return M * t ** k * float(np.sum(a / (1.0 + t ** d * e))) - level
+    if t <= 1.0:
+        return M * t ** k * float(np.sum(a / (1.0 + t ** d * e))) - level
+    return M * t ** (k - d) * float(np.sum(a / (t ** -d + e))) - level
 
 
 def decay_slopes(u: RadialFunction, floor_ratio=1e-12):
@@ -554,36 +584,30 @@ def initial_bump(grid: RadialGrid) -> np.ndarray:
     return vals
 
 
-def _solve_preconditioned(g, u, on: _OnGrid, eps, eps_u):
-    """Solve the tridiagonal linearized-metric system P d = g on the free nodes.
+def _factor_metric(on: _OnGrid, w_a, w_v):
+    """Factor of the linearized quadratic metric P on the free nodes.
 
     P is the second derivative of the quadratic part of the energy with the
-    p-dependent weights lagged at the current iterate; eps and eps_u keep it
-    positive definite for every p.
+    p-dependent weights lagged at the current iterate: w_a = (u'^2 +
+    eps^2)^((p-2)/2) per cell and w_v = (u^2 + eps_u^2)^((p-2)/2) per node,
+    where eps and eps_u keep P positive definite for every p.  For p = 2
+    both weights are 1 and P does not depend on the iterate.
     """
     grid = on.grid
     p = grid.dims.p
-    du = np.diff(u) / grid.dr
-    coef = (p - 1.0) * on.a_cell * (du * du + eps * eps) ** ((p - 2.0) / 2.0)
-    stiff = coef * grid.cell_measure / grid.dr ** 2
-    diag_v = (p - 1.0) * grid.quad_weights * on.table.values_V \
-        * (u * u + eps_u * eps_u) ** ((p - 2.0) / 2.0)
-    n = grid.n
-    diag = diag_v.copy()
+    stiff = (p - 1.0) * on.a_cell * w_a * grid.cell_measure / grid.dr ** 2
+    diag = (p - 1.0) * grid.quad_weights * on.table.values_V * w_v
     diag[:-1] += stiff
     diag[1:] += stiff
-    off = -stiff
-    m = n - 1
+    m = grid.n - 1
     # absolute guard against exact-zero rows only: any value tied to the
     # diagonal scale would swamp rows whose own scale sits far below the
     # global maximum when V spans many orders of magnitude
     ab = np.zeros((3, m))
-    ab[0, 1:] = off[: m - 1]
+    ab[0, 1:] = -stiff[: m - 1]
     ab[1, :] = diag[:m] + 1e-300
-    ab[2, : m - 1] = off[: m - 1]
-    d = np.zeros(n)
-    d[:m] = solve_banded(ab, g[:m])
-    return d
+    ab[2, : m - 1] = -stiff[: m - 1]
+    return factor_banded(ab)
 
 
 # step lengths of the line search, in units of the preconditioned direction
@@ -597,14 +621,15 @@ def _projected_trial(u, d, t, on: _OnGrid, nl):
     the step has no projection or no finite energy."""
     trial = np.maximum(u - t * d, 0.0)
     trial[-1] = 0.0
+    du = _slopes(trial, on.grid)
     try:
-        scale, source = _project(trial, on, nl)
+        scale, source = _project(trial, on, nl, _norm_p(trial, du, on))
     except NoProjection:
         return None
     if not math.isfinite(scale) or scale <= 0.0:
         return None
     trial *= scale
-    e = _regularized_norm_p(trial, on) / on.grid.dims.p - source
+    e = _regularized_norm_p(trial, scale * du, on) / on.grid.dims.p - source
     return (trial, e) if math.isfinite(e) else None
 
 
@@ -633,21 +658,39 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
     except NoProjection as exc:
         raise CollapsedToZero(f"initial projection failed: {exc}") from None
 
+    p = grid.dims.p
     hat_norms = _hat_norms(on)
     i_cur = energy(RadialFunction(grid, u), on, nl)
-    iterations, stop_reason = 0, "budget_exhausted"
-    for iterations in range(1, max_iter + 1):
+    # for p = 2 the lagged weights are 1, so P is factored once per solve
+    metric = _factor_metric(on, 1.0, 1.0) if p == 2.0 else None
+    # pass k tests u and, unless it stops there, takes step k; pass
+    # max_iter + 1 only tests, and the report counts at most max_iter
+    for k in range(1, max_iter + 2):
         # convergence is judged on the unregularized defect g0 reported by
-        # residual_weak_form, descent follows the regularized gradient g; for
-        # p < 2 the two can differ near flat cells
+        # residual_weak_form, with the Nehari gap |g0 . u| / ||u||^p; descent
+        # follows the regularized gradient g, which for p < 2 can differ from
+        # g0 near flat cells
+        du = _slopes(u, grid)
         lower = _lower_order_terms(u, on, nl)
-        residual, gap, _ = _defects(u, on, lower, hat_norms)
+        g0 = _gradient_array(du, on, 0.0, lower)
+        norm_p = _norm_p(u, du, on)
+        residual, gap = _residual(g0, hat_norms), abs(float(np.dot(g0, u))) / norm_p
         if residual <= tol and gap <= tol:
+            stop_reason = "converged"
             break
-        eps = _eps_for(np.diff(u) / grid.dr)
-        eps_u = 1e-10 * float(np.max(np.abs(u)))
-        g = _gradient_array(u, on, eps, lower)
-        d = _solve_preconditioned(g, u, on, eps, eps_u)
+        if k > max_iter:
+            stop_reason = "budget_exhausted"
+            break
+        if p == 2.0:
+            g = g0  # the regularization leaves the p = 2 flux unchanged
+        else:
+            eps = _eps_for(du)
+            eps_u = 1e-10 * float(np.max(np.abs(u)))
+            g = _gradient_array(du, on, eps, lower)
+            metric = _factor_metric(on, (du * du + eps * eps) ** ((p - 2.0) / 2.0),
+                                    (u * u + eps_u * eps_u) ** ((p - 2.0) / 2.0))
+        d = np.zeros(grid.n)
+        d[:-1] = solve_banded(metric, g[:-1])
         slope = float(np.dot(g, d))
         if not math.isfinite(slope) or slope <= 0.0:
             d = g / np.max(hat_norms)  # fall back to a raw gradient step
@@ -673,16 +716,16 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
             break
         u, i_cur = step
         if on_iterate is not None:
-            on_iterate(iterations, i_cur)
+            on_iterate(k, i_cur)
         if float(np.max(u)) < 1e-300:
             raise CollapsedToZero("iterate vanished under descent")
 
-    uf = RadialFunction(grid, u)
-    residual, gap, norm_p = _defects(u, on, _lower_order_terms(u, on, nl), hat_norms)
-    if not (residual <= tol and gap <= tol):
+    iterations = min(k, max_iter)
+    if stop_reason != "converged":
         raise NotConverged(
             f"residual {residual:.3e}, gap {gap:.3e} after {iterations} iterations",
             stop_reason)
+    uf = RadialFunction(grid, u)
     try:
         slope0, slope_inf = decay_slopes(uf)
     except Degenerate:

@@ -3,7 +3,9 @@
 logsumexp must equal scipy.special.logsumexp to the last bit, _brentq must
 return exactly what scipy.optimize.brentq returns, and the cyclic-reduction
 solve_banded must agree with LAPACK's banded solve to 1e-9 relative on every
-system the benchmark's fine-mesh solves build.
+system the benchmark's fine-mesh solves build.  Split into factor_banded and
+solve_banded, the reduction must equal the single-pass one it replaced bit
+for bit.
 """
 
 import copy
@@ -65,6 +67,36 @@ class TestLogsumexp:
                 assert type(got) is type(expected)
 
 
+def reference_solve_banded(ab, rhs):
+    """Cyclic reduction in one pass, matrix and right-hand side together:
+    solve_banded as it was before the factorization was split off."""
+    n = ab.shape[1]
+    a = np.concatenate(([0.0], ab[2, :-1]))
+    b = np.array(ab[1], dtype=float)
+    c = np.concatenate((ab[0, 1:], [0.0]))
+    d = np.array(rhs, dtype=float)
+    levels = []
+    while len(b) > 1:
+        if len(b) % 2 == 0:
+            a, b, c, d = (np.append(v, g) for v, g in zip((a, b, c, d), (0.0, 1.0, 0.0, 0.0)))
+        levels.append((a, b, c, d))
+        lo = a[1::2] / b[:-1:2]
+        hi = c[1::2] / b[2::2]
+        a, b, c, d = (-lo * a[:-1:2], b[1::2] - lo * c[:-1:2] - hi * a[2::2],
+                      -hi * c[2::2], d[1::2] - lo * d[:-1:2] - hi * d[2::2])
+    x = d / b
+    for a, b, c, d in reversed(levels):
+        x = x[: len(b) // 2]
+        even = d[::2].copy()
+        even[1:] -= a[2::2] * x
+        even[:-1] -= c[:-1:2] * x
+        full = np.empty(len(b))
+        full[1::2] = x
+        full[::2] = even / b[::2]
+        x = full
+    return x[:n]
+
+
 def _power_excess(t, k_hi, k_lo, a, b, level):
     """a t^k_hi + b t^k_lo - level: increasing in t, like the projections'."""
     return a * t ** k_hi + b * t ** k_lo - level
@@ -90,19 +122,27 @@ def kernel_calls():
 
     The cases are every fine_mesh solve of the benchmark and the rational
     (3, 9), (3, 9.5) and (3, 10) solves of its sweep workload; each banded
-    solve and Brent search is repeated with scipy as it happens."""
+    solve and Brent search is repeated with scipy as it happens.  A banded
+    solve is given a factor; LAPACK is given the matrix that factor_banded
+    reduced to it."""
     inputs = _fine_mesh_inputs()
     cases = [(name, cfg) for name, cfg, _ in inputs.FINE_MESH_CASES]
     for q2 in (9.0, 9.5, 10.0):
         cfg = copy.deepcopy(inputs.ex1_rational())
         cfg["nonlinearity"]["q2"] = q2
         cases.append((f"rational_3_{q2:g}", cfg))
-    own_banded, own_brentq = solver.solve_banded, solver._brentq
+    own_factor, own_banded, own_brentq = solver.factor_banded, solver.solve_banded, solver._brentq
     stats = {}
+    matrices = {}  # id of a factor -> (the factor, the matrix it reduces)
 
-    def banded(ab, rhs):
-        x = own_banded(ab, rhs)
-        ref = lapack_solve_banded((1, 1), ab, rhs)
+    def factor(ab):
+        f = own_factor(ab)
+        matrices[id(f)] = (f, ab.copy())
+        return f
+
+    def banded(f, rhs):
+        x = own_banded(f, rhs)
+        ref = lapack_solve_banded((1, 1), matrices[id(f)][1], rhs)
         s = stats[name]
         s[0] = max(s[0], float(np.max(np.abs(x - ref)) / np.max(np.abs(ref))))
         s[1] += 1
@@ -116,10 +156,12 @@ def kernel_calls():
         return x
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "factor_banded", factor)
         mp.setattr(solver, "solve_banded", banded)
         mp.setattr(solver, "_brentq", brentq)
         for name, doc in cases:
             stats[name] = [0.0, 0, 0, 0]
+            matrices.clear()
             cfg = load_config(doc)
             grid = solver.build_grid(cfg.r_min, cfg.r_max, cfg.n_nodes, cfg.dims)
             table = eval_potentials(cfg.spec_A, cfg.spec_V, cfg.spec_K, grid.nodes)
@@ -144,16 +186,46 @@ class TestAgainstScipyOnBenchmarkSolves:
         assert all(s[3] == 0 for s in kernel_calls.values())
 
 
+SIZES = list(range(1, 40)) + [255, 256, 257, 1999, 4096]
+
+
+def _dominant_system(n, rng):
+    off = rng.uniform(0.1, 2.0, n)
+    ab = np.zeros((3, n))
+    ab[0, 1:] = -off[:-1]
+    ab[2, :-1] = -off[:-1]
+    ab[1] = off + np.roll(off, 1) + rng.uniform(0.0, 1.0, n)
+    return ab
+
+
 class TestSolveBanded:
-    @pytest.mark.parametrize("n", list(range(1, 40)) + [255, 256, 257, 1999, 4096])
+    @pytest.mark.parametrize("n", SIZES)
     def test_diagonally_dominant_systems(self, n):
         rng = np.random.default_rng(n)
-        off = rng.uniform(0.1, 2.0, n)
-        ab = np.zeros((3, n))
-        ab[0, 1:] = -off[:-1]
-        ab[2, :-1] = -off[:-1]
-        ab[1] = off + np.roll(off, 1) + rng.uniform(0.0, 1.0, n)
+        ab = _dominant_system(n, rng)
         rhs = rng.normal(size=n)
-        x = solver.solve_banded(ab, rhs)
+        x = solver.solve_banded(solver.factor_banded(ab), rhs)
         ref = lapack_solve_banded((1, 1), ab, rhs)
         assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_split_equals_the_single_pass_reduction(self, n):
+        rng = np.random.default_rng(n)
+        ab = _dominant_system(n, rng)
+        rhs = rng.normal(size=n)
+        x = solver.solve_banded(solver.factor_banded(ab), rhs)
+        assert x.tobytes() == reference_solve_banded(ab, rhs).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 256, 1999])
+    def test_one_factor_serves_many_right_hand_sides(self, n):
+        rng = np.random.default_rng(100 + n)
+        ab = _dominant_system(n, rng)
+        ab_before = ab.copy()
+        factor = solver.factor_banded(ab)
+        for rhs in rng.normal(size=(20, n)):
+            rhs_before = rhs.copy()
+            reused = solver.solve_banded(factor, rhs)
+            fresh = solver.solve_banded(solver.factor_banded(ab), rhs)
+            assert reused.tobytes() == fresh.tobytes()
+            assert rhs.tobytes() == rhs_before.tobytes()
+        assert ab.tobytes() == ab_before.tobytes()

@@ -71,6 +71,11 @@ def bisection_nehari_scale(u, table, nl):
     return 0.5 * (lo + hi)
 
 
+def project(v, on, nl):
+    """solver._project with the level ||v||^p taken from v's own slopes."""
+    return solver_module._project(v, on, nl, solver_module._norm_p(v, np.diff(v) / on.grid.dr, on))
+
+
 def reference_nehari_scale(v, on, nl):
     """The Nehari scale of the nodal array v as nehari_scale found it before
     the single-branch closed forms: a single power in closed form, every
@@ -79,7 +84,7 @@ def reference_nehari_scale(v, on, nl):
     from scipy.optimize import brentq
 
     p = on.grid.dims.p
-    level = solver_module._norm_p(v, on)
+    level = solver_module._norm_p(v, np.diff(v) / on.grid.dr, on)
     if level == 0.0:
         raise NoProjection("u vanishes")
     supp = v > 0.0
@@ -126,6 +131,162 @@ def reference_projected_trial(u, d, t, on, nl):
     trial *= scale
     e = energy(RadialFunction(on.grid, trial), on, nl)
     return (trial, e) if math.isfinite(e) else None
+
+
+def reference_defects(u, on, lower, hat_norms):
+    """The stop quantities at u, (residual, Nehari gap, ||u||^p), each pass
+    taking the slopes of u afresh."""
+    g0 = solver_module._gradient_array(np.diff(u) / on.grid.dr, on, 0.0, lower)
+    norm_p = solver_module._norm_p(u, np.diff(u) / on.grid.dr, on)
+    return solver_module._residual(g0, hat_norms), abs(float(np.dot(g0, u))) / norm_p, norm_p
+
+
+def reference_solve_preconditioned(g, u, on, eps, eps_u):
+    """The metric P built and factored afresh at u, then solved for g."""
+    grid, p = on.grid, on.grid.dims.p
+    du = np.diff(u) / grid.dr
+    coef = (p - 1.0) * on.a_cell * (du * du + eps * eps) ** ((p - 2.0) / 2.0)
+    stiff = coef * grid.cell_measure / grid.dr ** 2
+    diag = (p - 1.0) * grid.quad_weights * on.table.values_V \
+        * (u * u + eps_u * eps_u) ** ((p - 2.0) / 2.0)
+    diag[:-1] += stiff
+    diag[1:] += stiff
+    m = grid.n - 1
+    ab = np.zeros((3, m))
+    ab[0, 1:] = -stiff[: m - 1]
+    ab[1, :] = diag[:m] + 1e-300
+    ab[2, : m - 1] = -stiff[: m - 1]
+    d = np.zeros(grid.n)
+    d[:m] = solver_module.solve_banded(solver_module.factor_banded(ab), g[:m])
+    return d
+
+
+def reference_two_pass_trial(u, d, t, on, nl):
+    """The line-search trial with two slope passes: one on the trial for the
+    projection's level, one on the scaled trial for its energy."""
+    trial = np.maximum(u - t * d, 0.0)
+    trial[-1] = 0.0
+    try:
+        scale, source = project(trial, on, nl)
+    except NoProjection:
+        return None
+    if not math.isfinite(scale) or scale <= 0.0:
+        return None
+    trial *= scale
+    e = solver_module._regularized_norm_p(trial, np.diff(trial) / on.grid.dr, on) \
+        / on.grid.dims.p - source
+    return (trial, e) if math.isfinite(e) else None
+
+
+def reference_solve(table, nl, grid, tol, max_iter=20000):
+    """The descent loop of solve_ground_state before the slope passes were
+    fused: per iteration the defects, the descent gradient and the metric
+    each take the slopes of u afresh, P is factored every iteration for
+    every p, and every trial takes two slope passes.  Returns (iterations,
+    energies passed to on_iterate)."""
+    on = solver_module._on_grid(grid, table)
+    u = initial_bump(grid)
+    u = u * nehari_scale(RadialFunction(grid, u), on, nl)
+    hat_norms = solver_module._hat_norms(on)
+    i_cur = energy(RadialFunction(grid, u), on, nl)
+    energies = []
+    for iterations in range(1, max_iter + 1):
+        lower = solver_module._lower_order_terms(u, on, nl)
+        residual, gap, _ = reference_defects(u, on, lower, hat_norms)
+        if residual <= tol and gap <= tol:
+            return iterations, energies
+        eps = solver_module._eps_for(np.diff(u) / grid.dr)
+        eps_u = 1e-10 * float(np.max(np.abs(u)))
+        g = solver_module._gradient_array(np.diff(u) / grid.dr, on, eps, lower)
+        d = reference_solve_preconditioned(g, u, on, eps, eps_u)
+        slope = float(np.dot(g, d))
+        if not math.isfinite(slope) or slope <= 0.0:
+            d = g / np.max(hat_norms)
+            slope = float(np.dot(g, d))
+        t, step = 1.0, None
+        while t > 1e-14:
+            trial = reference_two_pass_trial(u, d, t, on, nl)
+            if trial is not None and trial[1] <= i_cur - 1e-4 * t * slope:
+                step = trial
+                break
+            t *= 0.5
+        if step is not None and t == 1.0:
+            while t < 64.0:
+                t *= 2.0
+                longer = reference_two_pass_trial(u, d, t, on, nl)
+                if longer is None or longer[1] >= step[1]:
+                    break
+                step = longer
+        assert step is not None, "the reference line search stalled"
+        u, i_cur = step
+        energies.append(i_cur)
+    raise AssertionError("the reference loop ran out of iterations")
+
+
+def _unit_case(n_nodes=2000, dims=D23, nl=None, tol=1e-6):
+    grid = build_grid(1e-3, 30.0, n_nodes, dims)
+    return unit_table(grid), nl or pure_power(4), grid, tol
+
+
+def _example_case(name):
+    cfg = load_config(example_config(name))
+    grid = build_grid(cfg.r_min, cfg.r_max, cfg.n_nodes, cfg.dims)
+    table = eval_potentials(cfg.spec_A, cfg.spec_V, cfg.spec_K, grid.nodes)
+    return table, cfg.solver_nonlinearity(), grid, cfg.solve_tol
+
+
+# ex2_I and ex1 at their bundled 1600 nodes; the unit data at 2000 nodes
+# with p = 2, with p = 1.5 and with N = 4, p = 3
+FUSED_LOOP_CASES = {
+    "ex2_I": lambda: _example_case("ex2_I"),
+    "ex1": lambda: _example_case("ex1"),
+    "unit": _unit_case,
+    "unit_p1.5": lambda: _unit_case(dims=ProblemDims(N=3, p=1.5), tol=1e-4),
+    "unit_N4_p3": lambda: _unit_case(dims=ProblemDims(N=4, p=3)),
+}
+
+
+class TestFusedLoopAgainstReference:
+    """solve_ground_state against reference_solve: the same iterations, and
+    on_iterate energies that agree to 1e-13 relative."""
+
+    @pytest.mark.parametrize("case", list(FUSED_LOOP_CASES))
+    def test_same_iterates(self, case):
+        table, nl, grid, tol = FUSED_LOOP_CASES[case]()
+        energies = []
+        _, rep = solve_ground_state(table, nl, grid, tol=tol,
+                                    on_iterate=lambda k, e: energies.append(e))
+        ref_iterations, ref_energies = reference_solve(table, nl, grid, tol)
+        assert rep.iterations == ref_iterations
+        assert len(energies) == len(ref_energies) == ref_iterations - 1
+        np.testing.assert_allclose(energies, ref_energies, rtol=1e-13, atol=0.0)
+        assert rep.energy == energies[-1]
+
+    @pytest.mark.parametrize("case,per_iteration", [
+        ("unit", False), ("ex2_I", False), ("unit_p1.5", True), ("unit_N4_p3", True)])
+    def test_factorizations(self, case, per_iteration, monkeypatch):
+        # P is factored once per p = 2 solve and once per descent step for
+        # p != 2; the last iteration of a converged solve only tests
+        factored, solved = [], []
+        factor_banded, solve_banded = solver_module.factor_banded, solver_module.solve_banded
+
+        def counting_factor(ab):
+            factored.append(ab.shape)
+            return factor_banded(ab)
+
+        def counting_solve(factor, rhs):
+            solved.append(len(rhs))
+            return solve_banded(factor, rhs)
+
+        monkeypatch.setattr(solver_module, "factor_banded", counting_factor)
+        monkeypatch.setattr(solver_module, "solve_banded", counting_solve)
+        table, nl, grid, tol = FUSED_LOOP_CASES[case]()
+        _, rep = solve_ground_state(table, nl, grid, tol=tol)
+        steps = rep.iterations - 1
+        assert steps > 5
+        assert len(solved) == steps
+        assert len(factored) == (steps if per_iteration else 1)
+        assert set(factored) == {(3, grid.n - 1)}
 
 
 class TestGrid:
@@ -360,7 +521,7 @@ class TestNehariAgainstBisection:
 
 def _branch(v, on, nl):
     """Which branches of min_powers the Nehari root of v puts the nodes on."""
-    s = solver_module._project(v, on, nl)[0]
+    s = project(v, on, nl)[0]
     pos = v[v > 0.0]
     return "small" if s * pos.max() <= 1.0 else "large" if s * pos.min() > 1.0 else "mixed"
 
@@ -378,7 +539,7 @@ class TestProjectionAgainstTwoPasses:
         if ref is not None:
             trial = np.maximum(u - t * d, 0.0)
             trial[-1] = 0.0
-            assert solver_module._project(trial, on, nl)[0] == pytest.approx(
+            assert project(trial, on, nl)[0] == pytest.approx(
                 reference_nehari_scale(trial, on, nl), rel=1e-12)
             np.testing.assert_allclose(got[0], ref[0], rtol=1e-12, atol=0.0)
             assert got[1] == pytest.approx(ref[1], rel=1e-12)
@@ -438,11 +599,11 @@ class TestProjectionAgainstTwoPasses:
         on = solver_module._on_grid(grid, smooth_table(grid))
         v = initial_bump(grid)
         v /= v.max()
-        level = solver_module._norm_p(v, on)
+        level = solver_module._norm_p(v, np.diff(v) / grid.dr, on)
         M = level / float(np.dot(on.wk, v ** 5))
         for q in ((3, 5), (5, 3)):
             nl = NonlinearitySpec("min_powers", *q, M=M)
-            assert solver_module._project(v, on, nl)[0] == pytest.approx(1.0, rel=1e-14)
+            assert project(v, on, nl)[0] == pytest.approx(1.0, rel=1e-14)
             self.check(v, np.zeros_like(v), 0.0, on, nl)
 
     @pytest.mark.parametrize("nl", [NonlinearitySpec("rational", 3, 5),
@@ -465,10 +626,54 @@ class TestProjectionAgainstTwoPasses:
         # a finite scale near 1e200 whose scaled slopes overflow the energy
         nl = pure_power(3, M=1e-300)
         u, d, on = self.smooth_case(ProblemDims(N=3, p=1.5))
-        scale = solver_module._project(u, on, nl)[0]
+        scale = project(u, on, nl)[0]
         assert math.isfinite(scale) and scale > 1e100
         with np.errstate(over="ignore"):
             assert self.check(u, d, 0.0, on, nl) is None
+
+
+class TestScaleOutOfRange:
+    @staticmethod
+    def unit_case(dims):
+        grid = build_grid(1e-2, 20.0, 300, dims)
+        return grid, solver_module._on_grid(grid, unit_table(grid))
+
+    @pytest.mark.parametrize("M", [1e-100, 1e100], ids=["overflow", "underflow"])
+    def test_pure_power_scale_is_no_projection(self, M):
+        # the closed-form scale exp(x) of pure_power(2.2) leaves the floats
+        grid, on = self.unit_case(D23)
+        nl = pure_power(2.2, M=M)
+        u = initial_bump(grid)
+        with pytest.raises(NoProjection):
+            nehari_scale(RadialFunction(grid, u), on, nl)
+        assert solver_module._projected_trial(u, 0.0 * u, 0.0, on, nl) is None
+        with pytest.raises(CollapsedToZero):
+            solve_ground_state(on, nl, grid)
+
+    def test_rational_bracket_passes_overflowing_powers(self):
+        # the scales lie beyond 1e88, where t^(q2 - p) overflows
+        grid, on = self.unit_case(ProblemDims(N=3, p=1.5))
+        u = initial_bump(grid)
+        supp = u > 0.0
+        log_v = np.log(u[supp])
+        level = solver_module._norm_p(u, np.diff(u) / grid.dr, on)
+        scales = []
+        for M in (1e-250, 1e-280, 1e-300):
+            nl = NonlinearitySpec("rational", 3, 5, M=M)
+            s = project(u, on, nl)[0]
+            scales.append(s)
+            # Nehari identity in logs: s^p ||u||^p = sum w K f(s u) s u with
+            # f(x) x = M x^5 / (1 + x^2)
+            log_x = math.log(s) + log_v
+            rhs = float(solver_module.logsumexp(
+                on.log_wk[supp] + math.log(M) + 5.0 * log_x - np.logaddexp(0.0, 2.0 * log_x)))
+            lhs = 1.5 * math.log(s) + math.log(level)
+            assert rhs == pytest.approx(lhs, rel=1e-12)
+            with np.errstate(over="ignore", invalid="ignore"):
+                trial = solver_module._projected_trial(u, 0.0 * u, 0.0, on, nl)
+                e = energy(RadialFunction(grid, s * u), on, nl)
+            assert (trial is None) == (not math.isfinite(e))
+        assert scales[0] > 1e88 and len(set(scales)) == 3
 
 
 class TestProjectionEvaluations:
@@ -476,11 +681,11 @@ class TestProjectionEvaluations:
         # the bracket's ends are remembered by the halving loop and Brent's
         # method: within one projection no t reaches the excess twice
         projections = []
-        project = solver_module._project
+        real_project = solver_module._project
 
-        def new_projection(v, on, nl):
+        def new_projection(v, on, nl, level):
             projections.append([])
-            return project(v, on, nl)
+            return real_project(v, on, nl, level)
 
         monkeypatch.setattr(solver_module, "_project", new_projection)
         for name in ("_min_powers_excess", "_rational_excess"):
