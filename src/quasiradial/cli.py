@@ -41,7 +41,6 @@ from .exponents import (
 )
 from .nonlinearity import NonlinearitySpec
 from .potentials import (
-    default_radii,
     eval_potentials,
     spec_from_json,
     validate_hypotheses,
@@ -226,16 +225,15 @@ def region_plot_rows(cfg: RunConfig, alpha_range, q_range, resolution):
 
 
 def check_report(cfg: RunConfig) -> dict:
-    radii = default_radii()
     rep = validate_hypotheses((cfg.spec_A, cfg.spec_V, cfg.spec_K), cfg.dims,
-                              cfg.asym_origin, cfg.asym_infinity,
-                              radii=radii, s_loc=cfg.s_loc)
+                              cfg.asym_origin, cfg.asym_infinity, s_loc=cfg.s_loc)
     out = rep.to_dict()
     out["schema_version"] = SCHEMA_VERSION
     return out
 
 
-def probe_report(cfg: RunConfig) -> dict:
+def probe_report(cfg: RunConfig):
+    """The probe document and the (origin, infinity) probe curves."""
     dims = cfg.dims
     grid = build_grid(cfg.probe_r_min, cfg.probe_r_max, cfg.probe_n_nodes, dims)
     table = eval_potentials(cfg.spec_A, cfg.spec_V, cfg.spec_K, grid.nodes)
@@ -252,7 +250,7 @@ def probe_report(cfg: RunConfig) -> dict:
                  "verdict": decay_verdict(curve, cfg.probe_threshold), "family_size": len(fam)}
            for end, q, fam, curve in (("origin", q1, fam_o, curve_o),
                                       ("infinity", q2, fam_i, curve_i))}
-    return {"schema_version": SCHEMA_VERSION, **doc, "_curves": (curve_o, curve_i)}
+    return {"schema_version": SCHEMA_VERSION, **doc}, (curve_o, curve_i)
 
 
 def _write_csv(path, header, rows):
@@ -449,9 +447,7 @@ def run_example(name: str, out_dir: Path) -> dict:
         if name == "ex2_III":
             assert region["thresholds"]["origin"]["q_star"] < 0
     doc["check"] = check_report(cfg)
-    probe = probe_report(cfg)
-    probe.pop("_curves")
-    doc["probe"] = probe
+    doc["probe"] = probe_report(cfg)[0]
     solve_rep, code = solve_to_files(cfg, out_dir, prefix=f"{name}_solution")
     doc["solve"] = solve_rep
     doc["solve_exit_code"] = code
@@ -610,8 +606,7 @@ def main(argv=None) -> int:
             return EXIT_OK if doc["passed"] else EXIT_HYPOTHESIS
 
         if args.command == "probe":
-            doc = probe_report(cfg)
-            curves = doc.pop("_curves")
+            doc, curves = probe_report(cfg)
             out_dir.mkdir(parents=True, exist_ok=True)
             for end, curve in zip(("origin", "infinity"), curves):
                 _write_csv(out_dir / f"probe_{end}.csv", ["R", "value"], curve.samples)

@@ -338,8 +338,10 @@ def _refined_sup(table: PotentialTable, interval, log_q, tol):
     log_vals = np.concatenate((log_vals, from_specs(ends)))
     i_max = int(np.argmax(log_vals))
     log_v0 = log_v1 = log_vals[i_max]
-    radii = np.union1d(table.radii, r[i_max])
-    sub_r = _refine_radii(radii, int(np.searchsorted(radii, r[i_max])))
+    radii, at = table.radii, int(np.searchsorted(table.radii, r[i_max]))
+    if radii[at] != r[i_max]:  # an end between nodes joins the radii
+        radii = np.insert(radii, at, r[i_max])
+    sub_r = _refine_radii(radii, at)
     sub_r = sub_r[(sub_r >= r_lo) & (sub_r <= r_hi)]
     if len(sub_r):
         log_v1 = max(log_v0, float(np.max(from_specs(sub_r))))

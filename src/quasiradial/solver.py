@@ -26,7 +26,7 @@ import numpy as np
 
 from .exponents import EndpointAsymptotics, ProblemDims, pointwise_decay_exponent
 from .nonlinearity import PURE_POWER, RATIONAL, NonlinearitySpec, F_eval, f_eval
-from .potentials import PotentialTable
+from .potentials import PotentialTable, _end_decade
 
 
 class BadRange(ValueError):
@@ -279,9 +279,7 @@ def _a_cell(table: PotentialTable):
 
 @dataclass(frozen=True)
 class _OnGrid:
-    """A potential table checked against one grid, with its cell values of A.
-    solve_ground_state builds one per solve and passes it where a
-    PotentialTable is expected."""
+    """A potential table checked against one grid, with its cell values of A."""
 
     grid: RadialGrid
     table: PotentialTable
@@ -293,9 +291,7 @@ class _OnGrid:
     log_wk: np.ndarray
 
 
-def _on_grid(grid: RadialGrid, table) -> _OnGrid:
-    if isinstance(table, _OnGrid) and table.grid is grid:
-        return table
+def _on_grid(grid: RadialGrid, table: PotentialTable) -> _OnGrid:
     _check_alignment(grid, table)
     return _OnGrid(grid, table, _a_cell(table), grid.quad_weights * table.values_V,
                    grid.quad_weights * table.values_K,
@@ -307,10 +303,14 @@ def _slopes(u, grid: RadialGrid):
     return np.diff(u) / grid.dr
 
 
-def _norm_p(u, du, on: _OnGrid):
-    """Unregularized p-th power of the weighted norm; du is _slopes(u)."""
+def _norm_p(u, du, on: _OnGrid, eps=0.0):
+    """p-th power of the weighted norm, the A-term plus the V-term; du is
+    _slopes(u).  With eps = 0 the A-term density is |u'|^p; otherwise it is
+    the flux-regularized (u'^2 + eps^2)^(p/2) - eps^p, which makes the value
+    p times the quadratic part of the energy."""
     p = on.grid.dims.p
-    ea = float(np.dot(on.a_cell * np.abs(du) ** p, on.grid.cell_measure))
+    dens = np.abs(du) ** p if eps == 0.0 else (du * du + eps * eps) ** (p / 2.0) - eps ** p
+    ea = float(np.dot(on.a_cell * dens, on.grid.cell_measure))
     ev = float(np.dot(on.wv, np.abs(u) ** p))
     return ea + ev
 
@@ -327,22 +327,11 @@ def _eps_for(du, scale=1e-10):
     return scale * (np.max(np.abs(du)) if len(du) else np.float64(0.0))
 
 
-def _regularized_norm_p(u, du, on: _OnGrid):
-    """p times the quadratic part of the energy: the eps-regularized A-term
-    plus the V-term.  du is _slopes(u)."""
-    grid, p = on.grid, on.grid.dims.p
-    eps = _eps_for(du)
-    # A-term energy density phi(u') = (u'^2 + eps^2)^(p/2) - eps^p per cell
-    dens = (du * du + eps * eps) ** (p / 2.0) - eps ** p
-    ea = float(np.dot(on.a_cell * dens, grid.cell_measure))
-    ev = float(np.dot(on.wv, np.abs(u) ** p))
-    return ea + ev
-
-
 def energy(u: RadialFunction, table: PotentialTable, nl: NonlinearitySpec) -> float:
     """Discrete value of the variational energy at u."""
     on = _on_grid(u.grid, table)
-    return _regularized_norm_p(u.values, _slopes(u.values, u.grid), on) / u.grid.dims.p \
+    du = _slopes(u.values, u.grid)
+    return _norm_p(u.values, du, on, _eps_for(du)) / u.grid.dims.p \
         - float(np.dot(on.wk, F_eval(nl, u.values, nonneg=True)))
 
 
@@ -446,8 +435,8 @@ def _project(v, on: _OnGrid, nl, level):
     all-large one when s min v_+ > 1.  Otherwise the crossing is bracketed
     and located by _bracketed_root, and the source is the masked sums at s
     (min_powers) or one F_eval on s v (rational).  Raises NoProjection when
-    no positive s exists, or when the closed-form single-power s leaves the
-    float range.
+    no positive s exists, or when a closed-form s leaves the float range: a
+    single power's, or the all-small one when sum w K v_+^q_hi overflows.
     """
     p = on.grid.dims.p
     if level == 0.0:
@@ -486,6 +475,8 @@ def _project(v, on: _OnGrid, nl, level):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         s = (level / (nl.M * np.sum(a))) ** (1.0 / (q_hi - p))
         if s * np.max(pos) <= 1.0:
+            if s == 0.0:  # sum a overflowed, or s underflowed
+                raise NoProjection("the all-small Nehari scale reads 0")
             return s, float(s ** p * level / q_hi)
         b = np.exp(log_wk + q_lo * log_v)
         s = (level / (nl.M * np.sum(b))) ** (1.0 / (q_lo - p))
@@ -567,9 +558,7 @@ def decay_slopes(u: RadialFunction, floor_ratio=1e-12):
             raise Degenerate("too few points in the end decade")
         return float(np.polyfit(np.log(rs[sel]), np.log(vs[sel]), 1)[0])
 
-    slope_origin = fit(rs <= rs[0] * 10.0)
-    slope_infinity = fit(rs >= rs[-1] / 10.0)
-    return slope_origin, slope_infinity
+    return fit(_end_decade(rs, "origin")), fit(_end_decade(rs, "infinity"))
 
 
 def initial_bump(grid: RadialGrid) -> np.ndarray:
@@ -629,7 +618,8 @@ def _projected_trial(u, d, t, on: _OnGrid, nl):
     if not math.isfinite(scale) or scale <= 0.0:
         return None
     trial *= scale
-    e = _regularized_norm_p(trial, scale * du, on) / on.grid.dims.p - source
+    du *= scale
+    e = _norm_p(trial, du, on, _eps_for(du)) / on.grid.dims.p - source
     return (trial, e) if math.isfinite(e) else None
 
 
@@ -652,15 +642,13 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
     exhausted above tolerance.
     """
     on = _on_grid(grid, table)
-    u = initial_bump(grid)
-    try:
-        u = u * nehari_scale(RadialFunction(grid, u), on, nl)
-    except NoProjection as exc:
-        raise CollapsedToZero(f"initial projection failed: {exc}") from None
-
+    # the start is the bump's projection, taken as a line-search trial
+    start = _projected_trial(initial_bump(grid), 0.0, 0.0, on, nl)
+    if start is None:
+        raise CollapsedToZero("the initial bump has no Nehari projection with a finite energy")
+    u, i_cur = start
     p = grid.dims.p
     hat_norms = _hat_norms(on)
-    i_cur = energy(RadialFunction(grid, u), on, nl)
     # for p = 2 the lagged weights are 1, so P is factored once per solve
     metric = _factor_metric(on, 1.0, 1.0) if p == 2.0 else None
     # pass k tests u and, unless it stops there, takes step k; pass

@@ -240,6 +240,19 @@ class TestSolve:
                                      "--out", str(tmp_path), "--force"])
         assert code == EXIT_COLLAPSED
 
+    def test_overflowing_source_sum_exits_five(self, tmp_path, capsys):
+        # with K = 1e307 the min_powers projection's weighted sum overflows:
+        # the bump has no Nehari projection, so the solve collapses
+        cfg = unit_benchmark_config()
+        cfg["potentials"]["K"]["c"] = 1e307
+        cfg["nonlinearity"] = {"kind": "min_powers", "q1": 3.0, "q2": 5.0}
+        cfg["grid"]["n_nodes"] = 300
+        path = write_config(tmp_path, cfg)
+        code, doc = run_cli(capsys, ["solve", "--config", path,
+                                     "--out", str(tmp_path), "--force"])
+        assert code == EXIT_COLLAPSED
+        assert doc["error"] == "collapsed_to_zero"
+
     def test_iteration_starved_solve_exits_four(self, tmp_path, capsys):
         cfg = unit_benchmark_config()
         cfg["tolerances"]["max_iter"] = 2
@@ -431,6 +444,13 @@ def test_non_rational_commands_load_no_scipy(tmp_path, command):
         command = command + ["--config", write_config(tmp_path, unit_benchmark_config())]
     argv = command + ["--out", str(tmp_path)]
     assert _is_loaded_after_cli_import("scipy", argv=argv) == "False"
+
+
+def test_example_loads_no_numpy_ma(tmp_path):
+    # the hypothesis check's refinement finds the argmax's neighbours
+    # without np.union1d, which imports numpy.ma
+    argv = ["example", "ex1", "--out", str(tmp_path)]
+    assert _is_loaded_after_cli_import("numpy.ma", "scipy", argv=argv) == "False False"
 
 
 def test_rational_solve_loads_scipy_special_only(tmp_path):

@@ -129,7 +129,7 @@ def reference_projected_trial(u, d, t, on, nl):
     if not math.isfinite(scale) or scale <= 0.0:
         return None
     trial *= scale
-    e = energy(RadialFunction(on.grid, trial), on, nl)
+    e = energy(RadialFunction(on.grid, trial), on.table, nl)
     return (trial, e) if math.isfinite(e) else None
 
 
@@ -173,8 +173,9 @@ def reference_two_pass_trial(u, d, t, on, nl):
     if not math.isfinite(scale) or scale <= 0.0:
         return None
     trial *= scale
-    e = solver_module._regularized_norm_p(trial, np.diff(trial) / on.grid.dr, on) \
-        / on.grid.dims.p - source
+    du = np.diff(trial) / on.grid.dr
+    e = solver_module._norm_p(trial, du, on, solver_module._eps_for(du)) / on.grid.dims.p \
+        - source
     return (trial, e) if math.isfinite(e) else None
 
 
@@ -186,9 +187,9 @@ def reference_solve(table, nl, grid, tol, max_iter=20000):
     energies passed to on_iterate)."""
     on = solver_module._on_grid(grid, table)
     u = initial_bump(grid)
-    u = u * nehari_scale(RadialFunction(grid, u), on, nl)
+    u = u * nehari_scale(RadialFunction(grid, u), table, nl)
     hat_norms = solver_module._hat_norms(on)
-    i_cur = energy(RadialFunction(grid, u), on, nl)
+    i_cur = energy(RadialFunction(grid, u), table, nl)
     energies = []
     for iterations in range(1, max_iter + 1):
         lower = solver_module._lower_order_terms(u, on, nl)
@@ -585,7 +586,7 @@ class TestProjectionAgainstTwoPasses:
             return projected_trial(u, d, t, on, nl)
 
         monkeypatch.setattr(solver_module, "_projected_trial", spy)
-        solve_ground_state(on, nl, grid, tol=cfg.solve_tol, max_iter=cfg.max_iter)
+        solve_ground_state(on.table, nl, grid, tol=cfg.solve_tol, max_iter=cfg.max_iter)
         assert len(calls) > 20
         for u, d, t in calls[::3]:
             trial = np.maximum(u - t * d, 0.0)
@@ -645,10 +646,10 @@ class TestScaleOutOfRange:
         nl = pure_power(2.2, M=M)
         u = initial_bump(grid)
         with pytest.raises(NoProjection):
-            nehari_scale(RadialFunction(grid, u), on, nl)
+            nehari_scale(RadialFunction(grid, u), on.table, nl)
         assert solver_module._projected_trial(u, 0.0 * u, 0.0, on, nl) is None
         with pytest.raises(CollapsedToZero):
-            solve_ground_state(on, nl, grid)
+            solve_ground_state(on.table, nl, grid)
 
     def test_rational_bracket_passes_overflowing_powers(self):
         # the scales lie beyond 1e88, where t^(q2 - p) overflows
@@ -671,9 +672,32 @@ class TestScaleOutOfRange:
             assert rhs == pytest.approx(lhs, rel=1e-12)
             with np.errstate(over="ignore", invalid="ignore"):
                 trial = solver_module._projected_trial(u, 0.0 * u, 0.0, on, nl)
-                e = energy(RadialFunction(grid, s * u), on, nl)
+                e = energy(RadialFunction(grid, s * u), on.table, nl)
             assert (trial is None) == (not math.isfinite(e))
         assert scales[0] > 1e88 and len(set(scales)) == 3
+
+    def test_bump_without_finite_energy_collapses(self):
+        # at M = 1e-250 the bump's Nehari point is finite but its energy is not
+        grid, on = self.unit_case(ProblemDims(N=3, p=1.5))
+        nl = NonlinearitySpec("rational", 3, 5, M=1e-250)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert solver_module._projected_trial(initial_bump(grid), 0.0, 0.0, on, nl) is None
+            with pytest.raises(CollapsedToZero, match="no Nehari projection with a finite"):
+                solve_ground_state(on.table, nl, grid)
+
+    def test_overflowing_min_powers_sum_is_no_projection(self):
+        # sum w K v^5 overflows at K = 1e307, so the all-small closed form
+        # reads s = 0, which is no root; pure_power(5) finds s near 1e-102
+        grid = build_grid(1e-2, 20.0, 300, D23)
+        with np.errstate(over="ignore"):
+            table = eval_potentials(Constant(1.0), Constant(1.0), Constant(1e307), grid.nodes)
+            u = RadialFunction(grid, initial_bump(grid))
+            assert 0.0 < nehari_scale(u, table, pure_power(5)) < 1e-100
+            nl = NonlinearitySpec("min_powers", 3, 5)
+            with pytest.raises(NoProjection):
+                nehari_scale(u, table, nl)
+            with pytest.raises(CollapsedToZero):
+                solve_ground_state(table, nl, grid)
 
 
 class TestProjectionEvaluations:
@@ -761,13 +785,17 @@ class TestSolve:
     def test_line_search_trials(self, monkeypatch):
         # per iteration the trial steps are either t = 1, 1/2, 1/4, ... with
         # the last one taken, or t = 1, 2, 4, ... (at most 64) with strictly
-        # falling energies, ended by the first trial that does not fall
-        trials = []
+        # falling energies, ended by the first trial that does not fall.  The
+        # first call of each solve is its start, with t = 0 and d = 0.
+        trials, starts, solves = [], [], []
         projected_trial = solver_module._projected_trial
 
         def spy(u, d, t, on, nl):
             out = projected_trial(u, d, t, on, nl)
-            trials.append((t, None if out is None else out[1]))
+            if len(starts) < len(solves):
+                starts.append((t, d))
+            else:
+                trials.append((t, None if out is None else out[1]))
             return out
 
         monkeypatch.setattr(solver_module, "_projected_trial", spy)
@@ -776,8 +804,11 @@ class TestSolve:
         # p = 3 both backtracks and expands
         for dims in (D23, ProblemDims(N=4, p=3)):
             grid = build_grid(1e-3, 30.0, 2000, dims)
+            solves.append(dims)
             solve_ground_state(unit_table(grid), pure_power(4), grid, tol=1e-6,
                                on_iterate=lambda k, e: accepted.append((len(trials), e)))
+        assert len(starts) == 2
+        assert all(t == 0.0 and np.all(d == 0.0) for t, d in starts)
         start, expanded, capped, shortened = 0, 0, 0, 0
         for end, e in accepted:
             ts = [tr[0] for tr in trials[start:end]]
@@ -799,6 +830,18 @@ class TestSolve:
                 assert ts == [0.5 ** k for k in range(len(ts))]
                 assert e == es[-1]
         assert expanded > 0 and capped > 0 and shortened > 0
+
+    def test_reaches_the_nehari_set_only_through_trials(self, monkeypatch):
+        # the start is a line-search trial too: no solve calls the public
+        # projection or energy
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve_ground_state called a public layer")
+
+        monkeypatch.setattr(solver_module, "nehari_scale", refuse)
+        monkeypatch.setattr(solver_module, "energy", refuse)
+        for table, nl, grid, tol in (_unit_case(400), _example_case("ex2_I")):
+            _, rep = solve_ground_state(table, nl, grid, tol=tol)
+            assert rep.stop_reason == "converged"
 
     def test_ex2_fine_mesh_iterations(self):
         # backtracking alone, without expansion, needs 2904 iterations here
