@@ -293,9 +293,10 @@ class _OnGrid:
 
 def _on_grid(grid: RadialGrid, table: PotentialTable) -> _OnGrid:
     _check_alignment(grid, table)
-    return _OnGrid(grid, table, _a_cell(table), grid.quad_weights * table.values_V,
-                   grid.quad_weights * table.values_K,
-                   np.log(grid.quad_weights) + table.log_K)
+    # w V or w K may overflow to inf, which later steps detect; no warning
+    with np.errstate(over="ignore"):
+        wv, wk = grid.quad_weights * table.values_V, grid.quad_weights * table.values_K
+    return _OnGrid(grid, table, _a_cell(table), wv, wk, np.log(grid.quad_weights) + table.log_K)
 
 
 def _slopes(u, grid: RadialGrid):
@@ -336,11 +337,19 @@ def energy(u: RadialFunction, table: PotentialTable, nl: NonlinearitySpec) -> fl
 
 
 def _lower_order_terms(u, on: _OnGrid, nl):
-    """Nodal V and K terms of the gradient: w V |u|^(p-2) u and w K f(u)."""
+    """Nodal V and K terms of the gradient: w V |u|^(p-2) u and w K f(u).
+
+    f is evaluated only where u^(q-1) is a normal float for the largest
+    exponent q, the exponent of f near 0; below that the power underflows,
+    which is slow in libm, and the K-term is taken as w K * 0: 0, or NaN
+    where w K overflowed, so that the overflow still shows."""
     p = on.grid.dims.p
     with np.errstate(invalid="ignore", divide="ignore"):
-        zero_order = np.where(u == 0.0, 0.0, np.abs(u) ** (p - 2.0) * u)
-    return on.wv * zero_order, on.wk * f_eval(nl, u, nonneg=True)
+        zero_order = u if p == 2.0 else np.where(u == 0.0, 0.0, np.abs(u) ** (p - 2.0) * u)
+        source = on.wk * 0.0
+    live = u > np.finfo(float).tiny ** (1.0 / (max(nl.q1, nl.q2) - 1.0))
+    source[live] = on.wk[live] * f_eval(nl, u[live], nonneg=True)
+    return on.wv * zero_order, source
 
 
 def _gradient_array(du, on: _OnGrid, eps, lower):
@@ -351,7 +360,7 @@ def _gradient_array(du, on: _OnGrid, eps, lower):
     grid = on.grid
     p = grid.dims.p
     with np.errstate(invalid="ignore", divide="ignore"):
-        flux_density = np.where(
+        flux_density = du if p == 2.0 else np.where(
             (du == 0.0) & (eps == 0.0), 0.0,
             (du * du + eps * eps) ** ((p - 2.0) / 2.0) * du)
     flux = on.a_cell * flux_density * grid.cell_measure / grid.dr
@@ -607,19 +616,27 @@ _MAX_STEP = 64.0
 def _projected_trial(u, d, t, on: _OnGrid, nl):
     """The step u - t d, clamped nonnegative (zero at the outer node) and
     scaled onto the Nehari set, with its energy: (trial, E), or None when
-    the step has no projection or no finite energy."""
+    the step has no projection or no finite energy.
+
+    The quadratic part is p-homogeneous, so the energy at scale s is
+    s^p ||v||_reg^p / p - source, with the regularized norm taken on the
+    unscaled trial v (eps scales with s).  For p = 2 the regularization
+    leaves the form unchanged and ||v||_reg^p is the level."""
     trial = np.maximum(u - t * d, 0.0)
     trial[-1] = 0.0
     du = _slopes(trial, on.grid)
+    level = _norm_p(trial, du, on)
     try:
-        scale, source = _project(trial, on, nl, _norm_p(trial, du, on))
+        scale, source = _project(trial, on, nl, level)
     except NoProjection:
         return None
     if not math.isfinite(scale) or scale <= 0.0:
         return None
+    p = on.grid.dims.p
+    reg = level if p == 2.0 else _norm_p(trial, du, on, _eps_for(du))
     trial *= scale
-    du *= scale
-    e = _norm_p(trial, du, on, _eps_for(du)) / on.grid.dims.p - source
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = float(scale ** p * reg / p - source)
     return (trial, e) if math.isfinite(e) else None
 
 

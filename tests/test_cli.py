@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -248,8 +249,11 @@ class TestSolve:
         cfg["nonlinearity"] = {"kind": "min_powers", "q1": 3.0, "q2": 5.0}
         cfg["grid"]["n_nodes"] = 300
         path = write_config(tmp_path, cfg)
-        code, doc = run_cli(capsys, ["solve", "--config", path,
-                                     "--out", str(tmp_path), "--force"])
+        # the overflowing w K is handled, not warned about
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, doc = run_cli(capsys, ["solve", "--config", path,
+                                         "--out", str(tmp_path), "--force"])
         assert code == EXIT_COLLAPSED
         assert doc["error"] == "collapsed_to_zero"
 

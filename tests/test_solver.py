@@ -133,10 +133,36 @@ def reference_projected_trial(u, d, t, on, nl):
     return (trial, e) if math.isfinite(e) else None
 
 
+def reference_lower_order_terms(u, on, nl):
+    """The nodal V and K terms of the gradient with f and |u|^(p-2) u formed
+    at every node, also where a power underflows and for p = 2."""
+    p = on.grid.dims.p
+    with np.errstate(invalid="ignore", divide="ignore"):
+        zero_order = np.where(u == 0.0, 0.0, np.abs(u) ** (p - 2.0) * u)
+    return on.wv * zero_order, on.wk * f_eval(nl, u, nonneg=True)
+
+
+def reference_gradient_array(du, on, eps, lower):
+    """The gradient with the flux density (u'^2 + eps^2)^((p-2)/2) u'
+    formed for every p, p = 2 included."""
+    grid, p = on.grid, on.grid.dims.p
+    with np.errstate(invalid="ignore", divide="ignore"):
+        flux_density = np.where((du == 0.0) & (eps == 0.0), 0.0,
+                                (du * du + eps * eps) ** ((p - 2.0) / 2.0) * du)
+    flux = on.a_cell * flux_density * grid.cell_measure / grid.dr
+    g = np.zeros(grid.n)
+    g[:-1] -= flux
+    g[1:] += flux
+    g += lower[0]
+    g -= lower[1]
+    g[-1] = 0.0
+    return g
+
+
 def reference_defects(u, on, lower, hat_norms):
     """The stop quantities at u, (residual, Nehari gap, ||u||^p), each pass
     taking the slopes of u afresh."""
-    g0 = solver_module._gradient_array(np.diff(u) / on.grid.dr, on, 0.0, lower)
+    g0 = reference_gradient_array(np.diff(u) / on.grid.dr, on, 0.0, lower)
     norm_p = solver_module._norm_p(u, np.diff(u) / on.grid.dr, on)
     return solver_module._residual(g0, hat_norms), abs(float(np.dot(g0, u))) / norm_p, norm_p
 
@@ -163,7 +189,8 @@ def reference_solve_preconditioned(g, u, on, eps, eps_u):
 
 def reference_two_pass_trial(u, d, t, on, nl):
     """The line-search trial with two slope passes: one on the trial for the
-    projection's level, one on the scaled trial for its energy."""
+    projection's level, one on the scaled trial for its energy, whose
+    quadratic form is assembled afresh."""
     trial = np.maximum(u - t * d, 0.0)
     trial[-1] = 0.0
     try:
@@ -183,8 +210,9 @@ def reference_solve(table, nl, grid, tol, max_iter=20000):
     """The descent loop of solve_ground_state before the slope passes were
     fused: per iteration the defects, the descent gradient and the metric
     each take the slopes of u afresh, P is factored every iteration for
-    every p, and every trial takes two slope passes.  Returns (iterations,
-    energies passed to on_iterate)."""
+    every p, every trial takes two slope passes, and the gradient's terms
+    are formed by reference_lower_order_terms and reference_gradient_array.
+    Returns (iterations, energies passed to on_iterate, final u)."""
     on = solver_module._on_grid(grid, table)
     u = initial_bump(grid)
     u = u * nehari_scale(RadialFunction(grid, u), table, nl)
@@ -192,13 +220,13 @@ def reference_solve(table, nl, grid, tol, max_iter=20000):
     i_cur = energy(RadialFunction(grid, u), table, nl)
     energies = []
     for iterations in range(1, max_iter + 1):
-        lower = solver_module._lower_order_terms(u, on, nl)
+        lower = reference_lower_order_terms(u, on, nl)
         residual, gap, _ = reference_defects(u, on, lower, hat_norms)
         if residual <= tol and gap <= tol:
-            return iterations, energies
+            return iterations, energies, u
         eps = solver_module._eps_for(np.diff(u) / grid.dr)
         eps_u = 1e-10 * float(np.max(np.abs(u)))
-        g = solver_module._gradient_array(np.diff(u) / grid.dr, on, eps, lower)
+        g = reference_gradient_array(np.diff(u) / grid.dr, on, eps, lower)
         d = reference_solve_preconditioned(g, u, on, eps, eps_u)
         slope = float(np.dot(g, d))
         if not math.isfinite(slope) or slope <= 0.0:
@@ -248,17 +276,19 @@ FUSED_LOOP_CASES = {
 
 
 class TestFusedLoopAgainstReference:
-    """solve_ground_state against reference_solve: the same iterations, and
-    on_iterate energies that agree to 1e-13 relative."""
+    """solve_ground_state against reference_solve: the same iterations, the
+    same final iterate bit for bit, and on_iterate energies that agree to
+    1e-13 relative."""
 
     @pytest.mark.parametrize("case", list(FUSED_LOOP_CASES))
     def test_same_iterates(self, case):
         table, nl, grid, tol = FUSED_LOOP_CASES[case]()
         energies = []
-        _, rep = solve_ground_state(table, nl, grid, tol=tol,
+        u, rep = solve_ground_state(table, nl, grid, tol=tol,
                                     on_iterate=lambda k, e: energies.append(e))
-        ref_iterations, ref_energies = reference_solve(table, nl, grid, tol)
+        ref_iterations, ref_energies, ref_u = reference_solve(table, nl, grid, tol)
         assert rep.iterations == ref_iterations
+        assert np.array_equal(u.values, ref_u)
         assert len(energies) == len(ref_energies) == ref_iterations - 1
         np.testing.assert_allclose(energies, ref_energies, rtol=1e-13, atol=0.0)
         assert rep.energy == energies[-1]
@@ -288,6 +318,78 @@ class TestFusedLoopAgainstReference:
         assert len(solved) == steps
         assert len(factored) == (steps if per_iteration else 1)
         assert set(factored) == {(3, grid.n - 1)}
+
+
+class TestIterationShortcuts:
+    """The work a descent iteration leaves out: the trial's second assembly
+    of the quadratic form, and the K-term where f's power underflows."""
+
+    @pytest.mark.parametrize("p,calls", [
+        (2.0, ["_norm_p"]), (1.5, ["_norm_p", "_eps_for", "_norm_p"])])
+    def test_trial_assembles_the_form_once(self, p, calls, monkeypatch):
+        # for p = 2 the level is the regularized form; otherwise the
+        # regularized form is taken once, on the unscaled trial
+        u, d, on = TestProjectionAgainstTwoPasses.smooth_case(ProblemDims(N=3, p=p))
+        seen = []
+        for name in ("_norm_p", "_eps_for"):
+            def spy(*args, real=getattr(solver_module, name), name=name):
+                seen.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(solver_module, name, spy)
+        assert solver_module._projected_trial(u, d, 0.5, on, pure_power(4)) is not None
+        assert seen == calls
+
+    def test_terms_equal_the_full_formulas_on_ex2_iterates(self, monkeypatch):
+        # bit for bit, except K-entries at nodes where f(u) is subnormal,
+        # which read 0; there g0 moves by at most the dropped entry, and
+        # from the same terms the p = 2 flux gives the same g0 bits
+        table, nl, grid, tol = _example_case("ex2_I")
+        on = solver_module._on_grid(grid, table)
+        iterates = []
+        lower_order_terms = solver_module._lower_order_terms
+
+        def spy(u, on, nl):
+            iterates.append(u.copy())
+            return lower_order_terms(u, on, nl)
+
+        monkeypatch.setattr(solver_module, "_lower_order_terms", spy)
+        _, rep = solve_ground_state(table, nl, grid, tol=tol)
+        assert len(iterates) == rep.iterations > 10
+        dropped = 0
+        for u in iterates:
+            lower = lower_order_terms(u, on, nl)
+            ref = reference_lower_order_terms(u, on, nl)
+            assert lower[0].tobytes() == ref[0].tobytes()
+            moved = lower[1].view(np.int64) != ref[1].view(np.int64)
+            assert np.all(lower[1][moved] == 0.0)
+            f = f_eval(nl, u[moved], nonneg=True)
+            assert np.all((f > 0.0) & (f < np.finfo(float).tiny))
+            dropped += int(np.sum(moved))
+            du = np.diff(u) / grid.dr
+            g0 = solver_module._gradient_array(du, on, 0.0, lower)
+            assert g0.tobytes() == reference_gradient_array(du, on, 0.0, lower).tobytes()
+            g0_ref = reference_gradient_array(du, on, 0.0, ref)
+            assert g0[~moved].tobytes() == g0_ref[~moved].tobytes()
+            assert np.all(np.abs(g0 - g0_ref)[moved] <= np.abs(ref[1][moved]))
+        assert dropped > 0
+
+    def test_overflowed_weight_is_not_read_as_zero(self):
+        # with K = 1e307 some w K are inf; where f(u) underflows the K-term
+        # reads NaN, not 0, and the solve stops at once
+        grid = build_grid(1e-2, 20.0, 300, D23)
+        with np.errstate(over="ignore"):
+            table = eval_potentials(Constant(1.0), Constant(1.0), Constant(1e307), grid.nodes)
+        on = solver_module._on_grid(grid, table)
+        u = 1e-103 * initial_bump(grid)
+        nl = pure_power(5)
+        k_term = solver_module._lower_order_terms(u, on, nl)[1]
+        overflowed = np.isinf(on.wk)
+        assert np.any(overflowed & (u > 0.0))
+        assert np.all(np.isnan(k_term[overflowed]))
+        assert np.all(np.isfinite(k_term[~overflowed]))
+        with pytest.raises(NotConverged, match="after 1 iterations"):
+            solve_ground_state(table, nl, grid, max_iter=50)
 
 
 class TestGrid:
@@ -623,13 +725,30 @@ class TestProjectionAgainstTwoPasses:
         assert self.check(u, u, 2.0, on, NonlinearitySpec("min_powers", 3, 5)) is None
         assert self.check(u, d, 1.0, on, NonlinearitySpec("min_powers", 3, 5, M=0.0)) is None
 
-    def test_non_finite_energy(self):
-        # a finite scale near 1e200 whose scaled slopes overflow the energy
+    def test_energy_past_overflowing_scaled_slopes(self):
+        # a finite scale near 1e200 at which (s u')^2 overflows: the two-pass
+        # energy reads inf, while the energy by homogeneity,
+        # s^p (||u||_reg^p / p - ||u||^p / q), is finite and is returned
         nl = pure_power(3, M=1e-300)
         u, d, on = self.smooth_case(ProblemDims(N=3, p=1.5))
+        du = np.diff(u) / on.grid.dr
+        level = solver_module._norm_p(u, du, on)
+        reg = solver_module._norm_p(u, du, on, solver_module._eps_for(du))
         scale = project(u, on, nl)[0]
         assert math.isfinite(scale) and scale > 1e100
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert reference_projected_trial(u, d, 0.0, on, nl) is None
+        trial, e = solver_module._projected_trial(u, d, 0.0, on, nl)
+        assert np.array_equal(trial, scale * u)
+        assert math.isfinite(e)
+        assert e == pytest.approx(scale ** 1.5 * (reg / 1.5 - level / 3.0), rel=1e-12)
+
+    def test_non_finite_energy(self):
+        # the scaled source of rational(3, 5) overflows at the Nehari scale
+        nl = NonlinearitySpec("rational", 3, 5, M=1e-250)
+        u, d, on = self.smooth_case(ProblemDims(N=3, p=1.5))
+        assert math.isfinite(project(u, on, nl)[0])
+        with np.errstate(over="ignore", invalid="ignore"):
             assert self.check(u, d, 0.0, on, nl) is None
 
 
