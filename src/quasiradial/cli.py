@@ -16,7 +16,6 @@ identical inputs produce byte-identical bytes.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -254,15 +253,15 @@ def probe_report(cfg: RunConfig):
 
 
 def _write_csv(path, header, rows):
+    """CSV with \r\n line ends, floats to 17 significant digits, built as one string."""
+    lines = [",".join(header)] + [",".join([format(v, ".17g") if isinstance(v, float)
+                                            else str(v) for v in row]) for row in rows]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format(float(v), ".17g") if isinstance(v, float)
-                             else v for v in row])
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
-def _solve_once(cfg: RunConfig, r_min, r_max, n_nodes):
+def _solve_once(cfg: RunConfig, r_min, r_max, n_nodes, start=None):
+    """Solve on [r_min, r_max]; a start solution is interpolated in log r as u0."""
     grid = build_grid(r_min, r_max, n_nodes, cfg.dims)
     table = eval_potentials(cfg.spec_A, cfg.spec_V, cfg.spec_K, grid.nodes)
     if not (np.all(np.isfinite(table.values_A)) and np.all(np.isfinite(table.values_V))
@@ -270,16 +269,18 @@ def _solve_once(cfg: RunConfig, r_min, r_max, n_nodes):
         raise ConfigError(
             "potentials overflow the float range on the solve grid; "
             "shrink [r_min, r_max]")
+    u0 = None if start is None else np.interp(
+        np.log(grid.nodes), np.log(start.grid.nodes), start.values)
     u, rep = solve_ground_state(table, cfg.solver_nonlinearity(), grid,
                                 tol=cfg.solve_tol, max_iter=cfg.max_iter,
                                 asym_origin=cfg.asym_origin,
-                                asym_infinity=cfg.asym_infinity)
+                                asym_infinity=cfg.asym_infinity, u0=u0)
     return grid, u, rep
 
 
 def _truncation_sensitivity_report(cfg: RunConfig, u, rep):
-    """Re-solve on a domain shrunk by one decade per side and report the
-    relative drift of the energy and of the peak value."""
+    """Re-solve on a domain shrunk by one decade per side, starting from u,
+    and report the relative drift of the energy and of the peak value."""
     r_min, r_max = cfg.r_min * 10.0, cfg.r_max / 10.0
     if not r_min < r_max / 10.0:
         return {"skipped": "domain too narrow to shrink"}
@@ -287,7 +288,7 @@ def _truncation_sensitivity_report(cfg: RunConfig, u, rep):
     decades = math.log10(r_max / r_min)
     n = max(128, int(cfg.n_nodes * decades / decades_full))
     try:
-        _, u2, rep2 = _solve_once(cfg, r_min, r_max, n)
+        _, u2, rep2 = _solve_once(cfg, r_min, r_max, n, start=u)
     except (NotConverged, CollapsedToZero, ConfigError) as exc:
         return {"failed": f"{type(exc).__name__}: {exc}"}
     peak1 = float(np.max(u.values))

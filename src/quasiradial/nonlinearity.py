@@ -95,19 +95,20 @@ def _spliced_power_primitive(q_in, q_out, u):
     return np.where(u <= 1.0, small, large)
 
 
-def _rational_primitive(q1, q2, u):
-    """Antiderivative of s^(q2-1) / (1 + s^(q2-q1)) on s >= 0, evaluated at u >= 0.
+def _rational_primitive(q1, q2, u, M=1.0):
+    """M times the antiderivative of s^(q2-1) / (1 + s^(q2-q1)) on s >= 0, at u >= 0.
 
     With d = q2 - q1 > 0, x = u^d and b = q2/d it is u^q2/q2 2F1(1, b; b+1; -x)
     (DLMF 15.2.1), computed as u^q1 (x 2F1) / q2 because x 2F1 -> q2/q1.
-    Entries that overflow are redone through logs.  Where x overflows, x 2F1
-    is its limit q2/q1 - c q2 u^-q1: F = u^q1/q1 - int_0^u s^(q1-1)/(1+s^d) ds,
-    and that integral is c = pi / (d sin(pi q1/d)) there for q1 < d, and
-    negligible beside u^q1 otherwise.
+    Entries that overflow before the factor M >= 0 are redone through logs,
+    log M included, so M F is finite wherever it is a float.  Where x
+    overflows, x 2F1 is its limit q2/q1 - c q2 u^-q1: F = u^q1/q1 - int_0^u
+    s^(q1-1)/(1+s^d) ds, and that integral is c = pi / (d sin(pi q1/d))
+    there for q1 < d, and negligible beside u^q1 otherwise.
     """
     d = q2 - q1
     if d == 0.0:
-        return u ** q1 / (2.0 * q1)
+        return M * (u ** q1 / (2.0 * q1))
     from scipy.special import hyp2f1  # deferred: no other path needs scipy
 
     b = q2 / d
@@ -116,10 +117,11 @@ def _rational_primitive(q1, q2, u):
         xh = x * hyp2f1(1.0, b, b + 1.0, -x)
         vals = u ** q1 * xh / q2
         bad = ~np.isfinite(vals)
+        vals = M * vals
         if np.any(bad):
             c = math.pi / (d * math.sin(math.pi * q1 / d)) if q1 < d else 0.0
             xh = np.where(np.isinf(x), q2 / q1 - c * q2 * u ** -q1, xh)
-            vals = np.where(bad, np.exp(q1 * np.log(u) + np.log(xh / q2)), vals)
+            vals = np.where(bad, np.exp(np.log(M) + q1 * np.log(u) + np.log(xh / q2)), vals)
     return vals
 
 
@@ -149,7 +151,7 @@ def F_eval(spec: NonlinearitySpec, t, nonneg=False):
     t = np.asarray(t, dtype=float)
     at = np.abs(t)
     if spec.kind == RATIONAL:
-        vals = spec.M * _rational_primitive(spec.q1, spec.q2, at)
+        vals = _rational_primitive(spec.q1, spec.q2, at, spec.M)
     else:
         q_lo, q_hi = sorted((spec.q1, spec.q2))
         pos = _spliced_power_primitive(q_hi, q_lo, at)

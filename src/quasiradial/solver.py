@@ -645,24 +645,25 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
                        max_iter: int = 20000,
                        asym_origin: Optional[EndpointAsymptotics] = None,
                        asym_infinity: Optional[EndpointAsymptotics] = None,
-                       on_iterate=None):
+                       on_iterate=None, u0=None):
     """Compute a nonnegative nontrivial critical point of the discrete energy.
 
-    Descent on the Nehari-projected energy: preconditioned gradient step,
-    positive-part clamp, re-projection and an Armijo line search (slope
-    parameter 1e-4).  The search backtracks from t = 1 with contraction 0.5
-    down to t = 1e-14.  When t = 1 passes, t is doubled, up to 64, while
-    each doubled trial has a strictly lower projected energy than the last
-    one taken; the last one taken is the step.  Raises CollapsedToZero when
-    only the trivial critical point is reachable and NotConverged, with its
-    stop_reason, when the line search stalls or the iteration budget is
-    exhausted above tolerance.
+    Descent on the Nehari-projected energy from u0 (nodal values, the r = 1
+    bump by default; projected as a line-search trial): preconditioned
+    gradient step, positive-part clamp, re-projection and an Armijo line
+    search (slope parameter 1e-4).  The search backtracks from t = 1 with
+    contraction 0.5 down to t = 1e-14.  When t = 1 passes, t is doubled, up
+    to 64, while each doubled trial has a strictly lower projected energy
+    than the last one taken; the last one taken is the step.  Raises
+    CollapsedToZero when only the trivial critical point is reachable (or
+    u0 has no projection) and NotConverged, with its stop_reason, when the
+    line search stalls or the iteration budget is exhausted above tolerance.
     """
     on = _on_grid(grid, table)
-    # the start is the bump's projection, taken as a line-search trial
-    start = _projected_trial(initial_bump(grid), 0.0, 0.0, on, nl)
+    # the start is the projection of u0, taken as a line-search trial
+    start = _projected_trial(initial_bump(grid) if u0 is None else u0, 0.0, 0.0, on, nl)
     if start is None:
-        raise CollapsedToZero("the initial bump has no Nehari projection with a finite energy")
+        raise CollapsedToZero("the initial guess has no Nehari projection with a finite energy")
     u, i_cur = start
     p = grid.dims.p
     hat_norms = _hat_norms(on)

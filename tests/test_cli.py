@@ -1,11 +1,13 @@
 import argparse
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from quasiradial import cli
@@ -20,6 +22,7 @@ from quasiradial.cli import (
     main,
 )
 from quasiradial.exponents import ProblemDims, q_double_star, q_star
+from quasiradial.solver import RadialFunction, build_grid
 
 
 def unit_benchmark_config():
@@ -335,6 +338,75 @@ class TestSolve:
         main(["solve", "--config", path, "--out", str(tmp_path), "--force"])
         second = capsys.readouterr().out
         assert first == second
+
+
+def reference_write_csv(path, header, rows):
+    """The csv.writer loop that _write_csv replaced."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format(float(v), ".17g") if isinstance(v, float)
+                             else v for v in row])
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("header,rows", [
+        (["r", "u"], [(0.0, -0.0), (5e-324, -2.2250738585072014e-308),
+                      (math.inf, -math.inf), (math.nan, 1e308), (0.1, 1.0 / 3.0),
+                      (np.float64(0.1), np.float64(-1.5e300)), (1e16, 123456789.0)]),
+        (["alpha", "q", "member"], [(-10.0, 1.0, 1), (5.0, 15.0, 0), (0.5, 2.0, True),
+                                    (0.5, 2.0, False), (np.int64(7), np.float64(2.5), -3)]),
+        (["R", "value"], []),
+    ], ids=["floats", "ints_and_bools", "header_only"])
+    def test_bytes_equal_csv_writer(self, tmp_path, header, rows):
+        cli._write_csv(tmp_path / "new.csv", header, rows)
+        reference_write_csv(tmp_path / "old.csv", header, rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_region_plot_and_solution_rows(self, tmp_path):
+        cfg = cli.load_config(example_config("ex1"))
+        grid = build_grid(cfg.r_min, cfg.r_max, 300, cfg.dims)
+        for header, rows in (
+                (["alpha", "q", "member"], cli.region_plot_rows(cfg, (-10.0, 5.0),
+                                                                (1.0, 15.0), 16)),
+                (["r", "u"], list(zip(grid.nodes.tolist(),
+                                      np.exp(-grid.nodes).tolist())))):
+            cli._write_csv(tmp_path / "new.csv", header, rows)
+            reference_write_csv(tmp_path / "old.csv", header, rows)
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+class TestTruncationSensitivity:
+    def test_ex1_resolve_starts_from_the_solution(self, tmp_path, capsys, monkeypatch):
+        # the re-solve on [0.04, 1000] starts from the solution interpolated
+        # in log r, not from the bump, which took 33 iterations
+        solves = []
+        solve_ground_state = cli.solve_ground_state
+
+        def spy(*args, **kwargs):
+            u, rep = solve_ground_state(*args, **kwargs)
+            solves.append((kwargs["u0"], u.grid.nodes, rep.iterations))
+            return u, rep
+
+        monkeypatch.setattr(cli, "solve_ground_state", spy)
+        code, doc = run_cli(capsys, ["example", "ex1", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        (u0_main, nodes, it_main), (u0_re, nodes_re, it_re) = solves
+        assert u0_main is None and it_main == 33
+        assert nodes_re[0] == 0.04 and u0_re.shape == nodes_re.shape
+        assert it_re <= 3
+        sens = doc["solve"]["truncation_sensitivity"]
+        assert sens["domain"] == [0.04, 1000.0]
+        assert sens["energy_rel_diff"] == pytest.approx(2.60150605029286e-05, rel=1e-3)
+
+    def test_zero_start_reports_failed(self):
+        cfg = cli.load_config(unit_benchmark_config())
+        grid = build_grid(cfg.r_min, cfg.r_max, cfg.n_nodes, cfg.dims)
+        doc = cli._truncation_sensitivity_report(cfg, RadialFunction(grid, np.zeros(grid.n)),
+                                                 None)
+        assert list(doc) == ["failed"]
+        assert doc["failed"].startswith("CollapsedToZero: the initial guess")
 
 
 class TestProbeCommand:

@@ -163,6 +163,23 @@ class TestRationalAgainstQuadrature:
         assert math.isfinite(val)
         assert val == pytest.approx(1.6864018218222413e308, rel=1e-12)
 
+    def test_small_factor_keeps_overflowing_primitive_finite(self):
+        # F(u) = u^3/3 - u + arctan u overflows beyond u near 7e102, while
+        # M F(u) with M = 1e-250 stays below 1e262 up to u = 1e170
+        u = np.logspace(-2, 170, 300)
+        vals = F_eval(rat(3, 5, M=1e-250), u)
+        with np.errstate(over="ignore"):
+            unscaled = F_eval(rat(3, 5), u)
+        # below 1e307 the closed form u^3 (x 2F1) / 5 = F does not overflow,
+        # so these entries are M times the unscaled ones, bit for bit
+        direct = unscaled < 1e307
+        assert 0 < np.sum(~direct) and np.sum(~np.isfinite(unscaled)) > 0
+        np.testing.assert_array_equal(vals[direct], 1e-250 * unscaled[direct])
+        assert np.all(np.isfinite(vals))
+        # beyond, u^3/3 is F to far below rounding
+        log_ref = math.log(1e-250) + 3.0 * np.log(u[~direct]) - math.log(3.0)
+        np.testing.assert_allclose(np.log(vals[~direct]), log_ref, rtol=1e-14, atol=0.0)
+
 
 class TestSuperlinearity:
     def test_min_powers_true(self):

@@ -6,7 +6,7 @@ import pytest
 import quasiradial.solver as solver_module
 from quasiradial.cli import example_config, load_config
 from quasiradial.exponents import ProblemDims
-from quasiradial.nonlinearity import NonlinearitySpec, f_eval, pure_power
+from quasiradial.nonlinearity import F_eval, NonlinearitySpec, f_eval, pure_power
 from quasiradial.potentials import Constant, Power, eval_potentials
 from quasiradial.solver import (
     BadRange,
@@ -622,6 +622,21 @@ class TestNehariAgainstBisection:
         assert calls == []
 
 
+def rational_3_5_log_space_energy(u, on, M, s):
+    """s^p ||u||_reg^p / p - sum w K M F(s u) for rational(3, 5), where
+    F(x) = x^3/3 - x + arctan x, with both terms formed from their logs."""
+    p = on.grid.dims.p
+    du = np.diff(u) / on.grid.dr
+    log_quadratic = p * math.log(s) + math.log(
+        solver_module._norm_p(u, du, on, solver_module._eps_for(du)) / p)
+    v = u[u > 0.0]
+    x = s * v
+    r = 1.0 / x
+    log_F = 3.0 * np.log(x) - math.log(3.0) + np.log1p(3.0 * r * r * (np.arctan(x) * r - 1.0))
+    log_source = float(solver_module.logsumexp(on.log_wk[u > 0.0] + math.log(M) + log_F))
+    return math.exp(log_quadratic) - math.exp(log_source)
+
+
 def _branch(v, on, nl):
     """Which branches of min_powers the Nehari root of v puts the nodes on."""
     s = project(v, on, nl)[0]
@@ -744,10 +759,15 @@ class TestProjectionAgainstTwoPasses:
         assert e == pytest.approx(scale ** 1.5 * (reg / 1.5 - level / 3.0), rel=1e-12)
 
     def test_non_finite_energy(self):
-        # the scaled source of rational(3, 5) overflows at the Nehari scale
-        nl = NonlinearitySpec("rational", 3, 5, M=1e-250)
-        u, d, on = self.smooth_case(ProblemDims(N=3, p=1.5))
-        assert math.isfinite(project(u, on, nl)[0])
+        # the Nehari scale of rational(4, 6) at p = 3 is near 1e151, so the
+        # energy, at least s^3 ||u||^3 (1/3 - 1/4), is near 1e455
+        nl = NonlinearitySpec("rational", 4, 6, M=1e-150)
+        u, d, on = self.smooth_case(ProblemDims(N=4, p=3))
+        scale = project(u, on, nl)[0]
+        assert math.isfinite(scale)
+        level = solver_module._norm_p(u, np.diff(u) / on.grid.dr, on)
+        log_lower = 3.0 * math.log(scale) + math.log(level) + math.log(1.0 / 3.0 - 1.0 / 4.0)
+        assert log_lower > math.log(np.finfo(float).max) + 100.0
         with np.errstate(over="ignore", invalid="ignore"):
             assert self.check(u, d, 0.0, on, nl) is None
 
@@ -789,16 +809,28 @@ class TestScaleOutOfRange:
                 on.log_wk[supp] + math.log(M) + 5.0 * log_x - np.logaddexp(0.0, 2.0 * log_x)))
             lhs = 1.5 * math.log(s) + math.log(level)
             assert rhs == pytest.approx(lhs, rel=1e-12)
-            with np.errstate(over="ignore", invalid="ignore"):
-                trial = solver_module._projected_trial(u, 0.0 * u, 0.0, on, nl)
-                e = energy(RadialFunction(grid, s * u), on.table, nl)
-            assert (trial is None) == (not math.isfinite(e))
         assert scales[0] > 1e88 and len(set(scales)) == 3
 
-    def test_bump_without_finite_energy_collapses(self):
-        # at M = 1e-250 the bump's Nehari point is finite but its energy is not
+    @pytest.mark.parametrize("M", [1e-250, 1e-280, 1e-300])
+    def test_rational_trial_energy_in_log_space(self, M):
+        # F(s u) overflows at these scales (1.6e167 at M = 1e-250), while
+        # M F(s u) and the energy (1.2e253 at M = 1e-250) are floats
         grid, on = self.unit_case(ProblemDims(N=3, p=1.5))
-        nl = NonlinearitySpec("rational", 3, 5, M=1e-250)
+        nl = NonlinearitySpec("rational", 3, 5, M=M)
+        u = initial_bump(grid)
+        s = project(u, on, nl)[0]
+        with np.errstate(over="ignore"):
+            assert not np.all(np.isfinite(F_eval(NonlinearitySpec("rational", 3, 5), s * u)))
+        trial, e = solver_module._projected_trial(u, 0.0 * u, 0.0, on, nl)
+        assert np.array_equal(trial, s * u)
+        assert e == pytest.approx(rational_3_5_log_space_energy(u, on, M, s), rel=1e-12)
+
+    def test_bump_without_finite_energy_collapses(self):
+        # the bump's Nehari point is finite (s near 2e150) but its energy,
+        # at least s^3 ||u||^3 (1/3 - 1/4), is not
+        grid, on = self.unit_case(ProblemDims(N=4, p=3))
+        nl = NonlinearitySpec("rational", 4, 6, M=1e-150)
+        assert 1e150 < project(initial_bump(grid), on, nl)[0] < 1e151
         with np.errstate(over="ignore", invalid="ignore"):
             assert solver_module._projected_trial(initial_bump(grid), 0.0, 0.0, on, nl) is None
             with pytest.raises(CollapsedToZero, match="no Nehari projection with a finite"):
@@ -983,6 +1015,22 @@ class TestSolve:
         t = unit_table(grid)
         with pytest.raises(CollapsedToZero):
             solve_ground_state(t, pure_power(4, M=0.0), grid)
+
+    @pytest.mark.parametrize("case", list(FUSED_LOOP_CASES))
+    def test_start_at_a_solution_stops_at_once(self, case):
+        # the solution's re-projection passes the stopping test on the first pass
+        table, nl, grid, tol = FUSED_LOOP_CASES[case]()
+        u, rep = solve_ground_state(table, nl, grid, tol=tol)
+        assert rep.iterations > 5
+        u2, rep2 = solve_ground_state(table, nl, grid, tol=tol, u0=u.values)
+        assert rep2.iterations == 1
+        assert rep2.energy == pytest.approx(rep.energy, rel=1e-12)
+        np.testing.assert_allclose(u2.values, u.values, rtol=0.0, atol=1e-12 * u.values.max())
+
+    def test_zero_start_collapses(self):
+        table, nl, grid, tol = _unit_case(400)
+        with pytest.raises(CollapsedToZero, match="initial guess has no Nehari projection"):
+            solve_ground_state(table, nl, grid, tol=tol, u0=np.zeros(grid.n))
 
     def test_mesh_convergence_order(self):
         sols = {}
