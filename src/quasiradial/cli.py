@@ -40,6 +40,7 @@ from .exponents import (
 )
 from .nonlinearity import NonlinearitySpec
 from .potentials import (
+    NonPositive,
     eval_potentials,
     spec_from_json,
     validate_hypotheses,
@@ -632,7 +633,7 @@ def main(argv=None) -> int:
             return code
 
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+    except (ConfigError, NonPositive) as exc:
         _emit({"error": "invalid_config", "detail": str(exc)})
         return EXIT_CONFIG
     except InvalidAsymptotics as exc:

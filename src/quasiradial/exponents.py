@@ -393,9 +393,9 @@ def tail_decay_exponent(asym: EndpointAsymptotics, q2, dims: ProblemDims):
     admissible q2.
     """
     witness = xi_witness_infinity(asym, q2, dims)  # validates admissibility
-    p, N, a, alpha, beta, gamma, q2 = _exact(
-        dims.p, dims.N, asym.a, asym.alpha, asym.beta, asym.gamma, q2)
-    nu = (p * (N - 1) - gamma * (p - 1) + a) / p ** 2
+    p, a, alpha, beta, gamma, q2 = _exact(
+        dims.p, asym.a, asym.alpha, asym.beta, asym.gamma, q2)
+    nu = pointwise_decay_exponent(a, gamma, dims)
     _, a2, a3 = alpha_triplet(asym.beta, asym.gamma, dims)
     case = witness.case_id
     if case == "alpha_ge_alpha1":

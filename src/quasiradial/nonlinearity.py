@@ -51,15 +51,11 @@ class NonlinearitySpec:
             theta = self.q1 if self.kind == RATIONAL else min(self.q1, self.q2)
             object.__setattr__(self, "theta", theta)
 
-    def to_json(self):
-        return {"kind": self.kind, "q1": self.q1, "q2": self.q2,
-                "theta": self.theta, "M": self.M}
-
     @staticmethod
     def from_json(obj):
         return NonlinearitySpec(
             kind=obj["kind"], q1=float(obj["q1"]), q2=float(obj["q2"]),
-            theta=obj.get("theta"), M=float(obj.get("M", 1.0)))
+            M=float(obj.get("M", 1.0)))
 
 
 def pure_power(q, M=1.0):

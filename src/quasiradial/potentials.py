@@ -11,7 +11,6 @@ individual potentials overflow.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional
@@ -22,7 +21,7 @@ from .exponents import EndpointAsymptotics, ProblemDims, validate_endpoint, Inva
 
 
 class NonPositive(ValueError):
-    """A or K evaluated to a non-positive value."""
+    """A potential has a negative coefficient, or A or K is not positive."""
 
 
 class DivisionByZeroV(ZeroDivisionError):
@@ -40,14 +39,8 @@ class InsufficientRange(ValueError):
 class PotentialSpec:
     """Base class for closed-form radial potentials on (0, inf)."""
 
-    def evaluate(self, r):
-        raise NotImplementedError
-
     def evaluate_log(self, r):
         """Natural log of the potential, computed without overflow."""
-        raise NotImplementedError
-
-    def to_json(self):
         raise NotImplementedError
 
 
@@ -56,33 +49,19 @@ class Power(PotentialSpec):
     c: float = 1.0
     e: float = 0.0
 
-    def evaluate(self, r):
-        with np.errstate(over="ignore"):
-            return self.c * np.asarray(r, dtype=float) ** self.e
-
     def evaluate_log(self, r):
-        if self.c <= 0:
-            raise NonPositive(f"power coefficient must be positive, got {self.c}")
-        return math.log(self.c) + self.e * np.log(r)
-
-    def to_json(self):
-        return {"kind": "power", "c": self.c, "e": self.e}
+        """c = 0 is the zero potential, log -inf; a negative or NaN c is refused."""
+        if not self.c >= 0:
+            raise NonPositive(f"coefficient must be nonnegative, got {self.c}")
+        return (math.log(self.c) if self.c > 0 else -math.inf) + self.e * np.log(r)
 
 
 @dataclass(frozen=True)
 class Constant(PotentialSpec):
     c: float = 1.0
 
-    def evaluate(self, r):
-        return np.full_like(np.asarray(r, dtype=float), self.c)
-
     def evaluate_log(self, r):
-        r = np.asarray(r, dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.full_like(r, math.log(self.c) if self.c > 0 else -math.inf)
-
-    def to_json(self):
-        return {"kind": "constant", "c": self.c}
+        return np.full_like(np.asarray(r, dtype=float), Power(self.c).evaluate_log(1.0))
 
 
 @dataclass(frozen=True)
@@ -91,43 +70,24 @@ class ExpInv(PotentialSpec):
 
     scale: float = 1.0
 
-    def evaluate(self, r):
-        with np.errstate(over="ignore"):
-            return np.exp(self.scale / np.asarray(r, dtype=float))
-
     def evaluate_log(self, r):
         return self.scale / np.asarray(r, dtype=float)
-
-    def to_json(self):
-        return {"kind": "exp_inv", "scale": self.scale}
 
 
 @dataclass(frozen=True)
 class MinOf(PotentialSpec):
     parts: tuple
 
-    def evaluate(self, r):
-        return np.minimum.reduce([s.evaluate(r) for s in self.parts])
-
     def evaluate_log(self, r):
         return np.minimum.reduce([s.evaluate_log(r) for s in self.parts])
-
-    def to_json(self):
-        return {"kind": "min", "args": [s.to_json() for s in self.parts]}
 
 
 @dataclass(frozen=True)
 class MaxOf(PotentialSpec):
     parts: tuple
 
-    def evaluate(self, r):
-        return np.maximum.reduce([s.evaluate(r) for s in self.parts])
-
     def evaluate_log(self, r):
         return np.maximum.reduce([s.evaluate_log(r) for s in self.parts])
-
-    def to_json(self):
-        return {"kind": "max", "args": [s.to_json() for s in self.parts]}
 
 
 @dataclass(frozen=True)
@@ -138,18 +98,10 @@ class Piecewise(PotentialSpec):
     inner: PotentialSpec
     outer: PotentialSpec
 
-    def evaluate(self, r):
-        r = np.asarray(r, dtype=float)
-        return np.where(r < self.breakpoint, self.inner.evaluate(r), self.outer.evaluate(r))
-
     def evaluate_log(self, r):
         r = np.asarray(r, dtype=float)
         return np.where(r < self.breakpoint, self.inner.evaluate_log(r),
                         self.outer.evaluate_log(r))
-
-    def to_json(self):
-        return {"kind": "piecewise", "breakpoint": self.breakpoint,
-                "inner": self.inner.to_json(), "outer": self.outer.to_json()}
 
 
 def spec_from_json(obj) -> PotentialSpec:
@@ -226,15 +178,6 @@ class PotentialTable:
     def interval_mask(self, r_lo, r_hi):
         return (self.radii >= r_lo) & (self.radii <= r_hi)
 
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["r", "A", "V", "K"])
-            for i in range(len(self.radii)):
-                writer.writerow([format(float(v), ".17g") for v in
-                                 (self.radii[i], self.values_A[i],
-                                  self.values_V[i], self.values_K[i])])
-
 
 def eval_potentials(spec_A: PotentialSpec, spec_V: PotentialSpec,
                     spec_K: PotentialSpec, radii) -> PotentialTable:
@@ -243,11 +186,8 @@ def eval_potentials(spec_A: PotentialSpec, spec_V: PotentialSpec,
     log_A = spec_A.evaluate_log(r)
     log_V = spec_V.evaluate_log(r)
     log_K = spec_K.evaluate_log(r)
-    if np.any(np.isnan(log_A)) or np.any(np.isnan(log_K)) \
-            or np.any(log_A == -np.inf) or np.any(log_K == -np.inf):
-        raise NonPositive("A and K must be strictly positive on the grid")
     with np.errstate(over="ignore"):
-        table = PotentialTable(
+        return PotentialTable(
             radii=r,
             values_A=np.exp(log_A),
             values_V=np.exp(log_V),
@@ -255,7 +195,6 @@ def eval_potentials(spec_A: PotentialSpec, spec_V: PotentialSpec,
             log_A=log_A, log_V=log_V, log_K=log_K,
             specs=(spec_A, spec_V, spec_K),
         )
-    return table
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import RadialFunction, RadialGrid, logsumexp
+from .solver import RadialGrid, logsumexp
 from .potentials import PotentialTable
 
 
@@ -73,13 +73,6 @@ class TrialFamily:
 
     def __len__(self):
         return len(self.log_profiles)
-
-    def as_radial_functions(self):
-        """Linear-space views; values below the float range underflow to 0."""
-        with np.errstate(over="ignore"):
-            vals = np.exp(self.log_profiles)
-        vals[:, -1] = 0.0
-        return [RadialFunction(self.grid, row) for row in vals]
 
     def norm_defects(self):
         """|log ||u||^p| per profile; all ~0 since profiles are normalized."""

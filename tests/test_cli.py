@@ -215,6 +215,35 @@ class TestCheck:
         assert names["essinf_infinity_positive"] is False
 
 
+class TestNonPositivePotentials:
+    """A or K that is not positive, or a negative coefficient, is an invalid
+    config (exit 2) on every command that tabulates the potentials."""
+
+    COMMANDS = pytest.mark.parametrize("command", [["check"], ["probe"], ["solve", "--force"]],
+                                       ids=["check", "probe", "solve"])
+
+    def _run(self, tmp_path, capsys, command, key, spec):
+        cfg = example_config("ex1")
+        cfg["potentials"][key] = spec
+        path = write_config(tmp_path, cfg)
+        code, doc = run_cli(capsys, command + ["--config", path, "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert doc["error"] == "invalid_config"
+        assert not list(tmp_path.glob("*.csv"))
+
+    @COMMANDS
+    @pytest.mark.parametrize("key, spec", [
+        ("K", {"kind": "constant", "c": 0}),
+        ("A", {"kind": "power", "c": -1, "e": -1}),
+    ], ids=["zero_K", "negative_A"])
+    def test_non_positive_a_or_k_exits_two(self, tmp_path, capsys, command, key, spec):
+        self._run(tmp_path, capsys, command, key, spec)
+
+    @COMMANDS
+    def test_negative_v_exits_two(self, tmp_path, capsys, command):
+        self._run(tmp_path, capsys, command, "V", {"kind": "constant", "c": -1})
+
+
 class TestSolve:
     def test_benchmark_requires_force(self, tmp_path, capsys):
         path = write_config(tmp_path, unit_benchmark_config())
@@ -510,6 +539,11 @@ def test_import_leaves_scipy_optimize_unloaded():
 
 def test_import_loads_no_scipy():
     assert _is_loaded_after_cli_import("scipy") == "False"
+
+
+def test_import_loads_no_csv():
+    # the CLI writes its CSV files as one string each (_write_csv)
+    assert _is_loaded_after_cli_import("csv") == "False"
 
 
 @pytest.mark.parametrize("command", [["example", "ex2_I"], ["solve", "--force"]])

@@ -57,9 +57,10 @@ class TestFEval:
         assert pure_power(4).theta == 4
 
     def test_json_roundtrip(self):
-        spec = minp(3, 9, M=1.5)
-        again = NonlinearitySpec.from_json(spec.to_json())
-        assert again == spec
+        obj = {"kind": "min_powers", "q1": 3, "q2": 9, "M": 1.5}
+        assert NonlinearitySpec.from_json(obj) == minp(3, 9, M=1.5)
+        # theta in a config is ignored: the family's default stands
+        assert NonlinearitySpec.from_json({**obj, "theta": 2.0}) == minp(3, 9, M=1.5)
 
 
 class TestPrimitive:

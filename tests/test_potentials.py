@@ -49,38 +49,46 @@ def example2_specs(gamma0=4.0, d=10.0):
 
 class TestSpecEvaluation:
     def test_power(self):
-        assert Power(1, -1).evaluate(2.0) == 0.5
+        assert math.exp(Power(1, -1).evaluate_log(2.0)) == pytest.approx(0.5, rel=1e-15)
 
     def test_example2_min_at_small_r(self):
         spec = MinOf((Power(1, -2), Power(1, -1)))
-        assert spec.evaluate(0.1) == pytest.approx(10.0)
-        assert spec.evaluate(10.0) == pytest.approx(0.01)
+        assert math.exp(spec.evaluate_log(0.1)) == pytest.approx(10.0)
+        assert math.exp(spec.evaluate_log(10.0)) == pytest.approx(0.01)
 
     def test_exp_inv(self):
-        assert ExpInv(1.0).evaluate(0.5) == pytest.approx(math.e ** 2)
+        assert ExpInv(1.0).evaluate_log(0.5) == pytest.approx(2.0)
 
     def test_log_values_at_overflow_scale(self):
-        # linear value overflows, the log stays exact
+        # the table's linear value overflows, the log stays exact
         spec = ExpInv(1.0)
         assert spec.evaluate_log(1e-5) == pytest.approx(1e5)
-        assert math.isinf(spec.evaluate(np.array([1e-5]))[0])
+        t = eval_potentials(Constant(1.0), spec, Constant(1.0), np.array([1e-5, 1.0]))
+        assert math.isinf(t.values_V[0])
+        assert t.log_V[0] == pytest.approx(1e5)
 
     def test_piecewise(self):
         spec = Piecewise(1.0, Constant(2.0), Power(1.0, 1.0))
         r = np.array([0.5, 1.0, 3.0])
-        assert list(spec.evaluate(r)) == [2.0, 1.0, 3.0]
+        np.testing.assert_allclose(spec.evaluate_log(r), np.log([2.0, 1.0, 3.0]), rtol=1e-15)
 
     def test_json_roundtrip(self):
-        _, v, _ = example1_specs()
-        rebuilt = spec_from_json(v.to_json())
-        r = np.logspace(-2, 2, 50)
-        np.testing.assert_allclose(rebuilt.evaluate_log(r), v.evaluate_log(r))
+        pots = example_config("ex1")["potentials"]
+        assert tuple(spec_from_json(pots[k]) for k in "AVK") == example1_specs()
+        pots = example_config("ex2_I")["potentials"]
+        assert tuple(spec_from_json(pots[k]) for k in "AVK") == example2_specs()
 
     def test_json_example_from_docs(self):
         obj = {"kind": "min", "args": [{"kind": "power", "c": 1, "e": -2},
                                        {"kind": "power", "c": 1, "e": -1}]}
         spec = spec_from_json(obj)
-        assert spec.evaluate(0.1) == pytest.approx(10.0)
+        assert spec == MinOf((Power(1.0, -2.0), Power(1.0, -1.0)))
+        assert math.exp(spec.evaluate_log(0.1)) == pytest.approx(10.0)
+
+    @pytest.mark.parametrize("spec", [Constant(-1.0), Power(-1.0, 0.0), Power(math.nan, 1.0)])
+    def test_negative_coefficient_rejected(self, spec):
+        with pytest.raises(NonPositive):
+            spec.evaluate_log(np.array([0.5, 2.0]))
 
 
 class TestEvalPotentials:
@@ -95,12 +103,21 @@ class TestEvalPotentials:
         with pytest.raises(NonPositive):
             eval_potentials(Constant(0.0), Constant(1.0), Constant(1.0), r)
 
-    def test_csv_header(self, tmp_path):
-        r = np.logspace(-1, 1, 16)
-        t = eval_potentials(Constant(1.0), Constant(1.0), Constant(1.0), r)
-        path = tmp_path / "table.csv"
-        t.to_csv(path)
-        assert path.read_text().splitlines()[0] == "r,A,V,K"
+    @pytest.mark.parametrize("which", [0, 2])
+    def test_zero_power_a_or_k_rejected(self, which):
+        specs = [Constant(1.0)] * 3
+        specs[which] = Power(0.0, 1.0)
+        with pytest.raises(NonPositive):
+            eval_potentials(*specs, np.logspace(-1, 1, 20))
+
+    def test_zero_power_v_is_zero_constant(self):
+        r = np.logspace(-3, 3, 64)
+        a, _, k = example1_specs()
+        t_power = eval_potentials(a, Power(0.0, 1.0), k, r)
+        t_const = eval_potentials(a, Constant(0.0), k, r)
+        np.testing.assert_array_equal(t_power.log_V, t_const.log_V)
+        np.testing.assert_array_equal(t_power.values_V, t_const.values_V)
+        assert np.all(t_power.log_V == -np.inf) and np.all(t_power.values_V == 0.0)
 
 
 class TestLimitExponent:
@@ -280,18 +297,6 @@ class TestSampleBackedTables:
         b2 = essinf_weighted(t, gamma=1.5, interval=(0.1, 10.0))
         assert b2.heuristic is True
         assert b2.value == pytest.approx(1.0, abs=1e-12)
-
-    def test_csv_roundtrip_fidelity(self, tmp_path):
-        import csv as _csv
-        r = np.logspace(-1, 1, 40)
-        t = eval_potentials(Power(1.7, -0.3), Power(0.9, 1.1), Constant(2.0), r)
-        path = tmp_path / "t.csv"
-        t.to_csv(path)
-        rows = list(_csv.reader(path.open()))
-        assert rows[0] == ["r", "A", "V", "K"]
-        back = np.array([[float(x) for x in row] for row in rows[1:]])
-        np.testing.assert_array_equal(back[:, 0], t.radii)
-        np.testing.assert_array_equal(back[:, 1], t.values_A)
 
 
 # ---------------------------------------------------------------------------

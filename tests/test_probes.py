@@ -60,13 +60,6 @@ class TestTrialFamily:
         assert min(fam.nus) > 1.9
         assert 1.5 not in fam.nus
 
-    def test_radial_function_export(self):
-        grid, table = unit_setup(300)
-        fam = make_trial_family(grid, table, 3.0, "infinity", n_exponents=4)
-        for rf in fam.as_radial_functions():
-            assert rf.values[-1] == 0.0
-            assert np.all(rf.values >= 0.0)
-
 
 class TestProbeMonotonicity:
     def test_origin_nondecreasing_in_radius(self):
