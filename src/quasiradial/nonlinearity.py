@@ -82,42 +82,68 @@ def f_eval(spec: NonlinearitySpec, t, nonneg=False):
     return vals
 
 
-def _spliced_power_primitive(q_in, q_out, u):
-    """Antiderivative on s >= 0 of s^(q_in-1) on (0, 1) and s^(q_out-1) beyond,
-    evaluated at u >= 0.  The min of two powers is (q_hi, q_lo), the max is
-    (q_lo, q_hi)."""
-    small = u ** q_in / q_in
-    large = 1.0 / q_in - 1.0 / q_out + u ** q_out / q_out
-    return np.where(u <= 1.0, small, large)
+def _spliced_power_primitive(q_in, q_out, u, M):
+    """M times the antiderivative on s >= 0 of s^(q_in-1) on (0, 1) and s^(q_out-1)
+    beyond, at u >= 0, through logs where u^q_out overflows before M >= 0.
+    The min of two powers is (q_hi, q_lo), the max is (q_lo, q_hi)."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        large = u ** q_out / q_out
+        vals = M * np.where(u <= 1.0, u ** q_in / q_in, 1.0 / q_in - 1.0 / q_out + large)
+        return np.where(np.isinf(large), np.exp(np.log(M / q_out) + q_out * np.log(u)), vals)
+
+
+@lru_cache(maxsize=64)
+def _series(n, f, w):
+    """Coefficients k!/(b+1)_k of S_b(z) = 2F1(1, 1; b+1; z), b = n + f (n an integer),
+    highest first, to a rest below 1e-17 on [0, w]: term k / (1 - rho), rho = max(w,
+    (k+1) w/(b+k+1)) bounding the later ratios; exact at w = 1 with rho = (k+1)/(b+k)."""
+    c, k = [1.0], 1
+    while True:
+        c.append(c[-1] * k / ((n + k) + f))
+        bk = (n + k + 1) + f
+        rho = (k + 1) / (bk - 1) if w == 1.0 else max(w, (k + 1) * w / bk) if bk > 0 else 1.0
+        if abs(c[-1]) * w ** k < 1e-17 * (1.0 - rho):
+            return tuple(c[-2::-1])
+        k += 1
 
 
 def _rational_primitive(q1, q2, u, M=1.0):
-    """M times the antiderivative of s^(q2-1) / (1 + s^(q2-q1)) on s >= 0, at u >= 0.
+    """M times the antiderivative F of s^(q2-1) / (1 + s^d), d = q2 - q1, on s >= 0, at u >= 0.
 
-    With d = q2 - q1 > 0, x = u^d and b = q2/d it is u^q2/q2 2F1(1, b; b+1; -x)
-    (DLMF 15.2.1), computed as u^q1 (x 2F1) / q2 because x 2F1 -> q2/q1.
-    Entries that overflow before the factor M >= 0 are redone through logs,
-    log M included, so M F is finite wherever it is a float.  Where x
-    overflows, x 2F1 is its limit q2/q1 - c q2 u^-q1: F = u^q1/q1 - int_0^u
-    s^(q1-1)/(1+s^d) ds, and that integral is c = pi / (d sin(pi q1/d))
-    there for q1 < d, and negligible beside u^q1 otherwise.
+    F = u^q2/q2 2F1(1, b; b+1; -x), x = u^d, b = q2/d (DLMF 15.2.1), is summed by Horner
+    as F / u^q1 (-> 1/q1) in one of three forms (README), a = q1/d = round(a) + e = m + e:
+    - x <= 1, or b >= 20: u^q2 / (q2 (1+x)) S_b(x/(1+x)) (DLMF 15.8.1);
+    - x > 1: u^q1/q1 - pi/(d sin(pi a)) + u^(q1-d)/((d-q1)(1+1/x)) S_(1-a)(1/(1+x));
+    - x > 1, |e| <= 1e-8: (1/d) [sum_(j<m) (-1)^j x^(m-j)/(m-j) + (-1)^m log1p(x)].
+    Entries that overflow before M >= 0 are redone through logs, log M included.
     """
     d = q2 - q1
     if d == 0.0:
         return M * (u ** q1 / (2.0 * q1))
-    from scipy.special import hyp2f1  # deferred: no other path needs scipy
-
-    b = q2 / d
+    a, b = q1 / d, q2 / d
+    m, e = round(a), a - round(a)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x = u ** d
-        xh = x * hyp2f1(1.0, b, b + 1.0, -x)
-        vals = u ** q1 * xh / q2
+        r = np.empty_like(x)
+        pfaff = (x <= 1.0) | (b >= 20.0)
+        w = 1.0 / (1.0 + 1.0 / x[pfaff])
+        r[pfaff] = w / q2 * np.polyval(_series(0, b, 1.0 if b >= 20.0 else 0.5), w)
+        y, uy = 1.0 / x[~pfaff], u[~pfaff]
+        if b >= 20.0:  # no entry is left, and the series below would take about a terms
+            pass
+        elif abs(e) <= 1e-8:  # log1p(x) = d log u + log1p(y) is finite where x overflows
+            alt = np.polyval([(-1) ** j / (m - j) for j in range(m - 1, -1, -1)], y)
+            r[~pfaff] = (alt + (-1) ** m * y ** m * (d * np.log(uy) + np.log1p(y))) / d
+        else:
+            c = (-1) ** m * math.pi / (d * math.sin(math.pi * e))
+            wy = y / (1.0 + y)
+            r[~pfaff] = 1.0 / q1 - c * uy ** -q1 \
+                - wy / (d * ((m - 1) + e)) * np.polyval(_series(1 - m, -e, 0.5), wy)
+        vals = u ** q1 * r
         bad = ~np.isfinite(vals)
         vals = M * vals
         if np.any(bad):
-            c = math.pi / (d * math.sin(math.pi * q1 / d)) if q1 < d else 0.0
-            xh = np.where(np.isinf(x), q2 / q1 - c * q2 * u ** -q1, xh)
-            vals = np.where(bad, np.exp(np.log(M) + q1 * np.log(u) + np.log(xh / q2)), vals)
+            vals = np.where(bad, np.exp(np.log(M) + q1 * np.log(u) + np.log(r)), vals)
     return vals
 
 
@@ -139,9 +165,9 @@ def _rational_primitive_scalar(q1, q2, u):
 def F_eval(spec: NonlinearitySpec, t, nonneg=False):
     """Primitive F(t) = integral of f from 0 to t; F(0) = 0.
 
-    Both families use closed forms, evaluated on the whole array at once:
-    min_powers is piecewise in powers of |t|, and the rational family is a
-    Gauss hypergeometric function of -|t|^(q2-q1) (see _rational_primitive).
+    Both families are evaluated on the whole array at once: min_powers is
+    piecewise in powers of |t|, the rational family sums the series of
+    _rational_primitive.  M F is finite wherever it is a float.
     F is even for the rational family, since its f is odd.
     """
     t = np.asarray(t, dtype=float)
@@ -150,13 +176,10 @@ def F_eval(spec: NonlinearitySpec, t, nonneg=False):
         vals = _rational_primitive(spec.q1, spec.q2, at, spec.M)
     else:
         q_lo, q_hi = sorted((spec.q1, spec.q2))
-        pos = _spliced_power_primitive(q_hi, q_lo, at)
-        if nonneg:
-            vals = spec.M * pos  # t < 0 is zeroed below
-        else:
+        vals = _spliced_power_primitive(q_hi, q_lo, at, spec.M)
+        if not nonneg:
             # f is min of powers, so for t < 0 the integrand is -max of powers
-            neg = _spliced_power_primitive(q_lo, q_hi, at)
-            vals = spec.M * np.where(t >= 0, pos, neg)
+            vals = np.where(t >= 0, vals, _spliced_power_primitive(q_lo, q_hi, at, spec.M))
     if nonneg:
         vals = np.where(t < 0, 0.0, vals)
     if np.ndim(t) == 0:

@@ -21,7 +21,7 @@ from .exponents import EndpointAsymptotics, ProblemDims, validate_endpoint, Inva
 
 
 class NonPositive(ValueError):
-    """A potential has a negative coefficient, or A or K is not positive."""
+    """A potential has a negative or NaN parameter, or A or K is not positive."""
 
 
 class DivisionByZeroV(ZeroDivisionError):
@@ -39,6 +39,12 @@ class InsufficientRange(ValueError):
 class PotentialSpec:
     """Base class for closed-form radial potentials on (0, inf)."""
 
+    def __post_init__(self):
+        """Refuse a negative coefficient c and a NaN parameter."""
+        if not getattr(self, "c", 0.0) >= 0 or any(
+                isinstance(v, float) and math.isnan(v) for v in vars(self).values()):
+            raise NonPositive(f"negative coefficient or NaN parameter in {self}")
+
     def evaluate_log(self, r):
         """Natural log of the potential, computed without overflow."""
         raise NotImplementedError
@@ -50,9 +56,7 @@ class Power(PotentialSpec):
     e: float = 0.0
 
     def evaluate_log(self, r):
-        """c = 0 is the zero potential, log -inf; a negative or NaN c is refused."""
-        if not self.c >= 0:
-            raise NonPositive(f"coefficient must be nonnegative, got {self.c}")
+        """c = 0 is the zero potential, log -inf."""
         return (math.log(self.c) if self.c > 0 else -math.inf) + self.e * np.log(r)
 
 

@@ -329,11 +329,14 @@ def _eps_for(du, scale=1e-10):
 
 
 def energy(u: RadialFunction, table: PotentialTable, nl: NonlinearitySpec) -> float:
-    """Discrete value of the variational energy at u."""
+    """Discrete energy at u; its p-homogeneous quadratic part is formed on u / max |u|."""
     on = _on_grid(u.grid, table)
-    du = _slopes(u.values, u.grid)
-    return _norm_p(u.values, du, on, _eps_for(du)) / u.grid.dims.p \
-        - float(np.dot(on.wk, F_eval(nl, u.values, nonneg=True)))
+    s = np.max(np.abs(u.values)) or np.float64(1.0)
+    v = u.values / s
+    dv = _slopes(v, u.grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(s ** u.grid.dims.p * _norm_p(v, dv, on, _eps_for(dv)) / u.grid.dims.p
+                     - np.dot(on.wk, F_eval(nl, u.values, nonneg=True)))
 
 
 def _lower_order_terms(u, on: _OnGrid, nl):

@@ -243,6 +243,19 @@ class TestNonPositivePotentials:
     def test_negative_v_exits_two(self, tmp_path, capsys, command):
         self._run(tmp_path, capsys, command, "V", {"kind": "constant", "c": -1})
 
+    # the specs refuse these when the config is loaded, so also the commands
+    # that never tabulate the potentials exit 2
+    @pytest.mark.parametrize("command", [["check"], ["region"], ["region-plot"]],
+                             ids=["check", "region", "region_plot"])
+    @pytest.mark.parametrize("key, spec", [
+        ("A", {"kind": "power", "c": -1, "e": -1}),
+        ("V", {"kind": "piecewise", "breakpoint": 1.0,
+               "inner": {"kind": "exp_inv", "scale": math.nan},
+               "outer": {"kind": "power", "c": 1.0, "e": -3.0}}),
+    ], ids=["negative_A", "nan_V_scale"])
+    def test_refused_on_loading(self, tmp_path, capsys, command, key, spec):
+        self._run(tmp_path, capsys, command, key, spec)
+
 
 class TestSolve:
     def test_benchmark_requires_force(self, tmp_path, capsys):
@@ -563,10 +576,10 @@ def test_example_loads_no_numpy_ma(tmp_path):
     assert _is_loaded_after_cli_import("numpy.ma", "scipy", argv=argv) == "False False"
 
 
-def test_rational_solve_loads_scipy_special_only(tmp_path):
+def test_rational_solve_loads_no_scipy(tmp_path):
+    # the rational primitive sums its own series (nonlinearity._rational_primitive)
     cfg = unit_benchmark_config()
     cfg["nonlinearity"] = {"kind": "rational", "q1": 3.0, "q2": 5.0}
     argv = ["solve", "--force", "--config", write_config(tmp_path, cfg),
             "--out", str(tmp_path)]
-    assert _is_loaded_after_cli_import("scipy.special", "scipy.linalg", "scipy.optimize",
-                                       argv=argv) == "True False False"
+    assert _is_loaded_after_cli_import("scipy", argv=argv) == "False"

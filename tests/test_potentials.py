@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -85,10 +86,24 @@ class TestSpecEvaluation:
         assert spec == MinOf((Power(1.0, -2.0), Power(1.0, -1.0)))
         assert math.exp(spec.evaluate_log(0.1)) == pytest.approx(10.0)
 
-    @pytest.mark.parametrize("spec", [Constant(-1.0), Power(-1.0, 0.0), Power(math.nan, 1.0)])
+    @pytest.mark.parametrize("spec", [partial(Constant, -1.0), partial(Power, -1.0, 0.0),
+                                      partial(Power, math.nan, 1.0)])
     def test_negative_coefficient_rejected(self, spec):
+        # refused when the spec is built, before any evaluation
         with pytest.raises(NonPositive):
-            spec.evaluate_log(np.array([0.5, 2.0]))
+            spec()
+
+    @pytest.mark.parametrize("obj", [
+        {"kind": "exp_inv", "scale": math.nan},
+        {"kind": "power", "c": 1.0, "e": math.nan},
+        {"kind": "piecewise", "breakpoint": math.nan,
+         "inner": {"kind": "constant", "c": 1.0}, "outer": {"kind": "constant", "c": 2.0}},
+        {"kind": "min", "args": [{"kind": "constant", "c": 1.0},
+                                 {"kind": "exp_inv", "scale": math.nan}]},
+    ], ids=["exp_inv_scale", "power_exponent", "breakpoint", "nested"])
+    def test_nan_parameter_rejected(self, obj):
+        with pytest.raises(NonPositive, match="NaN"):
+            spec_from_json(obj)
 
 
 class TestEvalPotentials:

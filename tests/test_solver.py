@@ -484,6 +484,17 @@ class TestEnergy:
             vals.append(energy(RadialFunction(grid, v), t, pure_power(4)))
         assert vals[0] == pytest.approx(vals[1], rel=1e-4)
 
+    def test_finite_past_overflowing_slopes(self):
+        # the Nehari point of pure_power(3, M=1e-250) at p = 1.5 has scaled
+        # slopes whose squares overflow; its energy is near 1.17e253
+        grid = build_grid(1e-2, 20.0, 300, ProblemDims(N=3, p=1.5))
+        on = solver_module._on_grid(grid, unit_table(grid))
+        u = initial_bump(grid)
+        trial, e = solver_module._projected_trial(u, 0.0 * u, 0.0, on, pure_power(3, M=1e-250))
+        assert 1e253 < e < 1.2e253
+        assert energy(RadialFunction(grid, trial), on.table,
+                      pure_power(3, M=1e-250)) == pytest.approx(e, rel=1e-12)
+
 
 class TestGradient:
     def test_zero_point(self):
@@ -751,12 +762,13 @@ class TestProjectionAgainstTwoPasses:
         reg = solver_module._norm_p(u, du, on, solver_module._eps_for(du))
         scale = project(u, on, nl)[0]
         assert math.isfinite(scale) and scale > 1e100
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert reference_projected_trial(u, d, 0.0, on, nl) is None
         trial, e = solver_module._projected_trial(u, d, 0.0, on, nl)
         assert np.array_equal(trial, scale * u)
         assert math.isfinite(e)
         assert e == pytest.approx(scale ** 1.5 * (reg / 1.5 - level / 3.0), rel=1e-12)
+        # energy() forms its quadratic part the same way, so the two-pass
+        # trial, which reads the energy of the scaled trial, agrees
+        assert reference_projected_trial(u, d, 0.0, on, nl)[1] == pytest.approx(e, rel=1e-12)
 
     def test_non_finite_energy(self):
         # the Nehari scale of rational(4, 6) at p = 3 is near 1e151, so the
