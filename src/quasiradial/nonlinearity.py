@@ -29,7 +29,8 @@ class NonlinearitySpec:
     """Parameters of one model nonlinearity.
 
     theta defaults to the family's superlinearity exponent; M scales the
-    whole nonlinearity and doubles as the growth constant.
+    whole nonlinearity and doubles as the growth constant.  q1 and q2 must be
+    finite and exceed 1, M finite and nonnegative.
     """
 
     kind: str
@@ -41,8 +42,12 @@ class NonlinearitySpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
+        if not (math.isfinite(self.q1) and math.isfinite(self.q2)):
+            raise ValueError("q1 and q2 must be finite")
         if self.q1 <= 1 or self.q2 <= 1:
             raise ValueError("q1 and q2 must exceed 1")
+        if not (math.isfinite(self.M) and self.M >= 0):
+            raise ValueError("M must be finite and nonnegative")
         if self.kind == RATIONAL and self.q1 > self.q2:
             raise ValueError("rational family requires q1 <= q2")
         if self.kind == PURE_POWER and self.q1 != self.q2:
@@ -63,18 +68,29 @@ def pure_power(q, M=1.0):
 
 
 def f_eval(spec: NonlinearitySpec, t, nonneg=False):
-    """Evaluate f(t).  With nonneg=True, f is zero on t < 0 (solver mode)."""
+    """Evaluate f(t).  With nonneg=True, f is zero on t < 0 (solver mode).
+
+    M f is finite wherever it is a float: entries that overflow are redone through logs.
+    """
     t = np.asarray(t, dtype=float)
     at = np.abs(t)
-    if spec.kind == RATIONAL:
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if spec.kind == RATIONAL:
             vals = spec.M * at ** (spec.q2 - 1) / (1.0 + at ** (spec.q2 - spec.q1))
-        vals = np.where(at == 0, 0.0, vals) * np.sign(t)
-    else:
-        # min of the signed powers; both equal |t|^(q-1) sign(t)
-        v1 = at ** (spec.q1 - 1) * np.sign(t)
-        v2 = at ** (spec.q2 - 1) * np.sign(t)
-        vals = spec.M * np.minimum(v1, v2)
+            vals = np.where(at == 0, 0.0, vals) * np.sign(t)
+        else:
+            # min of the signed powers; both equal |t|^(q-1) sign(t)
+            v1 = at ** (spec.q1 - 1) * np.sign(t)
+            v2 = at ** (spec.q2 - 1) * np.sign(t)
+            vals = spec.M * np.minimum(v1, v2)
+        bad = ~np.isfinite(vals)
+        if np.any(bad):  # only beyond |t| = 1: redo through logs, log M included
+            if spec.kind == RATIONAL:  # t^(q1-1) / (t^-d + 1)
+                log_f = (spec.q1 - 1) * np.log(at) - np.log1p(at ** (spec.q1 - spec.q2))
+            else:  # the smaller power for t > 0, the larger in modulus for t < 0
+                q = np.where(t > 0, min(spec.q1, spec.q2), max(spec.q1, spec.q2))
+                log_f = (q - 1) * np.log(at)
+            vals = np.where(bad, np.sign(t) * np.exp(np.log(spec.M) + log_f), vals)
     if nonneg:
         vals = np.where(t < 0, 0.0, vals)
     if np.ndim(t) == 0:
@@ -92,53 +108,53 @@ def _spliced_power_primitive(q_in, q_out, u, M):
         return np.where(np.isinf(large), np.exp(np.log(M / q_out) + q_out * np.log(u)), vals)
 
 
+_X_SPLIT, _BLOCK = 2.0, 8  # x = u^d where the series in 1/x takes over; Horner block size
+
+
 @lru_cache(maxsize=64)
-def _series(n, f, w):
-    """Coefficients k!/(b+1)_k of S_b(z) = 2F1(1, 1; b+1; z), b = n + f (n an integer),
-    highest first, to a rest below 1e-17 on [0, w]: term k / (1 - rho), rho = max(w,
-    (k+1) w/(b+k+1)) bounding the later ratios; exact at w = 1 with rho = (k+1)/(b+k)."""
-    c, k = [1.0], 1
-    while True:
-        c.append(c[-1] * k / ((n + k) + f))
-        bk = (n + k + 1) + f
-        rho = (k + 1) / (bk - 1) if w == 1.0 else max(w, (k + 1) * w / bk) if bk > 0 else 1.0
-        if abs(c[-1]) * w ** k < 1e-17 * (1.0 - rho):
-            return tuple(c[-2::-1])
-        k += 1
+def _rational_series(q1, q2):
+    """Both series' coefficients as (step, block, series), highest first; K; pole, c_j."""
+    d, ws, ys = q2 - q1, _X_SPLIT / (1.0 + _X_SPLIT), 1.0 / _X_SPLIT
+    pfaff = [0.0, 1.0 / q2]  # (w/q2) k!/(b+1)_k w^k, b = q2/d, to a rest below 1e-17
+    while pfaff[-1] * ws ** (len(pfaff) - 2) >= 1e-17 * (1.0 - ws) / q2:
+        pfaff.append(pfaff[-1] * (len(pfaff) - 1) / ((len(pfaff) - 1) + q2 / d))
+    # (-1)^j / c_j, c_j = q1 - j d, to the same rest: F/u^q1 >= w_s/q2 beyond x_s, and
+    # no |c_j| but that of the j nearest q1/d (the pole) is below min(d, 1)/2
+    j, c = round(q1 / d), q1 - round(q1 / d) * d
+    pole = (-1) ** j * ys ** j if abs(c) < 0.5 else 0.0
+    n = math.ceil(math.log(5e-18 * (1.0 - ys) * min(d, 1.0) * ws / q2) / math.log(ys))
+    tail = [0.0 if pole and k == j else (-1) ** k / (q1 - k * d) for k in range(n)]
+    K = np.polyval(pfaff[::-1], ws) - np.polyval(tail[::-1], ys)
+    coef = np.zeros((-(-max(len(pfaff), n) // _BLOCK) * _BLOCK, 2))
+    coef[:len(pfaff), 0], coef[:n, 1] = pfaff, tail
+    coef = coef.reshape(-1, _BLOCK, 2)[::-1, ::-1].transpose(1, 0, 2).copy()
+    return coef, K, pole, c if pole else 0.0
 
 
 def _rational_primitive(q1, q2, u, M=1.0):
     """M times the antiderivative F of s^(q2-1) / (1 + s^d), d = q2 - q1, on s >= 0, at u >= 0.
 
-    F = u^q2/q2 2F1(1, b; b+1; -x), x = u^d, b = q2/d (DLMF 15.2.1), is summed by Horner
-    as F / u^q1 (-> 1/q1) in one of three forms (README), a = q1/d = round(a) + e = m + e:
-    - x <= 1, or b >= 20: u^q2 / (q2 (1+x)) S_b(x/(1+x)) (DLMF 15.8.1);
-    - x > 1: u^q1/q1 - pi/(d sin(pi a)) + u^(q1-d)/((d-q1)(1+1/x)) S_(1-a)(1/(1+x));
-    - x > 1, |e| <= 1e-8: (1/d) [sum_(j<m) (-1)^j x^(m-j)/(m-j) + (-1)^m log1p(x)].
-    Entries that overflow before M >= 0 are redone through logs, log M included.
+    F/u^q1 is a series in w = x/(1+x) for x = u^d <= x_s and one in y = 1/x beyond, plus
+    a pole-free term (README); one blocked Horner pass sums both.  Entries that overflow
+    before M >= 0 are redone through logs, log M included.
     """
     d = q2 - q1
     if d == 0.0:
         return M * (u ** q1 / (2.0 * q1))
-    a, b = q1 / d, q2 / d
-    m, e = round(a), a - round(a)
+    coef, K, pole, c = _rational_series(q1, q2)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x = u ** d
-        r = np.empty_like(x)
-        pfaff = (x <= 1.0) | (b >= 20.0)
-        w = 1.0 / (1.0 + 1.0 / x[pfaff])
-        r[pfaff] = w / q2 * np.polyval(_series(0, b, 1.0 if b >= 20.0 else 0.5), w)
-        y, uy = 1.0 / x[~pfaff], u[~pfaff]
-        if b >= 20.0:  # no entry is left, and the series below would take about a terms
-            pass
-        elif abs(e) <= 1e-8:  # log1p(x) = d log u + log1p(y) is finite where x overflows
-            alt = np.polyval([(-1) ** j / (m - j) for j in range(m - 1, -1, -1)], y)
-            r[~pfaff] = (alt + (-1) ** m * y ** m * (d * np.log(uy) + np.log1p(y))) / d
-        else:
-            c = (-1) ** m * math.pi / (d * math.sin(math.pi * e))
-            wy = y / (1.0 + y)
-            r[~pfaff] = 1.0 / q1 - c * uy ** -q1 \
-                - wy / (d * ((m - 1) + e)) * np.polyval(_series(1 - m, -e, 0.5), wy)
+        tail = x > _X_SPLIT
+        z = np.where(tail, 1.0 / x, 1.0 / (1.0 + 1.0 / x))
+        r = coef[..., tail.astype(np.intp)]
+        for zk in (z, z ** _BLOCK):  # within the blocks, then across them
+            r, rows = r[0].copy(), r[1:]
+            for row in rows:
+                r *= zk
+                r += row
+        L = np.log(u) - math.log(_X_SPLIT) / d
+        g = np.expm1(c * L) / c if c else L
+        r += np.where(tail, np.exp(-q1 * L) * (K + pole * g), 0.0)
         vals = u ** q1 * r
         bad = ~np.isfinite(vals)
         vals = M * vals
@@ -151,7 +167,8 @@ def _rational_primitive(q1, q2, u, M=1.0):
 def _rational_primitive_scalar(q1, q2, u):
     """Quadrature value of _rational_primitive, the tests' reference.
 
-    At epsrel 1e-10 quad misses by up to 3e-8 for u in the hundreds.
+    At epsrel 1e-12 quad agrees with 40-digit mpmath to 2e-13 on the near-integer
+    specs q2 = 3 + 3/(m + e) and to 8e-13 on the tests' other specs, for u <= 1e3.
     """
     from scipy.integrate import quad
 

@@ -257,6 +257,26 @@ class TestNonPositivePotentials:
         self._run(tmp_path, capsys, command, key, spec)
 
 
+class TestBadNonlinearity:
+    """A non-finite exponent, or an M that is negative or not finite, is an
+    invalid config (exit 2) on loading; M = 0 stays allowed."""
+
+    @pytest.mark.parametrize("command", [["region"], ["solve", "--force"]],
+                             ids=["region", "solve"])
+    @pytest.mark.parametrize("key, value", [
+        ("M", -1.0), ("M", math.nan), ("M", math.inf), ("q1", math.nan), ("q2", math.inf),
+    ], ids=["negative_M", "nan_M", "inf_M", "nan_q1", "inf_q2"])
+    def test_refused_on_loading(self, tmp_path, capsys, command, key, value):
+        cfg = example_config("ex1")
+        cfg["nonlinearity"] = {"kind": "rational", "q1": 3.0, "q2": 9.0, key: value}
+        cfg["grid"]["n_nodes"] = 200
+        path = write_config(tmp_path, cfg)
+        code, doc = run_cli(capsys, command + ["--config", path, "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert doc["error"] == "invalid_config"
+        assert not list(tmp_path.glob("*.csv"))
+
+
 class TestSolve:
     def test_benchmark_requires_force(self, tmp_path, capsys):
         path = write_config(tmp_path, unit_benchmark_config())

@@ -51,6 +51,29 @@ class TestFEval:
     def test_scaling_constant(self):
         assert f_eval(minp(3, 5, M=2.5), 2.0) == 2.5 * 4.0
 
+    def test_finite_wherever_the_value_is_a_float(self):
+        # M f is taken through logs where the direct form overflows: rational
+        # f = t^(q1-1) / (t^-d + 1) beyond t = 1, the powers' min (t > 0) or max
+        # in modulus (t < 0) for the other families, and without a warning
+        cases = [
+            (rat(3, 9), [1e40, 1e52, -1e100], lambda t: np.sign(t) * t ** 2),
+            (rat(3, 5, M=1e-250), [1e170], lambda t: 1e-250 * t * t),
+            (pure_power(3, M=1e-250), [1.6e167, -1.6e167], lambda t: 1e-250 * t * abs(t)),
+            (minp(3, 5, M=1e-250), [1e170, -1e100],
+             lambda t: 1e-250 * t * t if t > 0 else -(1e-250 * t * t) * t * t),
+        ]
+        for spec, ts, ref in cases:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                vals = f_eval(spec, np.array(ts))
+            assert np.all(np.isfinite(vals)), spec
+            np.testing.assert_allclose(vals, [ref(t) for t in ts], rtol=1e-13, atol=0.0)
+
+    def test_finite_entries_are_the_direct_form(self):
+        t = np.concatenate([-np.logspace(-3, 30, 50), [0.0], np.logspace(-3, 30, 50)])
+        spec = rat(3, 9, M=2.5)
+        direct = 2.5 * np.abs(t) ** 8 / (1.0 + np.abs(t) ** 6) * np.sign(t)
+        np.testing.assert_array_equal(f_eval(spec, t), direct)
+
     def test_defaults(self):
         assert minp(3, 5).theta == 3
         assert rat(3, 5).theta == 3
@@ -112,16 +135,18 @@ class TestRationalAgainstQuadrature:
         return spec.M * np.array([_rational_primitive_scalar(float(spec.q1), float(spec.q2),
                                                              float(x)) for x in u])
 
-    # a = q1/(q2-q1) picks the branch for u > 1: (3,6) and (3,4.5) have an
-    # integer a, the finite sum; (3,3.0001) and (3,3.05) have b = a + 1 of
-    # 3e4 and 61, the Pfaff series at every u; the rest take the series in
-    # 1/(1+x), where (3,4.01), (3,6.02) and (6,7.01) have a within 0.06 of
-    # an integer and lose the most digits
+    # x = u^(q2-q1) <= 2 takes the Pfaff series, x > 2 the series in 1/x,
+    # whose terms 1/c_j, c_j = q1 - j (q2-q1), have a pole where a = q1/(q2-q1)
+    # is an integer j: (3,6) and (3,4.5) have c_1 = 0 and c_2 = 0, and
+    # (3,6.02), (3,4.01), (6,7.01) and the twelve q2 = 3 + 3/(m + e), with a
+    # within 1e-9 to 0.06 of an integer, a small c_j: that term is taken in
+    # its pole-free form.  No float u has x > 2 for (3,3.0001)
     @pytest.mark.parametrize("spec", [
         rat(3, 9), rat(3, 9.5), rat(3, 10), rat(3, 5), rat(2.5, 4), rat(3, 6),
         rat(3, 4.5), rat(3, 3.0001), rat(4, 4), rat(3, 9, M=2.5), rat(3, 3.7),
         rat(3, 4.01), rat(3, 6.02), rat(3, 3.05), rat(6, 7.01), rat(4, 4.3), rat(5, 6.1),
-    ], ids=lambda s: f"{s.q1}-{s.q2}-M{s.M}")
+    ] + [rat(3, 3 + 3 / (m + e)) for m in (1, 2, 5) for e in (2e-9, 2e-8, 1e-7, 1e-6)],
+        ids=lambda s: f"{s.q1}-{s.q2}-M{s.M}")
     def test_matches_quadrature(self, spec):
         np.testing.assert_allclose(F_eval(spec, self.U), self.quadrature(spec, self.U),
                                    rtol=1e-11, atol=0.0)
@@ -239,6 +264,13 @@ class TestGrowth:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("kw", [
+        {"q1": math.nan}, {"q2": math.inf}, {"M": -1.0}, {"M": math.nan}, {"M": math.inf},
+    ], ids=["nan_q1", "inf_q2", "negative_M", "nan_M", "inf_M"])
+    def test_rejects_non_finite_exponent_or_bad_factor(self, kw):
+        with pytest.raises(ValueError):
+            NonlinearitySpec(**{"kind": "rational", "q1": 3.0, "q2": 9.0, **kw})
+
     def test_rejects_bad_kind(self):
         with pytest.raises(ValueError):
             NonlinearitySpec(kind="cubic", q1=3, q2=3)

@@ -919,6 +919,24 @@ class TestDecaySlopes:
 
 
 class TestSolve:
+    @pytest.mark.parametrize("q2, iterations, energy", [
+        (9.0, 40, 38.39231615215144),
+        (9.5, 29, 40.16906103201134),
+        (10.0, 22, 41.50985128246187),
+    ])
+    def test_rational_sweep_is_pinned(self, q2, iterations, energy):
+        # the benchmark sweep's rational solves: ex1 with rational(3, q2) at 800 nodes
+        doc = example_config("ex1")
+        doc["nonlinearity"] = {"kind": "rational", "q1": 3.0, "q2": q2}
+        doc["grid"]["n_nodes"] = 800
+        cfg = load_config(doc)
+        grid = build_grid(cfg.r_min, cfg.r_max, cfg.n_nodes, cfg.dims)
+        table = eval_potentials(cfg.spec_A, cfg.spec_V, cfg.spec_K, grid.nodes)
+        _, rep = solve_ground_state(table, cfg.solver_nonlinearity(), grid,
+                                    tol=cfg.solve_tol, max_iter=cfg.max_iter)
+        assert rep.iterations == iterations
+        assert rep.energy == pytest.approx(energy, rel=1e-12, abs=0.0)
+
     def test_benchmark_against_shooting(self):
         grid = build_grid(1e-3, 30.0, 800, D23)
         t = unit_table(grid)
