@@ -154,16 +154,24 @@ def load_config(obj) -> RunConfig:
                 _check_range(*rng)
             except BadRange as exc:
                 raise ConfigError(f"{key}: {exc}")
+        max_iter = int(tols.get("max_iter", 20000))
+        if max_iter < 0:
+            raise ConfigError(f"tolerances.max_iter must be nonnegative, got {max_iter}")
+        R_origin = [float(x) for x in probe.get("R_origin", [0.1, 0.01, 0.001])]
+        R_infinity = [float(x) for x in probe.get("R_infinity", [10.0, 100.0, 1000.0])]
+        for key, radii in (("R_origin", R_origin), ("R_infinity", R_infinity)):
+            # a decay verdict needs three samples, and a ball needs a positive radius
+            if len(radii) < 3 or not all(0.0 < R < math.inf for R in radii):
+                raise ConfigError(f"probe: need at least three positive finite radii in {key}")
         return RunConfig(
             dims=dims, spec_A=spec_a, spec_V=spec_v, spec_K=spec_k, s_loc=s_loc,
             asym_origin=asym_o, asym_infinity=asym_i, nonlinearity=nl,
             r_min=r_min, r_max=r_max, n_nodes=n_nodes,
             solve_tol=float(tols.get("solve_tol", 1e-6)),
-            max_iter=int(tols.get("max_iter", 20000)),
+            max_iter=max_iter,
             probe_threshold=float(tols.get("probe_threshold", 0.9)),
             probe_r_min=probe_r_min, probe_r_max=probe_r_max, probe_n_nodes=probe_n_nodes,
-            R_origin=[float(x) for x in probe.get("R_origin", [0.1, 0.01, 0.001])],
-            R_infinity=[float(x) for x in probe.get("R_infinity", [10.0, 100.0, 1000.0])],
+            R_origin=R_origin, R_infinity=R_infinity,
         )
     except ConfigError:
         raise
@@ -389,16 +397,16 @@ def example_config(name: str) -> dict:
                       "choose from ex1, ex2_I, ex2_II, ex2_III")
 
 
-def _example2_formula_layer(d=10.0):
-    """Published threshold values of the second example's formula layer
-    (evaluated at N=4, p=2, where the pipeline constraint p < N-2 is not
-    needed for the algebra)."""
+def _example2_formula_layer():
+    """Published threshold values of the second example's formula layer at
+    d = 10 (evaluated at N=4, p=2, where the pipeline constraint p < N-2 is
+    not needed for the algebra)."""
     dims = ProblemDims(N=4, p=2)
-    qs = q_star(Fraction(int(d)), 0, Fraction(-1, 2), dims)
-    qss = q_double_star(-2, Fraction(int(d)), 0, Fraction(-1, 2), dims)
+    qs = q_star(Fraction(10), 0, Fraction(-1, 2), dims)
+    qss = q_double_star(-2, Fraction(10), 0, Fraction(-1, 2), dims)
     return {
         "dims": {"N": 4, "p": 2.0},
-        "d": d,
+        "d": 10.0,
         "q_star_infinity": float(qs),
         "q_double_star_infinity": float(qss),
         "q_double_star_gt_q_star": bool(qss > qs),
@@ -407,10 +415,11 @@ def _example2_formula_layer(d=10.0):
     }
 
 
-def smallest_sampled_d(dims: ProblemDims, d_max=20.0, step=0.5):
+def smallest_sampled_d(dims: ProblemDims):
     """Smallest sampled d at which the second threshold strictly exceeds the
-    first for the far-field data of the second example (empirical, grid 0.5)."""
-    for d in (k * step for k in range(1, math.floor(d_max / step) + 1)):
+    first for the far-field data of the second example (empirical, grid 0.5
+    on (0, 20])."""
+    for d in (k * 0.5 for k in range(1, 41)):
         qs = q_star(d, 0.0, -0.5, dims)
         qss = q_double_star(-2.0, d, 0.0, -0.5, dims)
         if qss > qs:
@@ -461,8 +470,10 @@ def run_example(name: str, out_dir: Path) -> dict:
 # ---------------------------------------------------------------------------
 
 def _parse_range(text):
-    lo, hi = text.split(":")
-    return float(lo), float(hi)
+    lo, hi = (float(x) for x in text.split(":"))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise argparse.ArgumentTypeError(f"range {text!r}: need finite LO:HI")
+    return lo, hi
 
 
 def _parse_resolution(text):

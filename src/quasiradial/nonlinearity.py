@@ -1,12 +1,11 @@
 """Model nonlinearities with double-power growth and their primitives.
 
-Two families are provided: the pointwise minimum of two signed powers, and a
-rational splice of the two powers.  Both have primitive F with F(0) = 0,
-satisfy the superlinearity condition theta * F(t) <= f(t) * t for all t >= 0
-(with theta = min(q1, q2), resp. q1), and collapse to the single power
-|t|^(q-2) t when q1 = q2 = q.  In solver mode f is extended by zero on t < 0,
-which makes nonpositive parts energetically inert and yields nonnegative
-minimizers.
+Two families are provided on t >= 0: the pointwise minimum of two powers,
+and a rational splice of the two powers.  Both have primitive F with
+F(0) = 0, satisfy the superlinearity condition theta * F(t) <= f(t) * t for
+all t >= 0 (with theta = min(q1, q2), resp. q1), and collapse to the single
+power t^(q-1) when q1 = q2 = q.  f and F vanish on t < 0, which makes
+nonpositive parts energetically inert and yields nonnegative minimizers.
 """
 
 from __future__ import annotations
@@ -67,32 +66,24 @@ def pure_power(q, M=1.0):
     return NonlinearitySpec(kind=PURE_POWER, q1=q, q2=q, M=M)
 
 
-def f_eval(spec: NonlinearitySpec, t, nonneg=False):
-    """Evaluate f(t).  With nonneg=True, f is zero on t < 0 (solver mode).
+def f_eval(spec: NonlinearitySpec, t):
+    """Evaluate f(t) for t >= 0; f is zero on t < 0, as at t = 0.
 
     M f is finite wherever it is a float: entries that overflow are redone through logs.
     """
-    t = np.asarray(t, dtype=float)
-    at = np.abs(t)
+    t = np.maximum(np.asarray(t, dtype=float), 0.0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if spec.kind == RATIONAL:
-            vals = spec.M * at ** (spec.q2 - 1) / (1.0 + at ** (spec.q2 - spec.q1))
-            vals = np.where(at == 0, 0.0, vals) * np.sign(t)
+            vals = spec.M * t ** (spec.q2 - 1) / (1.0 + t ** (spec.q2 - spec.q1))
         else:
-            # min of the signed powers; both equal |t|^(q-1) sign(t)
-            v1 = at ** (spec.q1 - 1) * np.sign(t)
-            v2 = at ** (spec.q2 - 1) * np.sign(t)
-            vals = spec.M * np.minimum(v1, v2)
+            vals = spec.M * np.minimum(t ** (spec.q1 - 1), t ** (spec.q2 - 1))
         bad = ~np.isfinite(vals)
-        if np.any(bad):  # only beyond |t| = 1: redo through logs, log M included
+        if np.any(bad):  # only beyond t = 1: redo through logs, log M included
             if spec.kind == RATIONAL:  # t^(q1-1) / (t^-d + 1)
-                log_f = (spec.q1 - 1) * np.log(at) - np.log1p(at ** (spec.q1 - spec.q2))
-            else:  # the smaller power for t > 0, the larger in modulus for t < 0
-                q = np.where(t > 0, min(spec.q1, spec.q2), max(spec.q1, spec.q2))
-                log_f = (q - 1) * np.log(at)
-            vals = np.where(bad, np.sign(t) * np.exp(np.log(spec.M) + log_f), vals)
-    if nonneg:
-        vals = np.where(t < 0, 0.0, vals)
+                log_f = (spec.q1 - 1) * np.log(t) - np.log1p(t ** (spec.q1 - spec.q2))
+            else:  # the smaller power
+                log_f = (min(spec.q1, spec.q2) - 1) * np.log(t)
+            vals = np.where(bad, np.exp(np.log(spec.M) + log_f), vals)
     if np.ndim(t) == 0:
         return float(vals)
     return vals
@@ -101,7 +92,7 @@ def f_eval(spec: NonlinearitySpec, t, nonneg=False):
 def _spliced_power_primitive(q_in, q_out, u, M):
     """M times the antiderivative on s >= 0 of s^(q_in-1) on (0, 1) and s^(q_out-1)
     beyond, at u >= 0, through logs where u^q_out overflows before M >= 0.
-    The min of two powers is (q_hi, q_lo), the max is (q_lo, q_hi)."""
+    The min of two powers is (q_hi, q_lo)."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         large = u ** q_out / q_out
         vals = M * np.where(u <= 1.0, u ** q_in / q_in, 1.0 / q_in - 1.0 / q_out + large)
@@ -131,7 +122,7 @@ def _rational_series(q1, q2):
     return coef, K, pole, c if pole else 0.0
 
 
-def _rational_primitive(q1, q2, u, M=1.0):
+def _rational_primitive(q1, q2, u, M):
     """M times the antiderivative F of s^(q2-1) / (1 + s^d), d = q2 - q1, on s >= 0, at u >= 0.
 
     F/u^q1 is a series in w = x/(1+x) for x = u^d <= x_s and one in y = 1/x beyond, plus
@@ -179,44 +170,37 @@ def _rational_primitive_scalar(q1, q2, u):
     return val
 
 
-def F_eval(spec: NonlinearitySpec, t, nonneg=False):
-    """Primitive F(t) = integral of f from 0 to t; F(0) = 0.
+def F_eval(spec: NonlinearitySpec, t):
+    """Primitive F(t) = integral of f from 0 to t for t >= 0; F is zero on t <= 0.
 
     Both families are evaluated on the whole array at once: min_powers is
-    piecewise in powers of |t|, the rational family sums the series of
+    piecewise in powers of t, the rational family sums the series of
     _rational_primitive.  M F is finite wherever it is a float.
-    F is even for the rational family, since its f is odd.
     """
-    t = np.asarray(t, dtype=float)
-    at = np.abs(t)
+    t = np.maximum(np.asarray(t, dtype=float), 0.0)
     if spec.kind == RATIONAL:
-        vals = _rational_primitive(spec.q1, spec.q2, at, spec.M)
+        vals = _rational_primitive(spec.q1, spec.q2, t, spec.M)
     else:
         q_lo, q_hi = sorted((spec.q1, spec.q2))
-        vals = _spliced_power_primitive(q_hi, q_lo, at, spec.M)
-        if not nonneg:
-            # f is min of powers, so for t < 0 the integrand is -max of powers
-            vals = np.where(t >= 0, vals, _spliced_power_primitive(q_lo, q_hi, at, spec.M))
-    if nonneg:
-        vals = np.where(t < 0, 0.0, vals)
+        vals = _spliced_power_primitive(q_hi, q_lo, t, spec.M)
     if np.ndim(t) == 0:
         return float(vals)
     return vals
 
 
-def check_ar(spec: NonlinearitySpec, samples, slack=1e-12) -> bool:
+def check_ar(spec: NonlinearitySpec, samples) -> bool:
     """Superlinearity check: theta * F(t) <= f(t) * t on the given samples."""
     t = np.asarray(samples, dtype=float)
     lhs = spec.theta * F_eval(spec, t)
     rhs = f_eval(spec, t) * t
-    return bool(np.all(lhs <= rhs + slack))
+    return bool(np.all(lhs <= rhs + 1e-12))
 
 
-def check_growth(spec: NonlinearitySpec, samples, slack=1e-12) -> bool:
+def check_growth(spec: NonlinearitySpec, samples) -> bool:
     """Double-power growth: 0 <= f(t) <= M * min(t^(q1-1), t^(q2-1)) on t >= 0."""
     t = np.asarray(samples, dtype=float)
     if np.any(t < 0):
         raise ValueError("growth check expects nonnegative samples")
     f = f_eval(spec, t)
     bound = spec.M * np.minimum(t ** (spec.q1 - 1), t ** (spec.q2 - 1))
-    return bool(np.all(f >= -slack) and np.all(f <= bound + slack))
+    return bool(np.all(f >= -1e-12) and np.all(f <= bound + 1e-12))

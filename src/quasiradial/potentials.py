@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -140,44 +139,29 @@ def default_radii(decades_each_side=6, per_decade=256):
 
 @dataclass
 class PotentialTable:
-    """Sampled A, V, K on a strictly increasing positive radius grid.
+    """A, V, K from their specs on a strictly increasing positive radius grid.
 
-    log_A/log_V/log_K are exact log-values when the table was built from
-    specs; linear values may be inf where a spec overflows float range.
+    log_A/log_V/log_K are the specs' exact log-values; the linear values_*
+    may be inf where a spec overflows float range.
     """
 
     radii: np.ndarray
-    values_A: np.ndarray
-    values_V: np.ndarray
-    values_K: np.ndarray
-    log_A: Optional[np.ndarray] = None
-    log_V: Optional[np.ndarray] = None
-    log_K: Optional[np.ndarray] = None
-    specs: Optional[tuple] = None
+    specs: tuple
 
     def __post_init__(self):
-        r = np.asarray(self.radii, dtype=float)
+        r = self.radii = np.asarray(self.radii, dtype=float)
         if r.ndim != 1 or len(r) < 2:
             raise ValueError("radii must be a 1-d grid with at least 2 points")
         if not np.all(r > 0) or not np.all(np.diff(r) > 0):
             raise ValueError("radii must be positive and strictly increasing")
-        if self.log_A is not None and self.log_K is not None:
-            # spec-backed: positivity is judged on the exact log-values, since
-            # a genuinely positive potential may underflow the linear range
-            if np.any(np.isneginf(self.log_A)) or np.any(np.isnan(self.log_A)) \
-                    or np.any(np.isneginf(self.log_K)) or np.any(np.isnan(self.log_K)):
-                raise NonPositive("A and K must be strictly positive")
-        elif np.any(self.values_A <= 0) or np.any(self.values_K <= 0):
+        self.log_A, self.log_V, self.log_K = (s.evaluate_log(r) for s in self.specs)
+        # positivity is judged on the exact log-values, since a genuinely
+        # positive potential may underflow the linear range
+        if any(np.any(np.isneginf(x) | np.isnan(x)) for x in (self.log_A, self.log_K)):
             raise NonPositive("A and K must be strictly positive")
-        if np.any(self.values_V < 0):
-            raise NonPositive("V must be nonnegative")
-        with np.errstate(divide="ignore"):
-            if self.log_A is None:
-                self.log_A = np.log(self.values_A)
-            if self.log_V is None:
-                self.log_V = np.log(self.values_V)
-            if self.log_K is None:
-                self.log_K = np.log(self.values_K)
+        with np.errstate(over="ignore"):
+            self.values_A, self.values_V, self.values_K = (
+                np.exp(x) for x in (self.log_A, self.log_V, self.log_K))
 
     def interval_mask(self, r_lo, r_hi):
         return (self.radii >= r_lo) & (self.radii <= r_hi)
@@ -186,19 +170,7 @@ class PotentialTable:
 def eval_potentials(spec_A: PotentialSpec, spec_V: PotentialSpec,
                     spec_K: PotentialSpec, radii) -> PotentialTable:
     """Tabulate the three potentials on `radii` with exact log-values."""
-    r = np.asarray(radii, dtype=float)
-    log_A = spec_A.evaluate_log(r)
-    log_V = spec_V.evaluate_log(r)
-    log_K = spec_K.evaluate_log(r)
-    with np.errstate(over="ignore"):
-        return PotentialTable(
-            radii=r,
-            values_A=np.exp(log_A),
-            values_V=np.exp(log_V),
-            values_K=np.exp(log_K),
-            log_A=log_A, log_V=log_V, log_K=log_K,
-            specs=(spec_A, spec_V, spec_K),
-        )
+    return PotentialTable(radii, (spec_A, spec_V, spec_K))
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +189,7 @@ class AsymptoticBound:
     value: float
     grid_points: int
     converged: bool
+    # every table is built from specs, so no bound rests on samples alone
     heuristic: bool = False
 
 
@@ -227,14 +200,13 @@ class LimitExponent:
     c_hi: float
 
 
-def _refine_radii(radii, idx, factor=2):
-    """Dyadically refined local grid spanning the neighbours of node idx."""
+def _refine_radii(radii, idx):
+    """Dyadically refined local grid of 33 radii spanning the neighbours of node idx."""
     lo = radii[max(idx - 1, 0)]
     hi = radii[min(idx + 1, len(radii) - 1)]
     if hi <= lo:
         return np.array([])
-    n = 2 * factor * 8 + 1
-    return np.logspace(math.log10(lo), math.log10(hi), n)
+    return np.logspace(math.log10(lo), math.log10(hi), 33)
 
 
 def _ratio_log(r, log_V, log_K, alpha, beta):
@@ -248,15 +220,15 @@ def _weighted_log(r, log_V, gamma):
     return gamma * np.log(r) + log_V
 
 
-def _refined_sup(table: PotentialTable, interval, log_q, tol):
+def _refined_sup(table: PotentialTable, interval, log_q):
     """Grid sup of a log-quantity over interval with one local dyadic refinement.
 
-    log_q(r, log_V, log_K) is the quantity at radii r.  With specs, each end
-    of the interval (clipped to the table's range) that is not a grid node
-    joins the grid sample, and the refinement around the sample's argmax
-    evaluates the quantity from the specs.  Returns (log value, points,
-    converged), where points counts the grid nodes and the refinement radii;
-    a sample-backed table is not refined.
+    log_q(r, log_V, log_K) is the quantity at radii r.  Each end of the
+    interval (clipped to the table's range) that is not a grid node joins
+    the grid sample, and the refinement around the sample's argmax evaluates
+    the quantity from the specs.  Returns (log value, points, converged),
+    where points counts the grid nodes and the refinement radii; the
+    refinement converges when it moves the log value by at most 1e-3.
     """
     r_lo, r_hi = interval
     mask = table.interval_mask(r_lo, r_hi)
@@ -265,8 +237,6 @@ def _refined_sup(table: PotentialTable, interval, log_q, tol):
     r = table.radii[mask]
     log_vals = log_q(r, table.log_V[mask], table.log_K[mask])
     n_pts = int(mask.sum())
-    if table.specs is None:
-        return log_vals.max(), n_pts, True
     _, spec_V, spec_K = table.specs
 
     def from_specs(radii):
@@ -290,11 +260,11 @@ def _refined_sup(table: PotentialTable, interval, log_q, tol):
         log_v1 = max(log_v0, float(np.max(from_specs(sub_r))))
         n_pts += len(sub_r)
     # equal infinite values (the inf where V vanishes) count as converged
-    return log_v1, n_pts, bool(log_v1 == log_v0 or abs(log_v1 - log_v0) <= tol)
+    return log_v1, n_pts, bool(log_v1 == log_v0 or abs(log_v1 - log_v0) <= 1e-3)
 
 
 def esssup_ratio(table: PotentialTable, alpha: float, beta: float,
-                 interval, tol=1e-3) -> AsymptoticBound:
+                 interval) -> AsymptoticBound:
     """Grid sup of K / (r^alpha V^beta) with one local dyadic refinement.
 
     V^0 is 1 everywhere by convention, so a beta = 0 call never reads V.
@@ -302,25 +272,24 @@ def esssup_ratio(table: PotentialTable, alpha: float, beta: float,
     if beta != 0 and np.any(table.values_V[table.interval_mask(*interval)] == 0):
         raise DivisionByZeroV("V vanishes on the sample while beta > 0")
     log_v, n_pts, converged = _refined_sup(
-        table, interval, lambda r, log_V, log_K: _ratio_log(r, log_V, log_K, alpha, beta), tol)
+        table, interval, lambda r, log_V, log_K: _ratio_log(r, log_V, log_K, alpha, beta))
     with np.errstate(over="ignore"):
         value = float(np.exp(log_v))
     return AsymptoticBound(QUANTITY_ESSSUP, (float(interval[0]), float(interval[1])), value,
-                           n_pts, converged, heuristic=table.specs is None)
+                           n_pts, converged)
 
 
-def essinf_weighted(table: PotentialTable, gamma: float, interval,
-                    tol=1e-3) -> AsymptoticBound:
+def essinf_weighted(table: PotentialTable, gamma: float, interval) -> AsymptoticBound:
     """Grid inf of r^gamma V with one local dyadic refinement.
 
     Returns 0 (no error) when V vanishes on the sample.
     """
     neg_log_v, n_pts, converged = _refined_sup(
-        table, interval, lambda r, log_V, log_K: -_weighted_log(r, log_V, gamma), tol)
+        table, interval, lambda r, log_V, log_K: -_weighted_log(r, log_V, gamma))
     with np.errstate(over="ignore"):
         value = float(np.exp(-neg_log_v))
     return AsymptoticBound(QUANTITY_ESSINF, (float(interval[0]), float(interval[1])), value,
-                           n_pts, converged, heuristic=table.specs is None)
+                           n_pts, converged)
 
 
 def _end_decade(r, end):
@@ -332,15 +301,13 @@ def _end_decade(r, end):
     raise ValueError(f"unknown end {end!r}")
 
 
-def estimate_limit_exponent(table: PotentialTable, which: str, end: str,
-                            min_decades=3.0) -> LimitExponent:
+def estimate_limit_exponent(table: PotentialTable, which: str, end: str) -> LimitExponent:
     """Log-log slope of A, V or K over the last decade toward one endpoint."""
     logs = {"A": table.log_A, "V": table.log_V, "K": table.log_K}[which]
     r = table.radii
     total_decades = math.log10(r[-1] / r[0])
-    if total_decades < min_decades:
-        raise InsufficientRange(
-            f"table spans {total_decades:.2f} decades, need >= {min_decades}")
+    if total_decades < 3.0:
+        raise InsufficientRange(f"table spans {total_decades:.2f} decades, need >= 3.0")
     mask = _end_decade(r, end)
     x = np.log(r[mask])
     y = logs[mask]
@@ -401,7 +368,7 @@ def _end_trend(r_sub, log_sub, end):
     return float(slope)
 
 
-def _quad_refinement_cauchy(f_vals, r, tol=1e-8):
+def _quad_refinement_cauchy(f_vals, r):
     """Trapezoid integral of sampled values, plus a convergence-under-refinement flag.
 
     The integral converges if the difference between successive grid
@@ -414,7 +381,7 @@ def _quad_refinement_cauchy(f_vals, r, tol=1e-8):
     d1 = abs(full - half)
     d2 = abs(half - quarter)
     converged = math.isfinite(full) and (
-        d1 <= tol * (1.0 + abs(full)) or (d2 > 0 and d1 <= 0.6 * d2))
+        d1 <= 1e-8 * (1.0 + abs(full)) or (d2 > 0 and d1 <= 0.6 * d2))
     return full, converged
 
 
@@ -461,8 +428,7 @@ def validate_hypotheses(specs, dims: ProblemDims,
                 QUANTITY_RATIO_A,
                 (float(r[mask][0]), float(r[mask][-1])),
                 float(np.exp(np.max(log_ratio))),
-                int(mask.sum()), converged=bool(ok),
-                heuristic=table.specs is None)
+                int(mask.sum()), converged=bool(ok))
 
     r_min, r_max = table.radii[0], table.radii[-1]
 

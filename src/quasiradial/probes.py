@@ -101,8 +101,7 @@ def _raw_log_profile(grid, nu, cut_lo, cut_hi):
 
 
 def make_trial_family(grid: RadialGrid, table: PotentialTable, nu_center: float,
-                      end: str, n_exponents: int = 16, n_cuts: int = 12,
-                      edge_fraction_max: float = 0.25) -> TrialFamily:
+                      end: str, n_exponents: int = 16, n_cuts: int = 12) -> TrialFamily:
     """Build normalized profiles with decay rates swept around nu_center.
 
     Exponents sweep [0.5, 1.5] * nu_center (a symmetric band when the center
@@ -110,7 +109,7 @@ def make_trial_family(grid: RadialGrid, table: PotentialTable, nu_center: float,
     small balls being probed contain profile mass; infinity families use a
     fixed moderate inner cut and reach to the outer truncation.
 
-    A profile is dropped when more than edge_fraction_max of its norm sits
+    A profile is dropped when more than a quarter of its norm sits
     where truncation bites: on the origin side the first half-decade (cut
     profiles vanish there, so only profiles genuinely reaching the edge
     register), on the infinity side the last full decade, since the outer
@@ -144,7 +143,7 @@ def make_trial_family(grid: RadialGrid, table: PotentialTable, nu_center: float,
         log_np = logsumexp(terms, axis=-1)
         with np.errstate(invalid="ignore"):
             edge_fraction = np.exp(logsumexp(terms[:, edge_terms], axis=-1) - log_np)
-        keep = np.isfinite(log_np) & ~(edge_fraction > edge_fraction_max)
+        keep = np.isfinite(log_np) & ~(edge_fraction > 0.25)
         at, n_kept = len(kept_nus), int(keep.sum())
         profiles[at:at + n_kept] = raw[keep] - (log_np[keep] / grid.dims.p)[:, None]
         kept_nus += [float(nu)] * n_kept

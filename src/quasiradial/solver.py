@@ -322,10 +322,10 @@ def weighted_norm(u: RadialFunction, table: PotentialTable) -> float:
     return _norm_p(u.values, _slopes(u.values, u.grid), on) ** (1.0 / u.grid.dims.p)
 
 
-def _eps_for(du, scale=1e-10):
-    """Flux regularization: scale times the largest cell slope |u'|, as a
+def _eps_for(du):
+    """Flux regularization: 1e-10 times the largest cell slope |u'|, as a
     numpy float so that its powers overflow to inf instead of raising."""
-    return scale * (np.max(np.abs(du)) if len(du) else np.float64(0.0))
+    return 1e-10 * (np.max(np.abs(du)) if len(du) else np.float64(0.0))
 
 
 def energy(u: RadialFunction, table: PotentialTable, nl: NonlinearitySpec) -> float:
@@ -336,7 +336,7 @@ def energy(u: RadialFunction, table: PotentialTable, nl: NonlinearitySpec) -> fl
     dv = _slopes(v, u.grid)
     with np.errstate(over="ignore", invalid="ignore"):
         return float(s ** u.grid.dims.p * _norm_p(v, dv, on, _eps_for(dv)) / u.grid.dims.p
-                     - np.dot(on.wk, F_eval(nl, u.values, nonneg=True)))
+                     - np.dot(on.wk, F_eval(nl, u.values)))
 
 
 def _lower_order_terms(u, on: _OnGrid, nl):
@@ -351,7 +351,7 @@ def _lower_order_terms(u, on: _OnGrid, nl):
         zero_order = u if p == 2.0 else np.where(u == 0.0, 0.0, np.abs(u) ** (p - 2.0) * u)
         source = on.wk * 0.0
     live = u > np.finfo(float).tiny ** (1.0 / (max(nl.q1, nl.q2) - 1.0))
-    source[live] = on.wk[live] * f_eval(nl, u[live], nonneg=True)
+    source[live] = on.wk[live] * f_eval(nl, u[live])
     return on.wv * zero_order, source
 
 
@@ -478,7 +478,7 @@ def _project(v, on: _OnGrid, nl, level):
         s = np.float64(_bracketed_root(_rational_excess, (
             np.exp(log_wk + nl.q2 * log_v), np.exp((nl.q2 - nl.q1) * log_v),
             nl.q2 - nl.q1, nl.q2 - p, nl.M, level)))
-        return s, float(np.dot(on.wk[supp], F_eval(nl, s * pos, nonneg=True)))
+        return s, float(np.dot(on.wk[supp], F_eval(nl, s * pos)))
 
     q_hi, q_lo = max(nl.q1, nl.q2), min(nl.q1, nl.q2)
     # F(t) is t^q_hi / q_hi up to t = 1 and 1/q_hi - 1/q_lo + t^q_lo / q_lo
@@ -553,14 +553,15 @@ def _rational_excess(t, a, e, d, k, M, level):
     return M * t ** (k - d) * float(np.sum(a / (t ** -d + e))) - level
 
 
-def decay_slopes(u: RadialFunction, floor_ratio=1e-12):
-    """Log-log slopes of |u| over the innermost and outermost supported decades."""
+def decay_slopes(u: RadialFunction):
+    """Log-log slopes of |u| over the innermost and outermost supported decades,
+    where |u| exceeds 1e-12 max |u|."""
     r = u.grid.nodes
     v = np.abs(u.values)
     vmax = float(np.max(v))
     if vmax == 0.0:
         raise Degenerate("function is identically zero")
-    mask = v > floor_ratio * vmax
+    mask = v > 1e-12 * vmax
     rs, vs = r[mask], v[mask]
     if rs[-1] / rs[0] < 10.0 or len(rs) < 6:
         raise Degenerate("support spans less than one decade")
@@ -662,6 +663,8 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
     u0 has no projection) and NotConverged, with its stop_reason, when the
     line search stalls or the iteration budget is exhausted above tolerance.
     """
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     on = _on_grid(grid, table)
     # the start is the projection of u0, taken as a line-search trial
     start = _projected_trial(initial_bump(grid) if u0 is None else u0, 0.0, 0.0, on, nl)

@@ -165,6 +165,7 @@ class TestBadGrid:
     @pytest.mark.parametrize("section, field, value", [
         ("grid", "n_nodes", 8), ("grid", "r_min", 0.0), ("grid", "r_max", 1e-3),
         ("probe", "n_nodes", 15), ("probe", "r_min", -1.0),
+        ("probe", "R_origin", [0.1]), ("probe", "R_infinity", [-1.0, 10.0, 100.0]),
     ])
     def test_bad_range_exits_two(self, tmp_path, capsys, command, section, field, value):
         cfg = unit_benchmark_config()
@@ -182,6 +183,15 @@ class TestBadGrid:
         with pytest.raises(SystemExit) as exc:
             main(["region-plot", "--config", path, "--out", str(tmp_path),
                   "--resolution", resolution])
+        assert exc.value.code == EXIT_CONFIG
+        assert not (tmp_path / "region_plot.csv").exists()
+
+    @pytest.mark.parametrize("option, text", [("--q-range", "1:inf"), ("--alpha-range", "nan:0")])
+    def test_non_finite_range_exits_two(self, tmp_path, option, text):
+        path = write_config(tmp_path, example_config("ex1"))
+        with pytest.raises(SystemExit) as exc:
+            main(["region-plot", "--config", path, "--out", str(tmp_path),
+                  option, text, "--resolution", "3"])
         assert exc.value.code == EXIT_CONFIG
         assert not (tmp_path / "region_plot.csv").exists()
 
@@ -332,6 +342,16 @@ class TestSolve:
         assert code == EXIT_NOT_CONVERGED
         assert doc["error"] == "not_converged"
         assert doc["detail"].endswith("(budget_exhausted)")
+
+    def test_negative_max_iter_exits_two(self, tmp_path, capsys):
+        cfg = unit_benchmark_config()
+        cfg["tolerances"]["max_iter"] = -1
+        path = write_config(tmp_path, cfg)
+        code, doc = run_cli(capsys, ["solve", "--config", path,
+                                     "--out", str(tmp_path), "--force"])
+        assert code == EXIT_CONFIG
+        assert doc["error"] == "invalid_config"
+        assert "max_iter" in doc["detail"]
 
     def test_sweep_writes_per_value_files(self, tmp_path, capsys):
         path = write_config(tmp_path, unit_benchmark_config())

@@ -20,7 +20,6 @@ from quasiradial.potentials import (
     MinOf,
     NonPositive,
     Piecewise,
-    PotentialTable,
     Power,
     _refine_radii,
     default_radii,
@@ -301,19 +300,6 @@ class TestValidateHypotheses:
             assert b.converged
 
 
-class TestSampleBackedTables:
-    def test_heuristic_flag_without_specs(self):
-        from quasiradial.potentials import PotentialTable
-        r = np.logspace(-2, 2, 300)
-        t = PotentialTable(radii=r, values_A=np.ones_like(r),
-                           values_V=r ** -1.5, values_K=np.ones_like(r))
-        b = esssup_ratio(t, alpha=0.0, beta=0.0, interval=(0.1, 10.0))
-        assert b.heuristic is True
-        b2 = essinf_weighted(t, gamma=1.5, interval=(0.1, 10.0))
-        assert b2.heuristic is True
-        assert b2.value == pytest.approx(1.0, abs=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # Reference: the separate sup and inf refinements and the two check closures
 # that validate_hypotheses used before it shared one refined extremum and one
@@ -590,9 +576,8 @@ class TestChecksAgainstTwoRoutines:
         self._compare(table, np.random.default_rng(11))
 
     def test_random_intervals_sample_backed(self):
-        r = np.logspace(-3, 3, 700)
-        table = PotentialTable(radii=r, values_A=np.ones_like(r),
-                               values_V=np.where(r > 100.0, 0.0, r ** -1.5 + np.sin(r) ** 2),
-                               values_K=np.exp(np.cos(3 * np.log(r))))
-        assert table.specs is None
+        # V vanishes beyond r = 100, so intervals reaching past it raise DivisionByZeroV
+        table = eval_potentials(Constant(1.0), Piecewise(100.0, Power(1.0, -1.5), Constant(0.0)),
+                                MinOf((Power(1.0, 1.0), ExpInv(1.0), Constant(3.0))),
+                                np.logspace(-3, 3, 700))
         self._compare(table, np.random.default_rng(12))

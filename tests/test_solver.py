@@ -53,7 +53,7 @@ def bisection_nehari_scale(u, table, nl):
 
     def shifted(t):
         tu = t * u.values
-        return float(np.dot(wk, f_eval(nl, tu, nonneg=True) * tu)) / t ** p
+        return float(np.dot(wk, f_eval(nl, tu) * tu)) / t ** p
 
     lo = hi = 1.0
     while shifted(hi) < q_norm:
@@ -139,7 +139,7 @@ def reference_lower_order_terms(u, on, nl):
     p = on.grid.dims.p
     with np.errstate(invalid="ignore", divide="ignore"):
         zero_order = np.where(u == 0.0, 0.0, np.abs(u) ** (p - 2.0) * u)
-    return on.wv * zero_order, on.wk * f_eval(nl, u, nonneg=True)
+    return on.wv * zero_order, on.wk * f_eval(nl, u)
 
 
 def reference_gradient_array(du, on, eps, lower):
@@ -363,7 +363,7 @@ class TestIterationShortcuts:
             assert lower[0].tobytes() == ref[0].tobytes()
             moved = lower[1].view(np.int64) != ref[1].view(np.int64)
             assert np.all(lower[1][moved] == 0.0)
-            f = f_eval(nl, u[moved], nonneg=True)
+            f = f_eval(nl, u[moved])
             assert np.all((f > 0.0) & (f < np.finfo(float).tiny))
             dropped += int(np.sum(moved))
             du = np.diff(u) / grid.dr
@@ -561,7 +561,7 @@ class TestNehari:
         from quasiradial.nonlinearity import f_eval
         tu = ts * u.values
         lhs = ts ** 2 * weighted_norm(u, t) ** 2
-        rhs = grid.integrate(f_eval(nl, tu, nonneg=True) * tu)
+        rhs = grid.integrate(f_eval(nl, tu) * tu)
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -1106,6 +1106,11 @@ class TestSolve:
             solve_ground_state(unit_table(grid), pure_power(4), grid, tol=1e-6, max_iter=2)
         assert exc.value.stop_reason == "budget_exhausted"
         assert str(exc.value).endswith("after 2 iterations (budget_exhausted)")
+
+    def test_negative_budget_is_refused(self):
+        grid = build_grid(1e-3, 30.0, 200, D23)
+        with pytest.raises(ValueError, match="max_iter"):
+            solve_ground_state(unit_table(grid), pure_power(4), grid, max_iter=-1)
 
     def test_stop_reason_line_search_stalled(self, monkeypatch):
         # ex1 started from a bump centred at r = 0.01 instead of r = 1: within
