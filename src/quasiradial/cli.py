@@ -157,6 +157,9 @@ def load_config(obj) -> RunConfig:
         max_iter = int(tols.get("max_iter", 20000))
         if max_iter < 0:
             raise ConfigError(f"tolerances.max_iter must be nonnegative, got {max_iter}")
+        solve_tol = float(tols.get("solve_tol", 1e-6))
+        if not 0.0 < solve_tol < math.inf:
+            raise ConfigError(f"tolerances.solve_tol must be positive and finite, got {solve_tol}")
         R_origin = [float(x) for x in probe.get("R_origin", [0.1, 0.01, 0.001])]
         R_infinity = [float(x) for x in probe.get("R_infinity", [10.0, 100.0, 1000.0])]
         for key, radii in (("R_origin", R_origin), ("R_infinity", R_infinity)):
@@ -167,7 +170,7 @@ def load_config(obj) -> RunConfig:
             dims=dims, spec_A=spec_a, spec_V=spec_v, spec_K=spec_k, s_loc=s_loc,
             asym_origin=asym_o, asym_infinity=asym_i, nonlinearity=nl,
             r_min=r_min, r_max=r_max, n_nodes=n_nodes,
-            solve_tol=float(tols.get("solve_tol", 1e-6)),
+            solve_tol=solve_tol,
             max_iter=max_iter,
             probe_threshold=float(tols.get("probe_threshold", 0.9)),
             probe_r_min=probe_r_min, probe_r_max=probe_r_max, probe_n_nodes=probe_n_nodes,

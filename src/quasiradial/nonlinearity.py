@@ -77,8 +77,8 @@ def f_eval(spec: NonlinearitySpec, t):
             vals = spec.M * t ** (spec.q2 - 1) / (1.0 + t ** (spec.q2 - spec.q1))
         else:
             vals = spec.M * np.minimum(t ** (spec.q1 - 1), t ** (spec.q2 - 1))
-        bad = ~np.isfinite(vals)
-        if np.any(bad):  # only beyond t = 1: redo through logs, log M included
+        if not np.isfinite(vals).all():  # only beyond t = 1: redo through logs, log M included
+            bad = ~np.isfinite(vals)
             if spec.kind == RATIONAL:  # t^(q1-1) / (t^-d + 1)
                 log_f = (spec.q1 - 1) * np.log(t) - np.log1p(t ** (spec.q1 - spec.q2))
             else:  # the smaller power

@@ -269,7 +269,7 @@ def esssup_ratio(table: PotentialTable, alpha: float, beta: float,
 
     V^0 is 1 everywhere by convention, so a beta = 0 call never reads V.
     """
-    if beta != 0 and np.any(table.values_V[table.interval_mask(*interval)] == 0):
+    if beta != 0 and np.any(table.log_V[table.interval_mask(*interval)] == -np.inf):
         raise DivisionByZeroV("V vanishes on the sample while beta > 0")
     log_v, n_pts, converged = _refined_sup(
         table, interval, lambda r, log_V, log_K: _ratio_log(r, log_V, log_K, alpha, beta))

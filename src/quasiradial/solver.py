@@ -78,14 +78,33 @@ def logsumexp(a, axis=None):
     return out[()] if out.ndim == 0 else out
 
 
+# cyclic reduction stops once this many unknowns are left, and solves them
+# with the explicit inverse of their dense block: one product instead of
+# five more levels down and back up
+_DENSE_TAIL = 32
+
+
 class BandedFactor(NamedTuple):
-    """A tridiagonal matrix reduced by factor_banded, for solve_banded."""
+    """A tridiagonal matrix reduced by factor_banded, for solve_banded.
+
+    Besides the coefficients it holds the buffer that a solve works in, with
+    a view of that buffer for every operand of every level, so that a solve
+    makes only the arithmetic calls.  A factor serves one solve at a time."""
 
     n: int
-    # per level: the elimination multipliers lo and hi, and the coefficients
-    # a[2::2], c[:-1:2] and b[::2] that the back substitution reads
-    levels: list
-    pivot: np.ndarray  # the one diagonal entry left after the last level
+    work: np.ndarray  # every level's right-hand side, then its unknowns; ghost rows 0
+    rhs: np.ndarray  # the first n entries of work: the system's right-hand side
+    # per level, whose rows number 2m + 1 after padding, the operands of
+    # below = d[1::2] - lo d[:-1:2] - hi d[2::2] (lo, hi the elimination
+    # multipliers, below the first m rows of the next level, t scratch)
+    down: tuple
+    # the inverse of the dense block left after the last level, that
+    # block's rows in work, and scratch for their unknowns
+    tail: tuple
+    # per level from the last one up, the operands of the back substitution
+    # d[::2] = (d[::2] - [a[2::2] x] - [c[:-1:2] x]) / b[::2], with x the
+    # unknowns of the level below, which then fill d[1::2]
+    up: tuple
 
 
 def factor_banded(ab) -> BandedFactor:
@@ -94,49 +113,69 @@ def factor_banded(ab) -> BandedFactor:
     ab is LAPACK's (1, 1) band layout: ab[0, 1:] is the superdiagonal, ab[1]
     the diagonal and ab[2, :-1] the subdiagonal.  Each level eliminates the
     even-indexed unknowns from the odd-indexed rows; a ghost row (diagonal
-    1, the rest 0) first pads an even length.  The factor depends on the
-    matrix only, so one factor serves any number of right-hand sides.  There
-    is no pivoting, which is stable for diagonally dominant matrices
-    (Heller, SIAM J. Numer. Anal. 1976) such as the preconditioner's metric,
-    not for indefinite ones.
+    1, the rest 0) first pads an even length.  At _DENSE_TAIL unknowns or
+    fewer the block left is inverted; a singular block, or one with NaN
+    entries, gives a NaN inverse.  The factor depends on the matrix only, so
+    one factor serves any number of right-hand sides.  There is no pivoting,
+    which is stable for diagonally dominant matrices (Heller, SIAM J. Numer.
+    Anal. 1976) such as the preconditioner's metric, not for indefinite ones.
     """
     n = ab.shape[1]
     a = np.concatenate(([0.0], ab[2, :-1]))  # row i's coefficient of x[i-1]
     b = np.array(ab[1], dtype=float)
     c = np.concatenate((ab[0, 1:], [0.0]))  # row i's coefficient of x[i+1]
     levels = []
-    while len(b) > 1:
+    while len(b) > _DENSE_TAIL:
         if len(b) % 2 == 0:
             a, b, c = np.append(a, 0.0), np.append(b, 1.0), np.append(c, 0.0)
         lo = a[1::2] / b[:-1:2]
         hi = c[1::2] / b[2::2]
-        levels.append((lo, hi, a[2::2], c[:-1:2], b[::2]))
+        levels.append((lo, hi, np.array((a[2::2], c[:-1:2])), b[::2].copy()))
         a, b, c = -lo * a[:-1:2], b[1::2] - lo * c[:-1:2] - hi * a[2::2], -hi * c[2::2]
-    return BandedFactor(n, levels, b)
+    try:
+        inverse = np.linalg.inv(np.diag(b) + np.diag(a[1:], -1) + np.diag(c[:-1], 1))
+    except np.linalg.LinAlgError:
+        inverse = np.full((len(b), len(b)), np.nan)
+
+    sizes = [2 * len(lo) + 1 for lo, _, _, _ in levels] + [len(b)]
+    work, rows, start = np.zeros(sum(sizes)), [], 0
+    for size in sizes:
+        rows.append(work[start:start + size])
+        start += size
+    scratch = np.empty((2, len(levels[0][0]) if levels else 0))
+    down, up = [], []
+    for (lo, hi, coupling, b_even), d, below in zip(levels, rows, rows[1:]):
+        m = len(lo)
+        down.append((lo, d[:-1:2], d[1::2], below[:m], hi, d[2::2], scratch[0, :m]))
+        coupled, even = scratch[:, :m], d[::2]
+        up.append((coupling, below[:m], coupled, even[1:], coupled[0], even[:-1], coupled[1],
+                   even, b_even, d[1::2]))
+    return BandedFactor(n, work, rows[0][:n], tuple(down), (inverse, rows[-1], np.empty(len(b))),
+                        tuple(reversed(up)))
 
 
 def solve_banded(factor: BandedFactor, rhs):
     """Solve the tridiagonal system reduced by factor_banded for rhs: the
-    right-hand side is reduced level by level, then the unknowns are
-    substituted back from the last level up."""
-    d = np.array(rhs, dtype=float)
-    reduced = []
-    for lo, hi, _, _, _ in factor.levels:
-        if len(d) % 2 == 0:
-            d = np.append(d, 0.0)  # the ghost row's right-hand side
-        reduced.append(d)
-        d = d[1::2] - lo * d[:-1:2] - hi * d[2::2]
-    x = d / factor.pivot
-    for (lo, _, a_next, c_prev, b_even), d in zip(reversed(factor.levels), reversed(reduced)):
-        x = x[: len(lo)]  # drop the ghost unknown of the level below
-        even = d[::2].copy()
-        even[1:] -= a_next * x
-        even[:-1] -= c_prev * x
-        full = np.empty(len(d))
-        full[1::2] = x
-        full[::2] = even / b_even
-        x = full
-    return x[: factor.n]
+    right-hand side is reduced level by level, the dense block is solved,
+    and the unknowns are substituted back from the last level up, each
+    level's unknowns in place of its right-hand side."""
+    factor.work.fill(0.0)  # the ghost rows, which a NaN solve may have left NaN
+    factor.rhs[:] = rhs
+    for lo, d_lo, d_odd, below, hi, d_hi, t in factor.down:
+        np.multiply(lo, d_lo, below)
+        np.subtract(d_odd, below, below)
+        np.multiply(hi, d_hi, t)
+        np.subtract(below, t, below)
+    inverse, d, x = factor.tail
+    np.dot(inverse, d, x)
+    d[:] = x
+    for coupling, x, coupled, even_hi, by_lo, even_lo, by_hi, even, b_even, d_odd in factor.up:
+        np.multiply(coupling, x, coupled)
+        np.subtract(even_hi, by_lo, even_hi)
+        np.subtract(even_lo, by_hi, even_lo)
+        np.divide(even, b_even, even)
+        d_odd[:] = x
+    return factor.rhs.copy()
 
 
 def _brentq(f, xa, xb, args, xtol, rtol):
@@ -182,6 +221,21 @@ def _brentq(f, xa, xb, args, xtol, rtol):
     raise RuntimeError(f"failed to converge after 100 iterations, value is {xcur}")
 
 
+# OpenBLAS splits a dot product across threads beyond 10000 entries, which
+# moves its rounding with the thread count; blocks of this length never split
+_DOT_BLOCK = 8192
+
+
+def _dot(a, b):
+    """a . b as a float, summed in an order that does not depend on the BLAS
+    thread count: np.dot on consecutive blocks of _DOT_BLOCK entries, whose
+    results are added from the first block on.  One block is one np.dot."""
+    if len(a) <= _DOT_BLOCK:
+        return float(np.dot(a, b))
+    return float(sum(np.dot(a[i:i + _DOT_BLOCK], b[i:i + _DOT_BLOCK])
+                     for i in range(0, len(a), _DOT_BLOCK)))
+
+
 def unit_sphere_area(N: int) -> float:
     return 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
 
@@ -206,7 +260,7 @@ class RadialGrid:
 
     def integrate(self, nodal_values):
         """Quadrature of a nodal integrand against the surface measure."""
-        return float(np.dot(self.quad_weights, nodal_values))
+        return _dot(self.quad_weights, nodal_values)
 
 
 def _check_range(r_min, r_max, n_nodes):
@@ -279,29 +333,44 @@ def _a_cell(table: PotentialTable):
 
 @dataclass(frozen=True)
 class _OnGrid:
-    """A potential table checked against one grid, with its cell values of A."""
+    """A potential table checked against one grid, with the per-cell and
+    per-node weights that every solve step reads."""
 
     grid: RadialGrid
     table: PotentialTable
     a_cell: np.ndarray
+    a_measure: np.ndarray  # a_cell times the cell measure: the A-term's weight
+    a_flux: np.ndarray  # a_measure / dr: the flux's weight per unit slope
     wv: np.ndarray  # quadrature weight times V per node
     wk: np.ndarray  # quadrature weight times K per node
     # log(w K), formed from log w + log K so that astronomically weighted
     # nodes neither overflow nor underflow in the projection's powers
     log_wk: np.ndarray
+    log_wk_span: float  # max log_wk - min log_wk
 
 
 def _on_grid(grid: RadialGrid, table: PotentialTable) -> _OnGrid:
     _check_alignment(grid, table)
+    a_cell = _a_cell(table)
+    a_measure = a_cell * grid.cell_measure
     # w V or w K may overflow to inf, which later steps detect; no warning
     with np.errstate(over="ignore"):
         wv, wk = grid.quad_weights * table.values_V, grid.quad_weights * table.values_K
-    return _OnGrid(grid, table, _a_cell(table), wv, wk, np.log(grid.quad_weights) + table.log_K)
+    log_wk = np.log(grid.quad_weights) + table.log_K
+    return _OnGrid(grid, table, a_cell, a_measure, a_measure / grid.dr, wv, wk, log_wk,
+                   float(log_wk.max() - log_wk.min()))
 
 
 def _slopes(u, grid: RadialGrid):
     """Cell slopes u' of the nodal array u."""
-    return np.diff(u) / grid.dr
+    du = u[1:] - u[:-1]
+    du /= grid.dr
+    return du
+
+
+def _abs_pow(x, p):
+    """|x|^p; for p = 2 formed as x x, which gives the same bits in one pass."""
+    return x * x if p == 2.0 else np.abs(x) ** p
 
 
 def _norm_p(u, du, on: _OnGrid, eps=0.0):
@@ -310,10 +379,8 @@ def _norm_p(u, du, on: _OnGrid, eps=0.0):
     the flux-regularized (u'^2 + eps^2)^(p/2) - eps^p, which makes the value
     p times the quadratic part of the energy."""
     p = on.grid.dims.p
-    dens = np.abs(du) ** p if eps == 0.0 else (du * du + eps * eps) ** (p / 2.0) - eps ** p
-    ea = float(np.dot(on.a_cell * dens, on.grid.cell_measure))
-    ev = float(np.dot(on.wv, np.abs(u) ** p))
-    return ea + ev
+    dens = _abs_pow(du, p) if eps == 0.0 else (du * du + eps * eps) ** (p / 2.0) - eps ** p
+    return _dot(dens, on.a_measure) + _dot(on.wv, _abs_pow(u, p))
 
 
 def weighted_norm(u: RadialFunction, table: PotentialTable) -> float:
@@ -336,7 +403,11 @@ def energy(u: RadialFunction, table: PotentialTable, nl: NonlinearitySpec) -> fl
     dv = _slopes(v, u.grid)
     with np.errstate(over="ignore", invalid="ignore"):
         return float(s ** u.grid.dims.p * _norm_p(v, dv, on, _eps_for(dv)) / u.grid.dims.p
-                     - np.dot(on.wk, F_eval(nl, u.values)))
+                     - _dot(on.wk, F_eval(nl, u.values)))
+
+
+_TINY = np.finfo(float).tiny
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 def _lower_order_terms(u, on: _OnGrid, nl):
@@ -350,7 +421,7 @@ def _lower_order_terms(u, on: _OnGrid, nl):
     with np.errstate(invalid="ignore", divide="ignore"):
         zero_order = u if p == 2.0 else np.where(u == 0.0, 0.0, np.abs(u) ** (p - 2.0) * u)
         source = on.wk * 0.0
-    live = u > np.finfo(float).tiny ** (1.0 / (max(nl.q1, nl.q2) - 1.0))
+    live = u > _TINY ** (1.0 / (max(nl.q1, nl.q2) - 1.0))
     source[live] = on.wk[live] * f_eval(nl, u[live])
     return on.wv * zero_order, source
 
@@ -362,11 +433,13 @@ def _gradient_array(du, on: _OnGrid, eps, lower):
     depend on eps."""
     grid = on.grid
     p = grid.dims.p
-    with np.errstate(invalid="ignore", divide="ignore"):
-        flux_density = du if p == 2.0 else np.where(
-            (du == 0.0) & (eps == 0.0), 0.0,
-            (du * du + eps * eps) ** ((p - 2.0) / 2.0) * du)
-    flux = on.a_cell * flux_density * grid.cell_measure / grid.dr
+    if p == 2.0:
+        flux_density = du
+    else:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            flux_density = np.where((du == 0.0) & (eps == 0.0), 0.0,
+                                    (du * du + eps * eps) ** ((p - 2.0) / 2.0) * du)
+    flux = flux_density * on.a_flux
     g = np.zeros(grid.n)
     g[:-1] -= flux
     g[1:] += flux
@@ -389,7 +462,7 @@ def _hat_norms(on: _OnGrid):
     """Weighted norm of each nodal hat function (outer node excluded)."""
     grid = on.grid
     p = grid.dims.p
-    stiff = on.a_cell * grid.cell_measure / grid.dr ** p
+    stiff = on.a_measure / grid.dr ** p
     ea = np.zeros(grid.n)
     ea[:-1] += stiff
     ea[1:] += stiff
@@ -410,7 +483,7 @@ def residual_weak_form(u: RadialFunction, table: PotentialTable,
 
 def _residual(g0, hat_norms):
     """Largest defect g0 per hat-function norm, outer node excluded."""
-    return float(np.max(np.abs(g0[:-1]) / hat_norms[:-1]))
+    return float((np.abs(g0[:-1]) / hat_norms[:-1]).max())
 
 
 def nehari_scale(u: RadialFunction, table: PotentialTable,
@@ -421,86 +494,106 @@ def nehari_scale(u: RadialFunction, table: PotentialTable,
     NoProjection when no positive t exists.
     """
     v, on = u.values, _on_grid(u.grid, table)
-    return float(_project(v, on, nl, _norm_p(v, _slopes(v, u.grid), on))[0])
+    level = _norm_p(v, _slopes(v, u.grid), on)
+    return float(_project(np.maximum(v, 0.0), on, nl, level)[0])
 
 
 def _project(v, on: _OnGrid, nl, level):
-    """The Nehari scale s of v and the source term sum w K F(s v) at it;
-    level is ||v||^p.
+    """The Nehari scale s of the nonnegative nodal array v and the source
+    term sum w K F(s v) at it; level is ||v||^p.
 
     On each branch of the nonlinearity the scaled source is a power of s
-    times a fixed nodal sum, so log v_+ and the weighted powers w K v_+^q are
+    times a fixed nodal sum, so log v and the weighted powers w K v^q are
     formed once.  A single power q has the closed form
-    s = (||v||^p / (c sum w K v_+^q))^(1/(q-p)), and the source is then
-    s^p ||v||^p / q.  For min_powers, with a = w K v_+^q_hi and
-    b = w K v_+^q_lo, the scaled source divided by s^p is
+    s = (||v||^p / (c sum w K v^q))^(1/(q-p)), with the sum taken on the
+    whole node array as e^m sum e^(log w K v^q - m), m the largest term,
+    and the source is then s^p ||v||^p / q.  For min_powers, with a = w K v^q_hi and
+    b = w K v^q_lo, the scaled source divided by s^p is
 
-        M (s^(q_hi-p) sum_{s v_+ <= 1} a + s^(q_lo-p) sum_{s v_+ > 1} b),
+        M (s^(q_hi-p) sum_{s v <= 1} a + s^(q_lo-p) sum_{s v > 1} b),
 
-    and for rational, with a = w K v_+^q2 and e = v_+^(q2-q1), it is
+    and for rational, with a = w K v^q2 and e = v^(q2-q1), it is
 
         M s^(q2-p) sum a / (1 + s^(q2-q1) e).
 
     With exponents above p either grows with s, so its crossing with
     ||v||^p is unique.  For min_powers the single-branch closed forms are
-    tried first: the all-small one is the root when s max v_+ <= 1, the
-    all-large one when s min v_+ > 1.  Otherwise the crossing is bracketed
-    and located by _bracketed_root, and the source is the masked sums at s
-    (min_powers) or one F_eval on s v (rational).  Raises NoProjection when
-    no positive s exists, or when a closed-form s leaves the float range: a
-    single power's, or the all-small one when sum w K v_+^q_hi overflows.
+    tried first: the all-small one, from the same whole-array sum, is the
+    root when s max v <= 1; the all-large one when s min v > 1 over the
+    support.  Otherwise the crossing
+    is bracketed and located by _bracketed_root on the support's entries,
+    and the source is the masked sums at s (min_powers) or one F_eval on
+    s v (rational).  Raises NoProjection when no positive s exists, or when
+    a closed-form s leaves the float range: a single power's, or the
+    all-small one when M sum w K v^q_hi overflows.
     """
     p = on.grid.dims.p
     if level == 0.0:
         raise NoProjection("u vanishes")
-    supp = v > 0.0
-    if nl.M <= 0.0 or not np.any(supp):
+    v_max = v.max()
+    if nl.M <= 0.0 or not v_max > 0.0:
         raise NoProjection("source term vanishes on the positive part")
-    # nodes where v <= 0 add nothing to the source term
-    pos = v[supp]
-    log_v = np.log(pos)
-    log_wk = on.log_wk[supp]
-    if nl.kind == PURE_POWER or nl.q1 == nl.q2:
-        # f = c t^(q-1) with c = M, or M/2 for the rational splice
-        q = nl.q1
-        c = 0.5 * nl.M if nl.kind == RATIONAL else nl.M
-        log_s = math.log(c) + float(logsumexp(log_wk + q * log_v))
-        try:
-            s = np.float64(math.exp((math.log(level) - log_s) / (q - p)))
-        except OverflowError:
-            raise NoProjection("the Nehari scale overflows") from None
-        if s == 0.0:
-            raise NoProjection("the Nehari scale underflows")
-        with np.errstate(over="ignore"):
-            return s, float(s ** p * level / q)
-
-    if nl.kind == RATIONAL:
+    if nl.kind == RATIONAL and nl.q1 != nl.q2:
+        supp = v > 0.0
+        pos = v[supp]
+        log_v = np.log(pos)
         s = np.float64(_bracketed_root(_rational_excess, (
-            np.exp(log_wk + nl.q2 * log_v), np.exp((nl.q2 - nl.q1) * log_v),
+            np.exp(on.log_wk[supp] + nl.q2 * log_v), np.exp((nl.q2 - nl.q1) * log_v),
             nl.q2 - nl.q1, nl.q2 - p, nl.M, level)))
-        return s, float(np.dot(on.wk[supp], F_eval(nl, s * pos)))
+        return s, _dot(on.wk[supp], F_eval(nl, s * pos))
 
+    single = nl.kind == PURE_POWER or nl.q1 == nl.q2
     q_hi, q_lo = max(nl.q1, nl.q2), min(nl.q1, nl.q2)
-    # F(t) is t^q_hi / q_hi up to t = 1 and 1/q_hi - 1/q_lo + t^q_lo / q_lo
-    # beyond; on a single branch the root satisfies M s^q sum = s^p ||v||^p
-    a = np.exp(log_wk + q_hi * log_v)
+    # f = c t^(q_hi-1) for a single power (c = M, or M/2 for the rational
+    # splice) and on the small branch of min_powers (c = M)
+    c = 0.5 * nl.M if nl.kind == RATIONAL else nl.M
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        s = (level / (nl.M * np.sum(a))) ** (1.0 / (q_hi - p))
-        if s * np.max(pos) <= 1.0:
-            if s == 0.0:  # sum a overflowed, or s underflowed
-                raise NoProjection("the all-small Nehari scale reads 0")
+        # beside the largest term, e^0, every term below e^-700 vanishes from
+        # the sum to the last bit, so those terms are raised to e^-700, which
+        # spares exp its slow subnormal path; below this floor v gives such a
+        # term at any node, so v is raised to it, which spares log its slow
+        # log 0 (v = 0 nodes add what they would add at log 0 = -inf)
+        floor = v_max * math.exp(-(700.0 + on.log_wk_span) / q_hi)
+        terms = np.maximum(v, floor)
+        np.log(terms, out=terms)
+        terms *= q_hi
+        terms += on.log_wk  # log w K v^q_hi
+        m = terms.max()
+        terms -= m
+        np.maximum(terms, -700.0, out=terms)
+        log_c_sum = math.log(c) + (float(m) + math.log(np.exp(terms, out=terms).sum()))
+        try:
+            s = np.float64(math.exp((math.log(level) - log_c_sum) / (q_hi - p)))
+        except OverflowError:
+            s = np.float64(math.inf)
+        if single:
+            if s == math.inf:
+                raise NoProjection("the Nehari scale overflows")
+            if s == 0.0:
+                raise NoProjection("the Nehari scale underflows")
             return s, float(s ** p * level / q_hi)
+        if s == 0.0 or log_c_sum > _LOG_MAX:  # s underflows, or M sum w K v^q_hi overflows
+            raise NoProjection("the all-small Nehari scale reads 0")
+        if s * v_max <= 1.0:
+            return s, float(s ** p * level / q_hi)
+
+        # F(t) is t^q_hi / q_hi up to t = 1 and 1/q_hi - 1/q_lo + t^q_lo / q_lo
+        # beyond; on the large branch the root satisfies M s^q_lo sum = s^p ||v||^p
+        supp = v > 0.0
+        pos, log_wk, wk = v[supp], on.log_wk[supp], on.wk[supp]
+        log_v = np.log(pos)
+        a = np.exp(log_wk + q_hi * log_v)
         b = np.exp(log_wk + q_lo * log_v)
         s = (level / (nl.M * np.sum(b))) ** (1.0 / (q_lo - p))
         if math.isfinite(s) and s * np.min(pos) > 1.0:
             return s, float(s ** p * level / q_lo
-                            + nl.M * (1.0 / q_hi - 1.0 / q_lo) * np.sum(on.wk[supp]))
+                            + nl.M * (1.0 / q_hi - 1.0 / q_lo) * np.sum(wk))
         s = np.float64(_bracketed_root(_min_powers_excess, (
             pos, a, b, q_hi - p, q_lo - p, nl.M, level)))
         large = s * pos > 1.0
         source = nl.M * (s ** q_hi * np.sum(a[~large]) / q_hi
                          + s ** q_lo * np.sum(b[large]) / q_lo
-                         + (1.0 / q_hi - 1.0 / q_lo) * np.sum(on.wk[supp][large]))
+                         + (1.0 / q_hi - 1.0 / q_lo) * np.sum(wk[large]))
     return s, float(source)
 
 
@@ -539,8 +632,7 @@ def _min_powers_excess(t, pos, a, b, k_hi, k_lo, M, level):
     """M (t^k_hi sum_{t pos <= 1} a + t^k_lo sum_{t pos > 1} b) - level."""
     t = np.float64(t)  # t ** k overflows to inf instead of raising
     small = t * pos <= 1.0
-    return M * (t ** k_hi * float(np.dot(a, small))
-                + t ** k_lo * float(np.dot(b, ~small))) - level
+    return M * (t ** k_hi * _dot(a, small) + t ** k_lo * _dot(b, ~small)) - level
 
 
 def _rational_excess(t, a, e, d, k, M, level):
@@ -626,7 +718,8 @@ def _projected_trial(u, d, t, on: _OnGrid, nl):
     s^p ||v||_reg^p / p - source, with the regularized norm taken on the
     unscaled trial v (eps scales with s).  For p = 2 the regularization
     leaves the form unchanged and ||v||_reg^p is the level."""
-    trial = np.maximum(u - t * d, 0.0)
+    trial = u - t * d
+    np.maximum(trial, 0.0, out=trial)
     trial[-1] = 0.0
     du = _slopes(trial, on.grid)
     level = _norm_p(trial, du, on)
@@ -639,8 +732,10 @@ def _projected_trial(u, d, t, on: _OnGrid, nl):
     p = on.grid.dims.p
     reg = level if p == 2.0 else _norm_p(trial, du, on, _eps_for(du))
     trial *= scale
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = float(scale ** p * reg / p - source)
+    try:
+        e = float(scale) ** p * reg / p - source
+    except OverflowError:  # s^p
+        return None
     return (trial, e) if math.isfinite(e) else None
 
 
@@ -665,6 +760,8 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     on = _on_grid(grid, table)
     # the start is the projection of u0, taken as a line-search trial
     start = _projected_trial(initial_bump(grid) if u0 is None else u0, 0.0, 0.0, on, nl)
@@ -686,7 +783,7 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
         lower = _lower_order_terms(u, on, nl)
         g0 = _gradient_array(du, on, 0.0, lower)
         norm_p = _norm_p(u, du, on)
-        residual, gap = _residual(g0, hat_norms), abs(float(np.dot(g0, u))) / norm_p
+        residual, gap = _residual(g0, hat_norms), abs(_dot(g0, u)) / norm_p
         if residual <= tol and gap <= tol:
             stop_reason = "converged"
             break
@@ -703,10 +800,10 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
                                     (u * u + eps_u * eps_u) ** ((p - 2.0) / 2.0))
         d = np.zeros(grid.n)
         d[:-1] = solve_banded(metric, g[:-1])
-        slope = float(np.dot(g, d))
+        slope = _dot(g, d)
         if not math.isfinite(slope) or slope <= 0.0:
             d = g / np.max(hat_norms)  # fall back to a raw gradient step
-            slope = float(np.dot(g, d))
+            slope = _dot(g, d)
         t, step = 1.0, None
         while t > _MIN_STEP:
             trial = _projected_trial(u, d, t, on, nl)
@@ -729,7 +826,7 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
         u, i_cur = step
         if on_iterate is not None:
             on_iterate(k, i_cur)
-        if float(np.max(u)) < 1e-300:
+        if u.max() < 1e-300:
             raise CollapsedToZero("iterate vanished under descent")
 
     iterations = min(k, max_iter)

@@ -353,6 +353,18 @@ class TestSolve:
         assert doc["error"] == "invalid_config"
         assert "max_iter" in doc["detail"]
 
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_bad_solve_tol_exits_two(self, tol, tmp_path, capsys):
+        # residual <= tol never holds for these, so a solve would run its whole budget
+        cfg = unit_benchmark_config()
+        cfg["tolerances"]["solve_tol"] = tol
+        path = write_config(tmp_path, cfg)
+        code, doc = run_cli(capsys, ["solve", "--config", path,
+                                     "--out", str(tmp_path), "--force"])
+        assert code == EXIT_CONFIG
+        assert doc["error"] == "invalid_config"
+        assert "solve_tol" in doc["detail"]
+
     def test_sweep_writes_per_value_files(self, tmp_path, capsys):
         path = write_config(tmp_path, unit_benchmark_config())
         code, doc = run_cli(capsys, ["solve", "--config", path,
@@ -578,6 +590,25 @@ def _is_loaded_after_cli_import(*modules, argv=None):
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     return out.strip()
+
+
+def test_output_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # at 100000 nodes OpenBLAS splits a whole-array dot product across two
+    # threads, which moves its rounding; the solver's reductions never let it
+    pkg_root = os.path.dirname(os.path.dirname(cli.__file__))
+    cfg = unit_benchmark_config()
+    cfg["grid"]["n_nodes"] = 100000
+    path = write_config(tmp_path, cfg)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        out.mkdir()
+        env = dict(os.environ, PYTHONPATH=pkg_root, OPENBLAS_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-m", "quasiradial.cli", "solve", "--force",
+                              "--config", path, "--out", str(out)],
+                             env=env, check=True, capture_output=True)
+        outputs.append((run.stdout, (out / "solution_report.json").read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_import_leaves_scipy_integrate_unloaded():

@@ -69,14 +69,15 @@ class TestLogsumexp:
 
 def reference_solve_banded(ab, rhs):
     """Cyclic reduction in one pass, matrix and right-hand side together:
-    solve_banded as it was before the factorization was split off."""
+    solve_banded as it was before the factorization was split off, with the
+    block of at most 32 unknowns left at the end solved by its inverse."""
     n = ab.shape[1]
     a = np.concatenate(([0.0], ab[2, :-1]))
     b = np.array(ab[1], dtype=float)
     c = np.concatenate((ab[0, 1:], [0.0]))
     d = np.array(rhs, dtype=float)
     levels = []
-    while len(b) > 1:
+    while len(b) > 32:
         if len(b) % 2 == 0:
             a, b, c, d = (np.append(v, g) for v, g in zip((a, b, c, d), (0.0, 1.0, 0.0, 0.0)))
         levels.append((a, b, c, d))
@@ -84,7 +85,7 @@ def reference_solve_banded(ab, rhs):
         hi = c[1::2] / b[2::2]
         a, b, c, d = (-lo * a[:-1:2], b[1::2] - lo * c[:-1:2] - hi * a[2::2],
                       -hi * c[2::2], d[1::2] - lo * d[:-1:2] - hi * d[2::2])
-    x = d / b
+    x = np.linalg.inv(np.diag(b) + np.diag(a[1:], -1) + np.diag(c[:-1], 1)) @ d
     for a, b, c, d in reversed(levels):
         x = x[: len(b) // 2]
         even = d[::2].copy()
@@ -215,6 +216,14 @@ class TestSolveBanded:
         rhs = rng.normal(size=n)
         x = solver.solve_banded(solver.factor_banded(ab), rhs)
         assert x.tobytes() == reference_solve_banded(ab, rhs).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 5, 32])
+    def test_singular_block_gives_nan(self, n):
+        # a zero matrix of at most 32 rows is one singular dense block: the
+        # solve reads NaN, and so does the descent direction, which the
+        # solver replaces by a gradient step
+        x = solver.solve_banded(solver.factor_banded(np.zeros((3, n))), np.ones(n))
+        assert np.all(np.isnan(x))
 
     @pytest.mark.parametrize("n", [1, 2, 7, 256, 1999])
     def test_one_factor_serves_many_right_hand_sides(self, n):

@@ -191,6 +191,13 @@ class TestEsssupRatio:
         with pytest.raises(DivisionByZeroV):
             esssup_ratio(t, alpha=0.0, beta=0.5, interval=(0.1, 10.0))
 
+    def test_underflowing_v_is_not_zero(self):
+        # V = K = e^(-1/r) underflows near r = 1e-6, but log K - log V = 0 at every node
+        t = eval_potentials(Constant(1.0), ExpInv(-1.0), ExpInv(-1.0), default_radii())
+        assert np.any(t.values_V[t.interval_mask(1e-6, 1.0)] == 0.0)
+        b = esssup_ratio(t, alpha=0.0, beta=1.0, interval=(1e-6, 1.0))
+        assert b.value == 1.0
+
     def test_refinement_stability(self):
         # smooth interior maximum: the refined value agrees within 1e-3
         k = MaxOf((Power(1.0, 0.5), Power(1.0, -0.5)))

@@ -7,7 +7,7 @@ import quasiradial.solver as solver_module
 from quasiradial.cli import example_config, load_config
 from quasiradial.exponents import ProblemDims
 from quasiradial.nonlinearity import F_eval, NonlinearitySpec, f_eval, pure_power
-from quasiradial.potentials import Constant, Power, eval_potentials
+from quasiradial.potentials import Constant, ExpInv, Power, eval_potentials
 from quasiradial.solver import (
     BadRange,
     CollapsedToZero,
@@ -149,7 +149,7 @@ def reference_gradient_array(du, on, eps, lower):
     with np.errstate(invalid="ignore", divide="ignore"):
         flux_density = np.where((du == 0.0) & (eps == 0.0), 0.0,
                                 (du * du + eps * eps) ** ((p - 2.0) / 2.0) * du)
-    flux = on.a_cell * flux_density * grid.cell_measure / grid.dr
+    flux = flux_density * (on.a_cell * grid.cell_measure / grid.dr)
     g = np.zeros(grid.n)
     g[:-1] -= flux
     g[1:] += flux
@@ -257,8 +257,11 @@ def _unit_case(n_nodes=2000, dims=D23, nl=None, tol=1e-6):
     return unit_table(grid), nl or pure_power(4), grid, tol
 
 
-def _example_case(name):
-    cfg = load_config(example_config(name))
+def _example_case(name, n_nodes=None):
+    doc = example_config(name)
+    if n_nodes is not None:
+        doc["grid"]["n_nodes"] = n_nodes
+    cfg = load_config(doc)
     grid = build_grid(cfg.r_min, cfg.r_max, cfg.n_nodes, cfg.dims)
     table = eval_potentials(cfg.spec_A, cfg.spec_V, cfg.spec_K, grid.nodes)
     return table, cfg.solver_nonlinearity(), grid, cfg.solve_tol
@@ -633,6 +636,120 @@ class TestNehariAgainstBisection:
         assert calls == []
 
 
+def compressed_project(v, on, nl, level):
+    """solver._project as it was before it worked on the whole node array:
+    log v and w K are compressed to the nodes where v > 0, and a single
+    power's sum of w K v^q is taken by logsumexp."""
+    p = on.grid.dims.p
+    if level == 0.0:
+        raise NoProjection("u vanishes")
+    supp = v > 0.0
+    if nl.M <= 0.0 or not np.any(supp):
+        raise NoProjection("source term vanishes on the positive part")
+    pos = v[supp]
+    log_v = np.log(pos)
+    log_wk = on.log_wk[supp]
+    if nl.kind == "pure_power" or nl.q1 == nl.q2:
+        q = nl.q1
+        c = 0.5 * nl.M if nl.kind == "rational" else nl.M
+        log_s = math.log(c) + float(solver_module.logsumexp(log_wk + q * log_v))
+        s = np.float64(math.exp((math.log(level) - log_s) / (q - p)))
+        return s, float(s ** p * level / q)
+    assert nl.kind == "min_powers"
+    q_hi, q_lo = max(nl.q1, nl.q2), min(nl.q1, nl.q2)
+    a = np.exp(log_wk + q_hi * log_v)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s = (level / (nl.M * np.sum(a))) ** (1.0 / (q_hi - p))
+        if s * np.max(pos) <= 1.0:
+            return s, float(s ** p * level / q_hi)
+        b = np.exp(log_wk + q_lo * log_v)
+        s = (level / (nl.M * np.sum(b))) ** (1.0 / (q_lo - p))
+        if math.isfinite(s) and s * np.min(pos) > 1.0:
+            return s, float(s ** p * level / q_lo
+                            + nl.M * (1.0 / q_hi - 1.0 / q_lo) * np.sum(on.wk[supp]))
+        s = np.float64(solver_module._bracketed_root(solver_module._min_powers_excess, (
+            pos, a, b, q_hi - p, q_lo - p, nl.M, level)))
+        large = s * pos > 1.0
+        source = nl.M * (s ** q_hi * np.sum(a[~large]) / q_hi
+                         + s ** q_lo * np.sum(b[large]) / q_lo
+                         + (1.0 / q_hi - 1.0 / q_lo) * np.sum(on.wk[supp][large]))
+    return s, float(source)
+
+
+class TestWholeArrayProjection:
+    """_project, which works on the whole node array, against
+    compressed_project: the scale and the source agree to 1e-14 relative."""
+
+    @staticmethod
+    def trials(K):
+        # the bump, the bump cut to 0 beyond r = 2 (an exact-zero tail) and
+        # cut to 0 below r = 0.2 as well
+        grid = build_grid(0.05, 20.0, 300, D23)
+        on = solver_module._on_grid(
+            grid, eval_potentials(Power(1.5, -0.5), Power(2.0, 0.25), K, grid.nodes))
+        bump = initial_bump(grid)
+        tail = np.where(grid.nodes > 2.0, 0.0, bump)
+        return on, [bump, tail, np.where(grid.nodes < 0.2, 0.0, tail)]
+
+    @staticmethod
+    def check(K, nl, branches, rel=1e-14, source_rel=1e-14):
+        on, trials = TestWholeArrayProjection.trials(K)
+        for v, branch in zip(trials, branches):
+            level = solver_module._norm_p(v, np.diff(v) / on.grid.dr, on)
+            if nl.kind == "min_powers":
+                assert _branch(v, on, nl) == branch
+            got = solver_module._project(v, on, nl, level)
+            ref = compressed_project(v, on, nl, level)
+            assert got[0] == pytest.approx(ref[0], rel=rel, abs=0.0)
+            assert got[1] == pytest.approx(ref[1], rel=source_rel, abs=0.0)
+
+    @pytest.mark.parametrize("nl,branches", [
+        (pure_power(4, M=0.7), None),
+        (NonlinearitySpec("rational", 4, 4, M=0.3), None),
+        (NonlinearitySpec("min_powers", 3, 5, M=1e4), ["small"] * 3),
+        (NonlinearitySpec("min_powers", 5, 3, M=0.01), ["large"] * 3),
+        (NonlinearitySpec("min_powers", 3, 8.5, M=1.0), ["mixed", "mixed", "large"]),
+    ], ids=["pure_power", "rational_equal", "all_small", "all_large", "bracketed"])
+    def test_smooth_weights(self, nl, branches):
+        self.check(Power(1.0, -0.25), nl, branches or [None] * 3)
+
+    @pytest.mark.parametrize("K,nl", [
+        (ExpInv(40.0), pure_power(4, M=0.7)),
+        (ExpInv(40.0), NonlinearitySpec("rational", 4, 4, M=0.3)),
+        (ExpInv(30.0), NonlinearitySpec("min_powers", 3, 5)),
+    ], ids=["pure_power", "rational_equal", "all_small"])
+    def test_astronomical_weights(self, K, nl):
+        # log w K reaches 790 for K = e^(40 / r), where w K overflows, and 590
+        # for K = e^(30 / r), where the all-small sum of w K v^5 still is a
+        # float.  Either projection rounds exponents near log w K, so the
+        # scales agree to the relative spacing of floats there, divided by
+        # q - p, and the sources, s^2 times the level, to twice that
+        with np.errstate(over="ignore"):
+            on, _ = self.trials(K)
+            log_max = on.log_wk.max()
+            assert log_max > 580.0
+            rel = 2.0 * np.finfo(float).eps * log_max / (max(nl.q1, nl.q2) - 2.0)
+            rel = max(rel, 1e-14)
+            self.check(K, nl, ["small"] * 3, rel=rel, source_rel=2.0 * rel)
+
+
+    def test_floors_change_no_bit(self):
+        # v is raised to a floor where it vanishes and the terms to e^-700
+        # times the largest; the scale is the one the plain sum gives, with
+        # log 0 = -inf and every term kept, to the last bit
+        on, trials = self.trials(Power(1.0, -0.25))
+        trials.append(trials[0] ** 40)  # terms down to e^-720 times the largest
+        nl = pure_power(4, M=0.7)
+        for v in trials:
+            level = solver_module._norm_p(v, np.diff(v) / on.grid.dr, on)
+            with np.errstate(divide="ignore"):
+                terms = np.log(v) * 4.0 + on.log_wk
+            m = terms.max()
+            log_c_sum = math.log(0.7) + (float(m) + math.log(np.exp(terms - m).sum()))
+            assert solver_module._project(v, on, nl, level)[0] == math.exp(
+                (math.log(level) - log_c_sum) / 2.0)
+
+
 def rational_3_5_log_space_energy(u, on, M, s):
     """s^p ||u||_reg^p / p - sum w K M F(s u) for rational(3, 5), where
     F(x) = x^3/3 - x + arctan x, with both terms formed from their logs."""
@@ -918,7 +1035,32 @@ class TestDecaySlopes:
             decay_slopes(RadialFunction(grid, vals))
 
 
+# the library solves of the benchmark's fine_mesh workload with their
+# iterations and energies; a kernel that sums in another order moves an
+# energy by far less than 1e-10, and must not move an iteration count
+FINE_MESH_CASES = {
+    "unit_2000": (lambda: _unit_case(2000), 13, 18.897051729864636),
+    "unit_20000": (lambda: _unit_case(20000), 8, 18.898306070601958),
+    "unit_100000": (lambda: _unit_case(100000), 6, 19.18238332755835),
+    "unit_min_powers_3_5_20000": (
+        lambda: _unit_case(20000, nl=NonlinearitySpec("min_powers", 3, 5)), 10, 50.36311516186798),
+    "unit_p1.5_2000": (lambda: _unit_case(dims=ProblemDims(N=3, p=1.5), tol=1e-4),
+                       67, 0.42747395270981337),
+    "unit_N4_p3_2000": (lambda: _unit_case(dims=ProblemDims(N=4, p=3)), 29, 46.66362365685933),
+    "ex1_4000": (lambda: _example_case("ex1", 4000), 31, 8.682095668722116),
+    "ex2_I_4000": (lambda: _example_case("ex2_I", 4000), 633, 41.753961194316325),
+}
+
+
 class TestSolve:
+    @pytest.mark.parametrize("case", list(FINE_MESH_CASES))
+    def test_fine_mesh_cases_are_pinned(self, case):
+        build, iterations, energy = FINE_MESH_CASES[case]
+        table, nl, grid, tol = build()
+        _, rep = solve_ground_state(table, nl, grid, tol=tol)
+        assert rep.iterations == iterations
+        assert rep.energy == pytest.approx(energy, rel=1e-10, abs=0.0)
+
     @pytest.mark.parametrize("q2, iterations, energy", [
         (9.0, 40, 38.39231615215144),
         (9.5, 29, 40.16906103201134),
@@ -1111,6 +1253,12 @@ class TestSolve:
         grid = build_grid(1e-3, 30.0, 200, D23)
         with pytest.raises(ValueError, match="max_iter"):
             solve_ground_state(unit_table(grid), pure_power(4), grid, max_iter=-1)
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_tolerance_is_refused(self, tol):
+        grid = build_grid(1e-3, 30.0, 200, D23)
+        with pytest.raises(ValueError, match="tol"):
+            solve_ground_state(unit_table(grid), pure_power(4), grid, tol=tol)
 
     def test_stop_reason_line_search_stalled(self, monkeypatch):
         # ex1 started from a bump centred at r = 0.01 instead of r = 1: within
