@@ -131,13 +131,6 @@ def load_config(obj) -> RunConfig:
             raise ConfigError("potentials.s_loc must exceed 1")
         asym_o = _endpoint_from_json("origin", obj["asymptotics"]["origin"])
         asym_i = _endpoint_from_json("infinity", obj["asymptotics"]["infinity"])
-        # structural sanity only: range conditions on a and gamma are
-        # hypotheses, reported by the check command rather than refused here
-        for asym in (asym_o, asym_i):
-            if not 0 <= asym.beta <= 1:
-                raise ConfigError(f"beta must lie in [0, 1], got {asym.beta}")
-            if not asym.R > 0:
-                raise ConfigError(f"R must be positive, got {asym.R}")
         nl = NonlinearitySpec.from_json(obj["nonlinearity"])
         grid = obj.get("grid", {})
         r_min = float(grid.get("r_min", 1e-4))

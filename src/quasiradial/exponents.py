@@ -67,6 +67,8 @@ class EndpointAsymptotics:
     a is the local power rate of the gradient weight, alpha and beta bound the
     source weight against r^alpha * V^beta, gamma bounds V from below via
     r^gamma * V, and R is the radius beyond (or below) which the bounds hold.
+    end must be ORIGIN or INFINITY, beta lie in [0, 1] and R be positive; the
+    hypotheses that depend on the dimensions are checked by validate_endpoint.
     """
 
     end: str
@@ -76,19 +78,22 @@ class EndpointAsymptotics:
     gamma: float
     R: float = 1.0
 
+    def __post_init__(self):
+        if self.end not in (ORIGIN, INFINITY):
+            raise InvalidAsymptotics(f"unknown endpoint {self.end!r}")
+        if not (0 <= self.beta <= 1):
+            raise InvalidAsymptotics(f"beta must lie in [0, 1], got {self.beta}")
+        if not self.R > 0:
+            raise InvalidAsymptotics(f"R must be positive, got {self.R}")
+
 
 def validate_endpoint(asym: EndpointAsymptotics, dims: ProblemDims) -> None:
-    """Raise InvalidAsymptotics unless `asym` satisfies all hypotheses."""
+    """Raise InvalidAsymptotics unless `asym` satisfies the hypotheses that
+    depend on dims: the range of a, and gamma against p - a."""
     p, N = dims.p, dims.N
-    if asym.end not in (ORIGIN, INFINITY):
-        raise InvalidAsymptotics(f"unknown endpoint {asym.end!r}")
     if not (p - N < asym.a <= p):
         raise InvalidAsymptotics(
             f"a must lie in (p-N, p] = ({p - N}, {p}], got {asym.a}")
-    if not (0 <= asym.beta <= 1):
-        raise InvalidAsymptotics(f"beta must lie in [0, 1], got {asym.beta}")
-    if not asym.R > 0:
-        raise InvalidAsymptotics(f"R must be positive, got {asym.R}")
     if asym.end == ORIGIN and not asym.gamma >= p - asym.a:
         raise InvalidAsymptotics(
             f"origin data needs gamma >= p - a = {p - asym.a}, got {asym.gamma}")
@@ -212,7 +217,7 @@ class AdmissibleSet:
 
     lower: float
     upper: float
-    alpha_constraint: Optional[AlphaConstraint] = None
+    alpha_constraint: Optional[AlphaConstraint]
 
     @property
     def nonempty(self) -> bool:

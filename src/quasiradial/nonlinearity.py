@@ -27,15 +27,13 @@ _KINDS = (MIN_POWERS, RATIONAL, PURE_POWER)
 class NonlinearitySpec:
     """Parameters of one model nonlinearity.
 
-    theta defaults to the family's superlinearity exponent; M scales the
-    whole nonlinearity and doubles as the growth constant.  q1 and q2 must be
-    finite and exceed 1, M finite and nonnegative.
+    M scales the whole nonlinearity and doubles as the growth constant.  q1
+    and q2 must be finite and exceed 1, M finite and nonnegative.
     """
 
     kind: str
     q1: float
     q2: float
-    theta: float = None
     M: float = 1.0
 
     def __post_init__(self):
@@ -51,9 +49,11 @@ class NonlinearitySpec:
             raise ValueError("rational family requires q1 <= q2")
         if self.kind == PURE_POWER and self.q1 != self.q2:
             raise ValueError("pure_power requires q1 == q2")
-        if self.theta is None:
-            theta = self.q1 if self.kind == RATIONAL else min(self.q1, self.q2)
-            object.__setattr__(self, "theta", theta)
+
+    @property
+    def theta(self):
+        """The family's superlinearity exponent: q1 for rational, else min(q1, q2)."""
+        return self.q1 if self.kind == RATIONAL else min(self.q1, self.q2)
 
     @staticmethod
     def from_json(obj):
@@ -104,7 +104,7 @@ _X_SPLIT, _BLOCK = 2.0, 8  # x = u^d where the series in 1/x takes over; Horner 
 
 @lru_cache(maxsize=64)
 def _rational_series(q1, q2):
-    """Both series' coefficients as (step, block, series), highest first; K; pole, c_j."""
+    """Both series' coefficients as (series, step, block, 1), highest first; K; pole, c_j."""
     d, ws, ys = q2 - q1, _X_SPLIT / (1.0 + _X_SPLIT), 1.0 / _X_SPLIT
     pfaff = [0.0, 1.0 / q2]  # (w/q2) k!/(b+1)_k w^k, b = q2/d, to a rest below 1e-17
     while pfaff[-1] * ws ** (len(pfaff) - 2) >= 1e-17 * (1.0 - ws) / q2:
@@ -116,9 +116,10 @@ def _rational_series(q1, q2):
     n = math.ceil(math.log(5e-18 * (1.0 - ys) * min(d, 1.0) * ws / q2) / math.log(ys))
     tail = [0.0 if pole and k == j else (-1) ** k / (q1 - k * d) for k in range(n)]
     K = np.polyval(pfaff[::-1], ws) - np.polyval(tail[::-1], ys)
-    coef = np.zeros((-(-max(len(pfaff), n) // _BLOCK) * _BLOCK, 2))
-    coef[:len(pfaff), 0], coef[:n, 1] = pfaff, tail
-    coef = coef.reshape(-1, _BLOCK, 2)[::-1, ::-1].transpose(1, 0, 2).copy()
+    coef = np.zeros((2, -(-max(len(pfaff), n) // _BLOCK) * _BLOCK))
+    coef[0, :len(pfaff)], coef[1, :n] = pfaff, tail
+    # per series (step, block, 1): row k holds every block's k-th highest coefficient
+    coef = coef.reshape(2, -1, _BLOCK)[:, ::-1, ::-1].transpose(0, 2, 1)[..., None].copy()
     return coef, K, pole, c if pole else 0.0
 
 
@@ -126,8 +127,9 @@ def _rational_primitive(q1, q2, u, M):
     """M times the antiderivative F of s^(q2-1) / (1 + s^d), d = q2 - q1, on s >= 0, at u >= 0.
 
     F/u^q1 is a series in w = x/(1+x) for x = u^d <= x_s and one in y = 1/x beyond, plus
-    a pole-free term (README); one blocked Horner pass sums both.  Entries that overflow
-    before M >= 0 are redone through logs, log M included.
+    a pole-free term (README); one blocked Horner pass per side sums that side's series on
+    its own entries.  Entries that overflow before M >= 0 are redone through logs, log M
+    included.
     """
     d = q2 - q1
     if d == 0.0:
@@ -137,12 +139,16 @@ def _rational_primitive(q1, q2, u, M):
         x = u ** d
         tail = x > _X_SPLIT
         z = np.where(tail, 1.0 / x, 1.0 / (1.0 + 1.0 / x))
-        r = coef[..., tail.astype(np.intp)]
-        for zk in (z, z ** _BLOCK):  # within the blocks, then across them
-            r, rows = r[0].copy(), r[1:]
-            for row in rows:
-                r *= zk
-                r += row
+        r = np.empty_like(z)
+        for side, series in ((~tail, coef[0]), (tail, coef[1])):
+            zs = z[side]
+            acc = np.broadcast_to(series, series.shape[:2] + zs.shape)  # a view, not a copy
+            for zk in (zs, zs ** _BLOCK):  # within the blocks, then across them
+                acc, rows = acc[0].copy(), acc[1:]
+                for row in rows:
+                    acc *= zk
+                    acc += row
+            r[side] = acc
         L = np.log(u) - math.log(_X_SPLIT) / d
         g = np.expm1(c * L) / c if c else L
         r += np.where(tail, np.exp(-q1 * L) * (K + pole * g), 0.0)

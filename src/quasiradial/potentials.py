@@ -131,10 +131,9 @@ def spec_from_json(obj) -> PotentialSpec:
 # Sampled tables
 # ---------------------------------------------------------------------------
 
-def default_radii(decades_each_side=6, per_decade=256):
-    """Log-spaced grid around r = 1, 256 points per decade by default."""
-    n = 2 * decades_each_side * per_decade + 1
-    return np.logspace(-decades_each_side, decades_each_side, n)
+def default_radii():
+    """Log-spaced grid from 1e-6 to 1e6, 256 points per decade."""
+    return np.logspace(-6, 6, 2 * 6 * 256 + 1)
 
 
 @dataclass

@@ -21,12 +21,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import RadialGrid, logsumexp
+from .solver import RadialGrid
 from .potentials import PotentialTable
 
 
 class TooFewSamples(ValueError):
     """A decay verdict needs at least three probe samples."""
+
+
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) over axis (every axis when None), by the formula of
+    scipy.special.logsumexp: the largest term is taken out of the sum and
+    added back through log1p.  Where that is not finite (a row of -inf, or
+    an infinite entry) the direct log(sum(exp(a))) is returned."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    if axis is None:
+        axis = tuple(range(a.ndim))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, axis=axis, keepdims=True, initial=-np.inf)
+        at_max = a == a_max
+        m = np.sum(at_max, axis=axis, keepdims=True, dtype=float)
+        s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=axis, keepdims=True)
+        out = np.log1p(np.where(s == 0, s, s / m)) + np.log(m) + a_max
+        bad = ~np.isfinite(out)
+        if np.any(bad):
+            out = np.where(bad, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)), out)
+    out = np.squeeze(out, axis=axis)
+    return out[()] if out.ndim == 0 else out
 
 
 def _log_abs_diff(la, lb):

@@ -57,27 +57,6 @@ class Degenerate(ValueError):
     """The function support is too small for the requested diagnostic."""
 
 
-def logsumexp(a, axis=None):
-    """log(sum(exp(a))) over axis (every axis when None), by the formula of
-    scipy.special.logsumexp: the largest term is taken out of the sum and
-    added back through log1p.  Where that is not finite (a row of -inf, or
-    an infinite entry) the direct log(sum(exp(a))) is returned."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    if axis is None:
-        axis = tuple(range(a.ndim))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.max(a, axis=axis, keepdims=True, initial=-np.inf)
-        at_max = a == a_max
-        m = np.sum(at_max, axis=axis, keepdims=True, dtype=float)
-        s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=axis, keepdims=True)
-        out = np.log1p(np.where(s == 0, s, s / m)) + np.log(m) + a_max
-        bad = ~np.isfinite(out)
-        if np.any(bad):
-            out = np.where(bad, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)), out)
-    out = np.squeeze(out, axis=axis)
-    return out[()] if out.ndim == 0 else out
-
-
 # cyclic reduction stops once this many unknowns are left, and solves them
 # with the explicit inverse of their dense block: one product instead of
 # five more levels down and back up
@@ -85,26 +64,13 @@ _DENSE_TAIL = 32
 
 
 class BandedFactor(NamedTuple):
-    """A tridiagonal matrix reduced by factor_banded, for solve_banded.
+    """A tridiagonal matrix reduced by factor_banded, for solve_banded."""
 
-    Besides the coefficients it holds the buffer that a solve works in, with
-    a view of that buffer for every operand of every level, so that a solve
-    makes only the arithmetic calls.  A factor serves one solve at a time."""
-
-    n: int
-    work: np.ndarray  # every level's right-hand side, then its unknowns; ghost rows 0
-    rhs: np.ndarray  # the first n entries of work: the system's right-hand side
-    # per level, whose rows number 2m + 1 after padding, the operands of
-    # below = d[1::2] - lo d[:-1:2] - hi d[2::2] (lo, hi the elimination
-    # multipliers, below the first m rows of the next level, t scratch)
-    down: tuple
-    # the inverse of the dense block left after the last level, that
-    # block's rows in work, and scratch for their unknowns
-    tail: tuple
-    # per level from the last one up, the operands of the back substitution
-    # d[::2] = (d[::2] - [a[2::2] x] - [c[:-1:2] x]) / b[::2], with x the
-    # unknowns of the level below, which then fill d[1::2]
-    up: tuple
+    # per level, whose rows number 2m + 1 after padding: the elimination
+    # multipliers lo and hi, the couplings (a[2::2], c[:-1:2]) of the even
+    # rows to the odd unknowns, and the even rows' diagonal b[::2]
+    levels: tuple
+    inverse: np.ndarray  # of the dense block left after the last level
 
 
 def factor_banded(ab) -> BandedFactor:
@@ -120,7 +86,6 @@ def factor_banded(ab) -> BandedFactor:
     which is stable for diagonally dominant matrices (Heller, SIAM J. Numer.
     Anal. 1976) such as the preconditioner's metric, not for indefinite ones.
     """
-    n = ab.shape[1]
     a = np.concatenate(([0.0], ab[2, :-1]))  # row i's coefficient of x[i-1]
     b = np.array(ab[1], dtype=float)
     c = np.concatenate((ab[0, 1:], [0.0]))  # row i's coefficient of x[i+1]
@@ -136,46 +101,37 @@ def factor_banded(ab) -> BandedFactor:
         inverse = np.linalg.inv(np.diag(b) + np.diag(a[1:], -1) + np.diag(c[:-1], 1))
     except np.linalg.LinAlgError:
         inverse = np.full((len(b), len(b)), np.nan)
-
-    sizes = [2 * len(lo) + 1 for lo, _, _, _ in levels] + [len(b)]
-    work, rows, start = np.zeros(sum(sizes)), [], 0
-    for size in sizes:
-        rows.append(work[start:start + size])
-        start += size
-    scratch = np.empty((2, len(levels[0][0]) if levels else 0))
-    down, up = [], []
-    for (lo, hi, coupling, b_even), d, below in zip(levels, rows, rows[1:]):
-        m = len(lo)
-        down.append((lo, d[:-1:2], d[1::2], below[:m], hi, d[2::2], scratch[0, :m]))
-        coupled, even = scratch[:, :m], d[::2]
-        up.append((coupling, below[:m], coupled, even[1:], coupled[0], even[:-1], coupled[1],
-                   even, b_even, d[1::2]))
-    return BandedFactor(n, work, rows[0][:n], tuple(down), (inverse, rows[-1], np.empty(len(b))),
-                        tuple(reversed(up)))
+    return BandedFactor(tuple(levels), inverse)
 
 
 def solve_banded(factor: BandedFactor, rhs):
     """Solve the tridiagonal system reduced by factor_banded for rhs: the
     right-hand side is reduced level by level, the dense block is solved,
     and the unknowns are substituted back from the last level up, each
-    level's unknowns in place of its right-hand side."""
-    factor.work.fill(0.0)  # the ghost rows, which a NaN solve may have left NaN
-    factor.rhs[:] = rhs
-    for lo, d_lo, d_odd, below, hi, d_hi, t in factor.down:
-        np.multiply(lo, d_lo, below)
-        np.subtract(d_odd, below, below)
-        np.multiply(hi, d_hi, t)
-        np.subtract(below, t, below)
-    inverse, d, x = factor.tail
-    np.dot(inverse, d, x)
-    d[:] = x
-    for coupling, x, coupled, even_hi, by_lo, even_lo, by_hi, even, b_even, d_odd in factor.up:
-        np.multiply(coupling, x, coupled)
-        np.subtract(even_hi, by_lo, even_hi)
-        np.subtract(even_lo, by_hi, even_lo)
-        np.divide(even, b_even, even)
-        d_odd[:] = x
-    return factor.rhs.copy()
+    level's in place of its own right-hand side.  Each level's right-hand
+    side is a new array, with a 0 ghost row where the factor has one, so
+    neither the factor nor rhs is written to."""
+    levels = factor.levels
+    sizes = [2 * len(lo) + 1 for lo, _, _, _ in levels] + [len(factor.inverse)]
+    d = np.zeros(sizes[0])
+    d[:len(rhs)] = rhs
+    reduced = []  # per level: its right-hand side, two views of it, the level below's rows
+    for (lo, hi, _, _), size in zip(levels, sizes[1:]):
+        above, d = d, np.zeros(size)
+        left, right, below = above[:-1:2], above[2::2], d[:len(lo)]
+        reduced.append((above, left, right, below))
+        np.multiply(lo, left, below)  # below = d[1::2] - lo d[:-1:2] - hi d[2::2] above
+        np.subtract(above[1::2], below, below)
+        below -= hi * right
+    d[:] = np.dot(factor.inverse, d)
+    for (_, _, coupling, b_even), (d, left, right, x) in zip(reversed(levels), reversed(reduced)):
+        coupled = coupling * x
+        right -= coupled[0]
+        left -= coupled[1]
+        even = d[::2]
+        even /= b_even
+        d[1::2] = x
+    return d[:len(rhs)]
 
 
 def _brentq(f, xa, xb, args, xtol, rtol):

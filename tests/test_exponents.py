@@ -167,6 +167,19 @@ class TestQ2LowerBound:
         with pytest.raises(InvalidAsymptotics):
             q2_lower_bound(infinity(-1, 0, 1.2, 3), D24)
 
+    @pytest.mark.parametrize("end, beta, R, detail", [
+        ("middle", 0.0, 1.0, "unknown endpoint 'middle'"),
+        ("origin", -0.1, 1.0, "beta must lie in [0, 1], got -0.1"),
+        ("infinity", float("nan"), 1.0, "beta must lie in [0, 1], got nan"),
+        ("origin", 1.0, 0.0, "R must be positive, got 0.0"),
+        ("infinity", 0.0, float("nan"), "R must be positive, got nan"),
+    ])
+    def test_endpoint_data_is_checked_when_built(self, end, beta, R, detail):
+        # the checks that need no dimensions run once, when the data is built
+        with pytest.raises(InvalidAsymptotics) as exc:
+            EndpointAsymptotics(end, a=-1, alpha=0, beta=beta, gamma=3, R=R)
+        assert str(exc.value) == detail
+
 
 class TestRegionMembership:
     def test_example1_origin(self):

@@ -1,11 +1,12 @@
-"""The solver's numpy kernels against the scipy routines they replace.
+"""The package's numpy kernels against the scipy routines they replace.
 
-logsumexp must equal scipy.special.logsumexp to the last bit, _brentq must
-return exactly what scipy.optimize.brentq returns, and the cyclic-reduction
-solve_banded must agree with LAPACK's banded solve to 1e-9 relative on every
-system the benchmark's fine-mesh solves build.  Split into factor_banded and
-solve_banded, the reduction must equal the single-pass one it replaced bit
-for bit.
+The probes' logsumexp must equal scipy.special.logsumexp to the last bit, the
+solver's _brentq must return exactly what scipy.optimize.brentq returns, and
+the cyclic-reduction solve_banded must agree with LAPACK's banded solve to
+1e-9 relative on every system the benchmark's fine-mesh solves build.  Split
+into factor_banded and solve_banded, the reduction must equal the single-pass
+one it replaced bit for bit, and a solve must leave its factor and its
+right-hand side as they were.
 """
 
 import copy
@@ -34,9 +35,6 @@ def _fine_mesh_inputs():
 
 
 class TestLogsumexp:
-    def test_probes_use_the_solver_kernel(self):
-        assert probes.logsumexp is solver.logsumexp
-
     @staticmethod
     def _inputs():
         rng = np.random.default_rng(3)
@@ -62,7 +60,7 @@ class TestLogsumexp:
             axes = [None] + list(range(-1, np.ndim(a))) if np.ndim(a) else [None]
             for axis in axes:
                 expected = scipy_logsumexp(a, axis=axis)
-                got = solver.logsumexp(a, axis=axis)
+                got = probes.logsumexp(a, axis=axis)
                 assert repr(got) == repr(expected), (a, axis)
                 assert type(got) is type(expected)
 
@@ -224,6 +222,31 @@ class TestSolveBanded:
         # solver replaces by a gradient step
         x = solver.solve_banded(solver.factor_banded(np.zeros((3, n))), np.ones(n))
         assert np.all(np.isnan(x))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 32, 33, 64, 256, 1999])
+    def test_solve_leaves_its_inputs_unchanged(self, n):
+        # every array reachable from the factor, and the right-hand sides,
+        # stay bit for bit as they were, after a finite and after a NaN solve
+        rng = np.random.default_rng(200 + n)
+        factor = solver.factor_banded(_dominant_system(n, rng))
+
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                return [obj]
+            if isinstance(obj, (tuple, list)):
+                return [a for item in obj for a in arrays(item)]
+            return []
+
+        held = arrays(factor)
+        assert held and all(isinstance(f, (tuple, np.ndarray)) for f in factor)
+        before = [a.tobytes() for a in held]
+        finite, nan = rng.normal(size=n), np.full(n, np.nan)
+        rhs_before = [finite.tobytes(), nan.tobytes()]
+        first = solver.solve_banded(factor, finite)
+        assert np.all(np.isnan(solver.solve_banded(factor, nan)))
+        assert [a.tobytes() for a in held] == before
+        assert [finite.tobytes(), nan.tobytes()] == rhs_before
+        assert solver.solve_banded(factor, finite).tobytes() == first.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 7, 256, 1999])
     def test_one_factor_serves_many_right_hand_sides(self, n):

@@ -177,7 +177,7 @@ class TestEsssupRatio:
         assert b.value == pytest.approx(1.0, abs=1e-12)
 
     def test_beta_zero_ignores_v(self):
-        r = default_radii(3, 64)
+        r = np.logspace(-3, 3, 2 * 3 * 64 + 1)
         k = Power(2.0, -0.25)
         t1 = eval_potentials(Constant(1.0), ExpInv(1.0), k, r)
         t2 = eval_potentials(Constant(1.0), Power(5.0, 3.0), k, r)
@@ -201,7 +201,7 @@ class TestEsssupRatio:
     def test_refinement_stability(self):
         # smooth interior maximum: the refined value agrees within 1e-3
         k = MaxOf((Power(1.0, 0.5), Power(1.0, -0.5)))
-        t = eval_potentials(Constant(1.0), Constant(1.0), k, default_radii(3, 32))
+        t = eval_potentials(Constant(1.0), Constant(1.0), k, np.logspace(-3, 3, 2 * 3 * 32 + 1))
         b = esssup_ratio(t, alpha=0.0, beta=0.0, interval=(0.1, 10.0))
         assert b.converged
 
@@ -220,7 +220,7 @@ class TestEsssupRatio:
 
     def test_monotone_in_interval(self):
         rng = np.random.default_rng(5)
-        t = eval_potentials(*example2_specs(), default_radii(4, 64))
+        t = eval_potentials(*example2_specs(), np.logspace(-4, 4, 2 * 4 * 64 + 1))
         for _ in range(50):
             lo = 10 ** rng.uniform(-3, 1)
             hi = lo * 10 ** rng.uniform(0.5, 3)
@@ -258,7 +258,7 @@ class TestEssinfWeighted:
         assert b.value == 0.0
 
     def test_monotone_in_interval(self):
-        t = eval_potentials(*example2_specs(), default_radii(4, 64))
+        t = eval_potentials(*example2_specs(), np.logspace(-4, 4, 2 * 4 * 64 + 1))
         outer = essinf_weighted(t, 1.3, (0.01, 100.0)).value
         inner = essinf_weighted(t, 1.3, (0.1, 10.0)).value
         assert outer <= inner * (1 + 1e-12)
