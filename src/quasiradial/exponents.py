@@ -262,20 +262,31 @@ def _origin_branch(asym: EndpointAsymptotics, dims: ProblemDims):
     return [one, pbeta, qs, qss], math.inf, None
 
 
-def q1_region_membership(asym: EndpointAsymptotics, q, dims: ProblemDims) -> bool:
-    """True iff (alpha, q) lies in the open admissible region at the origin.
+def q1_region_bounds(asym: EndpointAsymptotics, dims: ProblemDims):
+    """(lower, upper) with (alpha, q) in the open admissible region at the
+    origin iff lower < q < upper, for asym's alpha.
 
     The region is defined piecewise in gamma; exact branch boundaries dispatch
-    to their own branch.  All inequalities on q are strict, so q equal to any
-    bound is excluded.
+    to their own branch.  An unsatisfied alpha constraint gives the empty
+    (inf, -inf).  A raster forms the bounds once per alpha.
     """
     if asym.end != ORIGIN:
-        raise InvalidAsymptotics("q1_region_membership expects origin-end data")
+        raise InvalidAsymptotics("the origin region expects origin-end data")
     validate_endpoint(asym, dims)
     lowers, upper, constraint = _origin_branch(asym, dims)
     if constraint is not None and not constraint.satisfied:
-        return False
-    return max(lowers) < q < upper
+        return math.inf, -math.inf
+    return max(lowers), upper
+
+
+def q1_region_membership(asym: EndpointAsymptotics, q, dims: ProblemDims) -> bool:
+    """True iff (alpha, q) lies in the open admissible region at the origin.
+
+    All inequalities on q are strict, so q equal to any bound is excluded;
+    see q1_region_bounds.
+    """
+    lower, upper = q1_region_bounds(asym, dims)
+    return lower < q < upper
 
 
 def q1_admissible_set(asym: EndpointAsymptotics, dims: ProblemDims) -> AdmissibleSet:

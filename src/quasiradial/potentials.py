@@ -140,8 +140,9 @@ def default_radii():
 class PotentialTable:
     """A, V, K from their specs on a strictly increasing positive radius grid.
 
-    log_A/log_V/log_K are the specs' exact log-values; the linear values_*
-    may be inf where a spec overflows float range.
+    Only the specs' exact log-values log_A/log_V/log_K are kept; a reader
+    that needs linear values exponentiates them where it reads them, and
+    those may be inf where a spec overflows float range.
     """
 
     radii: np.ndarray
@@ -158,9 +159,6 @@ class PotentialTable:
         # positive potential may underflow the linear range
         if any(np.any(np.isneginf(x) | np.isnan(x)) for x in (self.log_A, self.log_K)):
             raise NonPositive("A and K must be strictly positive")
-        with np.errstate(over="ignore"):
-            self.values_A, self.values_V, self.values_K = (
-                np.exp(x) for x in (self.log_A, self.log_V, self.log_K))
 
     def interval_mask(self, r_lo, r_hi):
         return (self.radii >= r_lo) & (self.radii <= r_hi)
@@ -462,11 +460,12 @@ def validate_hypotheses(specs, dims: ProblemDims,
     lo = max(r_min, 1e-2)
     hi = min(r_max, 1e2)
     mask = table.interval_mask(lo, hi)
-    v_int, v_cauchy = _quad_refinement_cauchy(table.values_V[mask], table.radii[mask])
-    rep.add("V_locally_integrable", bool(np.all(np.isfinite(table.values_V[mask]))
+    with np.errstate(over="ignore"):  # inf where V or K overflows, which the checks report
+        values_V, values_K = (np.exp(x[mask]) for x in (table.log_V, table.log_K))
+        k_pow = values_K ** s_loc
+    v_int, v_cauchy = _quad_refinement_cauchy(values_V, table.radii[mask])
+    rep.add("V_locally_integrable", bool(np.all(np.isfinite(values_V))
                                          and v_cauchy), value=v_int)
-    with np.errstate(over="ignore"):
-        k_pow = table.values_K[mask] ** s_loc
     k_int, k_cauchy = _quad_refinement_cauchy(k_pow, table.radii[mask])
     rep.add("K_locally_s_integrable", bool(np.all(np.isfinite(k_pow)) and k_cauchy),
             value=k_int, detail=f"s = {s_loc}")
@@ -477,7 +476,7 @@ def validate_hypotheses(specs, dims: ProblemDims,
     for k in ks:
         m = table.interval_mask(2.0 ** (-int(k)), 1.0)
         with np.errstate(over="ignore"):
-            integrand = table.values_V[m] * table.radii[m] ** (N - 1)
+            integrand = np.exp(table.log_V[m]) * table.radii[m] ** (N - 1)
         vals.append(float(np.trapezoid(integrand, table.radii[m])))
     cauchy = len(vals) >= 2 and math.isfinite(vals[-1]) \
         and abs(vals[-1] - vals[-2]) <= 1e-8 * (1.0 + abs(vals[-1]))

@@ -41,8 +41,10 @@ class NotConverged(RuntimeError):
     """Descent stopped above tolerance.
 
     stop_reason is "line_search_stalled" when no step length down to the
-    smallest one lowered the projected energy, and "budget_exhausted" when
-    the iteration budget ran out."""
+    smallest one lowered the projected energy, "stagnated" when accepted
+    steps left the energy bit for bit unchanged _STAGNANT_STEPS times in a
+    row (the residual then sits at its rounding floor, which the message
+    gives), and "budget_exhausted" when the iteration budget ran out."""
 
     def __init__(self, message, stop_reason):
         super().__init__(f"{message} ({stop_reason})")
@@ -294,7 +296,6 @@ class _OnGrid:
 
     grid: RadialGrid
     table: PotentialTable
-    a_cell: np.ndarray
     a_measure: np.ndarray  # a_cell times the cell measure: the A-term's weight
     a_flux: np.ndarray  # a_measure / dr: the flux's weight per unit slope
     wv: np.ndarray  # quadrature weight times V per node
@@ -307,13 +308,12 @@ class _OnGrid:
 
 def _on_grid(grid: RadialGrid, table: PotentialTable) -> _OnGrid:
     _check_alignment(grid, table)
-    a_cell = _a_cell(table)
-    a_measure = a_cell * grid.cell_measure
-    # w V or w K may overflow to inf, which later steps detect; no warning
+    a_measure = _a_cell(table) * grid.cell_measure
+    # V, K, w V or w K may overflow to inf, which later steps detect; no warning
     with np.errstate(over="ignore"):
-        wv, wk = grid.quad_weights * table.values_V, grid.quad_weights * table.values_K
+        wv, wk = (grid.quad_weights * np.exp(x) for x in (table.log_V, table.log_K))
     log_wk = np.log(grid.quad_weights) + table.log_K
-    return _OnGrid(grid, table, a_cell, a_measure, a_measure / grid.dr, wv, wk, log_wk,
+    return _OnGrid(grid, table, a_measure, a_measure / grid.dr, wv, wk, log_wk,
                    float(log_wk.max() - log_wk.min()))
 
 
@@ -422,7 +422,9 @@ def _hat_norms(on: _OnGrid):
     ea = np.zeros(grid.n)
     ea[:-1] += stiff
     ea[1:] += stiff
-    return (ea + on.wv) ** (1.0 / p)
+    ea += on.wv
+    ea **= 1.0 / p
+    return ea
 
 
 def residual_weak_form(u: RadialFunction, table: PotentialTable,
@@ -510,9 +512,10 @@ def _project(v, on: _OnGrid, nl, level):
         # term at any node, so v is raised to it, which spares log its slow
         # log 0 (v = 0 nodes add what they would add at log 0 = -inf)
         floor = v_max * math.exp(-(700.0 + on.log_wk_span) / q_hi)
-        terms = np.maximum(v, floor)
-        np.log(terms, out=terms)
-        terms *= q_hi
+        log_v = np.maximum(v, floor)
+        np.log(log_v, out=log_v)
+        # a single power scales log v in place; min_powers keeps it for a mixed root
+        terms = np.multiply(log_v, q_hi, out=log_v if single else None)
         terms += on.log_wk  # log w K v^q_hi
         m = terms.max()
         terms -= m
@@ -537,11 +540,13 @@ def _project(v, on: _OnGrid, nl, level):
         # beyond; on the large branch the root satisfies M s^q_lo sum = s^p ||v||^p
         supp = v > 0.0
         pos, log_wk, wk = v[supp], on.log_wk[supp], on.wk[supp]
-        log_v = np.log(pos)
+        v_min = np.min(pos)
+        # log max(v, floor) is log v on the support unless a node there sits below the floor
+        log_v = log_v[supp] if v_min >= floor else np.log(pos)
         a = np.exp(log_wk + q_hi * log_v)
         b = np.exp(log_wk + q_lo * log_v)
         s = (level / (nl.M * np.sum(b))) ** (1.0 / (q_lo - p))
-        if math.isfinite(s) and s * np.min(pos) > 1.0:
+        if math.isfinite(s) and s * v_min > 1.0:
             return s, float(s ** p * level / q_lo
                             + nl.M * (1.0 / q_hi - 1.0 / q_lo) * np.sum(wk))
         s = np.float64(_bracketed_root(_min_powers_excess, (
@@ -587,8 +592,9 @@ def _bracketed_root(excess, args):
 def _min_powers_excess(t, pos, a, b, k_hi, k_lo, M, level):
     """M (t^k_hi sum_{t pos <= 1} a + t^k_lo sum_{t pos > 1} b) - level."""
     t = np.float64(t)  # t ** k overflows to inf instead of raising
-    small = t * pos <= 1.0
-    return M * (t ** k_hi * _dot(a, small) + t ** k_lo * _dot(b, ~small)) - level
+    # the mask as 1.0 and 0.0 once, not cast to float by every _dot block
+    small = (t * pos <= 1.0).astype(float)
+    return M * (t ** k_hi * _dot(a, small) + t ** k_lo * _dot(b, 1.0 - small)) - level
 
 
 def _rational_excess(t, a, e, d, k, M, level):
@@ -645,8 +651,9 @@ def _factor_metric(on: _OnGrid, w_a, w_v):
     """
     grid = on.grid
     p = grid.dims.p
-    stiff = (p - 1.0) * on.a_cell * w_a * grid.cell_measure / grid.dr ** 2
-    diag = (p - 1.0) * grid.quad_weights * on.table.values_V * w_v
+    stiff = (p - 1.0) * _a_cell(on.table) * w_a * grid.cell_measure / grid.dr ** 2
+    with np.errstate(over="ignore"):  # V may overflow to inf
+        diag = (p - 1.0) * grid.quad_weights * np.exp(on.table.log_V) * w_v
     diag[:-1] += stiff
     diag[1:] += stiff
     m = grid.n - 1
@@ -674,7 +681,8 @@ def _projected_trial(u, d, t, on: _OnGrid, nl):
     s^p ||v||_reg^p / p - source, with the regularized norm taken on the
     unscaled trial v (eps scales with s).  For p = 2 the regularization
     leaves the form unchanged and ||v||_reg^p is the level."""
-    trial = u - t * d
+    trial = np.multiply(t, d, out=np.empty(len(u)))
+    np.subtract(u, trial, out=trial)  # u - t d in one array
     np.maximum(trial, 0.0, out=trial)
     trial[-1] = 0.0
     du = _slopes(trial, on.grid)
@@ -695,6 +703,72 @@ def _projected_trial(u, d, t, on: _OnGrid, nl):
     return (trial, e) if math.isfinite(e) else None
 
 
+# accepted steps in a row that leave the energy bit for bit unchanged before
+# descent stops as stagnated
+_STAGNANT_STEPS = 20
+
+
+def _gradient(u, on: _OnGrid, nl, hat_norms):
+    """The stop quantities at u and the gradient that descent follows:
+    (residual, gap, ||u||^p, du, g), du being _slopes(u).
+
+    Convergence is judged on the unregularized defect g0 reported by
+    residual_weak_form, with the Nehari gap |g0 . u| / ||u||^p; descent
+    follows the regularized gradient g, which for p < 2 can differ from g0
+    near flat cells (for p = 2 the regularization leaves the flux unchanged
+    and g is g0)."""
+    du = _slopes(u, on.grid)
+    lower = _lower_order_terms(u, on, nl)
+    g0 = _gradient_array(du, on, 0.0, lower)
+    norm_p = _norm_p(u, du, on)
+    g = g0 if on.grid.dims.p == 2.0 else _gradient_array(du, on, _eps_for(du), lower)
+    return _residual(g0, hat_norms), abs(_dot(g0, u)) / norm_p, norm_p, du, g
+
+
+def _direction(u, du, g, on: _OnGrid, hat_norms, metric):
+    """The preconditioned descent direction d at u and its slope g . d:
+    (d, slope, metric).  For p = 2 metric is the solve's one factor; for
+    other p the metric is factored afresh with the weights lagged at u.
+    Where P^-1 g is not a descent direction, d is the raw gradient scaled
+    by the largest hat-function norm."""
+    grid = on.grid
+    p = grid.dims.p
+    if p != 2.0:
+        eps = _eps_for(du)
+        eps_u = 1e-10 * float(np.max(np.abs(u)))
+        metric = _factor_metric(on, (du * du + eps * eps) ** ((p - 2.0) / 2.0),
+                                (u * u + eps_u * eps_u) ** ((p - 2.0) / 2.0))
+    d = np.zeros(grid.n)
+    d[:-1] = solve_banded(metric, g[:-1])
+    slope = _dot(g, d)
+    if not math.isfinite(slope) or slope <= 0.0:
+        d = g / np.max(hat_norms)  # fall back to a raw gradient step
+        slope = _dot(g, d)
+    return d, slope, metric
+
+
+def _line_search(u, i_cur, d, slope, on: _OnGrid, nl):
+    """The step from u along -d (see solve_ground_state), as (trial, E), or
+    None when no step length down to _MIN_STEP passes."""
+    t, step = 1.0, None
+    while t > _MIN_STEP:
+        trial = _projected_trial(u, d, t, on, nl)
+        if trial is not None and trial[1] <= i_cur - 1e-4 * t * slope:
+            step = trial
+            break
+        t *= 0.5
+    if step is not None and t == 1.0:
+        # an accepted unit step is doubled while the projected energy
+        # falls; every iteration starts again from t = 1
+        while t < _MAX_STEP:
+            t *= 2.0
+            longer = _projected_trial(u, d, t, on, nl)
+            if longer is None or longer[1] >= step[1]:
+                break
+            step = longer
+    return step
+
+
 def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
                        grid: RadialGrid, tol: float = 1e-6,
                        max_iter: int = 20000,
@@ -712,7 +786,11 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
     than the last one taken; the last one taken is the step.  Raises
     CollapsedToZero when only the trivial critical point is reachable (or
     u0 has no projection) and NotConverged, with its stop_reason, when the
-    line search stalls or the iteration budget is exhausted above tolerance.
+    line search stalls, the energy stagnates or the iteration budget is
+    exhausted above tolerance.
+
+    An iteration runs three phases, _gradient, _direction and _line_search;
+    only u, its energy, the hat-function norms and the metric outlive one.
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
@@ -720,65 +798,35 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
         raise ValueError(f"tol must be positive and finite, got {tol}")
     on = _on_grid(grid, table)
     # the start is the projection of u0, taken as a line-search trial
-    start = _projected_trial(initial_bump(grid) if u0 is None else u0, 0.0, 0.0, on, nl)
-    if start is None:
+    step = _projected_trial(initial_bump(grid) if u0 is None else u0, 0.0, 0.0, on, nl)
+    if step is None:
         raise CollapsedToZero("the initial guess has no Nehari projection with a finite energy")
-    u, i_cur = start
-    p = grid.dims.p
+    u, i_cur = step
     hat_norms = _hat_norms(on)
     # for p = 2 the lagged weights are 1, so P is factored once per solve
-    metric = _factor_metric(on, 1.0, 1.0) if p == 2.0 else None
+    metric = _factor_metric(on, 1.0, 1.0) if grid.dims.p == 2.0 else None
+    stagnant = 0  # accepted steps in a row that left the energy unchanged
     # pass k tests u and, unless it stops there, takes step k; pass
     # max_iter + 1 only tests, and the report counts at most max_iter
     for k in range(1, max_iter + 2):
-        # convergence is judged on the unregularized defect g0 reported by
-        # residual_weak_form, with the Nehari gap |g0 . u| / ||u||^p; descent
-        # follows the regularized gradient g, which for p < 2 can differ from
-        # g0 near flat cells
-        du = _slopes(u, grid)
-        lower = _lower_order_terms(u, on, nl)
-        g0 = _gradient_array(du, on, 0.0, lower)
-        norm_p = _norm_p(u, du, on)
-        residual, gap = _residual(g0, hat_norms), abs(_dot(g0, u)) / norm_p
+        residual, gap, norm_p, du, g = _gradient(u, on, nl, hat_norms)
         if residual <= tol and gap <= tol:
             stop_reason = "converged"
+            break
+        if stagnant == _STAGNANT_STEPS:
+            stop_reason = "stagnated"
             break
         if k > max_iter:
             stop_reason = "budget_exhausted"
             break
-        if p == 2.0:
-            g = g0  # the regularization leaves the p = 2 flux unchanged
-        else:
-            eps = _eps_for(du)
-            eps_u = 1e-10 * float(np.max(np.abs(u)))
-            g = _gradient_array(du, on, eps, lower)
-            metric = _factor_metric(on, (du * du + eps * eps) ** ((p - 2.0) / 2.0),
-                                    (u * u + eps_u * eps_u) ** ((p - 2.0) / 2.0))
-        d = np.zeros(grid.n)
-        d[:-1] = solve_banded(metric, g[:-1])
-        slope = _dot(g, d)
-        if not math.isfinite(slope) or slope <= 0.0:
-            d = g / np.max(hat_norms)  # fall back to a raw gradient step
-            slope = _dot(g, d)
-        t, step = 1.0, None
-        while t > _MIN_STEP:
-            trial = _projected_trial(u, d, t, on, nl)
-            if trial is not None and trial[1] <= i_cur - 1e-4 * t * slope:
-                step = trial
-                break
-            t *= 0.5
-        if step is not None and t == 1.0:
-            # an accepted unit step is doubled while the projected energy
-            # falls; every iteration starts again from t = 1
-            while t < _MAX_STEP:
-                t *= 2.0
-                longer = _projected_trial(u, d, t, on, nl)
-                if longer is None or longer[1] >= step[1]:
-                    break
-                step = longer
+        d, slope, metric = _direction(u, du, g, on, hat_norms, metric)
+        del du, g  # the gradient's arrays die before the line search
+        step = _line_search(u, i_cur, d, slope, on, nl)
+        del d  # and the direction before the next gradient
         if step is None:
             stop_reason = "line_search_stalled"
             break
+        stagnant = stagnant + 1 if step[1] == i_cur else 0
         u, i_cur = step
         if on_iterate is not None:
             on_iterate(k, i_cur)
@@ -787,8 +835,10 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
 
     iterations = min(k, max_iter)
     if stop_reason != "converged":
+        residual_is = "residual" if stop_reason != "stagnated" else \
+            f"energy unchanged over {_STAGNANT_STEPS} steps, residual floor"
         raise NotConverged(
-            f"residual {residual:.3e}, gap {gap:.3e} after {iterations} iterations",
+            f"{residual_is} {residual:.3e}, gap {gap:.3e} after {iterations} iterations",
             stop_reason)
     uf = RadialFunction(grid, u)
     try:

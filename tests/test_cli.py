@@ -19,9 +19,16 @@ from quasiradial.cli import (
     EXIT_OK,
     _parse_sweep,
     example_config,
+    load_config,
     main,
 )
-from quasiradial.exponents import ProblemDims, q_double_star, q_star
+from quasiradial.exponents import (
+    EndpointAsymptotics,
+    ProblemDims,
+    q1_region_membership,
+    q_double_star,
+    q_star,
+)
 from quasiradial.solver import RadialFunction, build_grid
 
 
@@ -144,6 +151,33 @@ class TestRegionPlot:
         q_step = 14.0 / 140
         assert abs(min(inside) - 2.0) <= q_step + 1e-9  # lower endpoint 2
         assert max(inside) == 15.0                      # unbounded above
+
+    @pytest.mark.parametrize("origin, alpha_range, q_range, resolution", [
+        (None, (-10.0, 5.0), (1.0, 15.0), 64),
+        # at alpha = 0, q*, q** and p beta all equal q = 2
+        (None, (-2.0, 2.0), (1.0, 5.0), 9),
+        # gamma = N needs alpha > -(1 - beta) N = -4
+        ({"a": 0.0, "alpha": 0.0, "beta": 0.0, "gamma": 4.0}, (-6.0, -2.0), (1.0, 9.0), 9),
+        # gamma = (p (N - 1) + a) / (p - 1) = 6 needs alpha > -(1 - beta) gamma = -6
+        ({"a": 0.0, "alpha": 0.0, "beta": 0.0, "gamma": 6.0}, (-8.0, -4.0), (1.0, 9.0), 9),
+    ], ids=["ex1", "ex1_lower_bounds_meet", "gamma_N", "gamma_pole"])
+    def test_rows_equal_per_cell_membership(self, origin, alpha_range, q_range, resolution):
+        # the raster forms the region's bounds once per alpha; every cell is
+        # the one q1_region_membership gives, branch boundaries included
+        doc = example_config("ex1")
+        if origin is not None:
+            doc["asymptotics"]["origin"] = dict(origin, R=1.0)
+        cfg = load_config(doc)
+        expected = []
+        for alpha in np.linspace(*alpha_range, resolution):
+            asym = EndpointAsymptotics("origin", cfg.asym_origin.a, float(alpha),
+                                       cfg.asym_origin.beta, cfg.asym_origin.gamma)
+            for q in np.linspace(*q_range, resolution):
+                member = q1_region_membership(asym, float(q), cfg.dims)
+                expected.append((float(alpha), float(q), int(member)))
+        rows = cli.region_plot_rows(cfg, alpha_range, q_range, resolution)
+        assert rows == expected
+        assert {m for _, _, m in rows} == {0, 1}
 
     def test_failed_alpha_constraint_empty_plot(self, tmp_path, capsys):
         cfg = example_config("ex1")
@@ -342,6 +376,20 @@ class TestSolve:
         assert code == EXIT_NOT_CONVERGED
         assert doc["error"] == "not_converged"
         assert doc["detail"].endswith("(budget_exhausted)")
+
+    def test_stagnated_solve_exits_four(self, tmp_path, capsys):
+        # a tolerance below the residual's rounding floor: the solve stops
+        # once its energy no longer moves, not at the end of its budget
+        cfg = unit_benchmark_config()
+        cfg["grid"] = {"r_min": 1e-3, "r_max": 30.0, "n_nodes": 1001}
+        cfg["tolerances"] = {"solve_tol": 1e-11, "max_iter": 20000}
+        path = write_config(tmp_path, cfg)
+        code, doc = run_cli(capsys, ["solve", "--config", path,
+                                     "--out", str(tmp_path), "--force"])
+        assert code == EXIT_NOT_CONVERGED
+        assert doc["error"] == "not_converged"
+        assert "residual floor" in doc["detail"]
+        assert doc["detail"].endswith("(stagnated)")
 
     def test_negative_max_iter_exits_two(self, tmp_path, capsys):
         cfg = unit_benchmark_config()

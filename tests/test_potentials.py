@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -34,6 +35,13 @@ from quasiradial.potentials import (
 D24 = ProblemDims(N=4, p=2)
 
 
+def linear(log_values):
+    """A table's linear values, formed from its logs as the package's readers
+    form them: inf where they overflow, 0 where they underflow."""
+    with np.errstate(over="ignore"):
+        return np.exp(log_values)
+
+
 def example1_specs():
     v = Piecewise(1.0, ExpInv(1.0), Power(1.0, -3.0))
     k = Piecewise(1.0, ExpInv(1.0), Constant(1.0))
@@ -64,7 +72,7 @@ class TestSpecEvaluation:
         spec = ExpInv(1.0)
         assert spec.evaluate_log(1e-5) == pytest.approx(1e5)
         t = eval_potentials(Constant(1.0), spec, Constant(1.0), np.array([1e-5, 1.0]))
-        assert math.isinf(t.values_V[0])
+        assert math.isinf(linear(t.log_V)[0])
         assert t.log_V[0] == pytest.approx(1e5)
 
     def test_piecewise(self):
@@ -109,7 +117,7 @@ class TestEvalPotentials:
     def test_builds_table(self):
         r = np.logspace(-3, 3, 200)
         t = eval_potentials(*example1_specs(), r)
-        assert t.values_A[0] == pytest.approx(1e3)
+        assert linear(t.log_A)[0] == pytest.approx(1e3)
         assert np.all(np.isfinite(t.log_V))
 
     def test_nonpositive_rejected(self):
@@ -130,8 +138,21 @@ class TestEvalPotentials:
         t_power = eval_potentials(a, Power(0.0, 1.0), k, r)
         t_const = eval_potentials(a, Constant(0.0), k, r)
         np.testing.assert_array_equal(t_power.log_V, t_const.log_V)
-        np.testing.assert_array_equal(t_power.values_V, t_const.values_V)
-        assert np.all(t_power.log_V == -np.inf) and np.all(t_power.values_V == 0.0)
+        np.testing.assert_array_equal(linear(t_power.log_V), linear(t_const.log_V))
+        assert np.all(t_power.log_V == -np.inf) and np.all(linear(t_power.log_V) == 0.0)
+
+    def test_table_keeps_the_logs_only(self):
+        # three arrays of 100000 doubles (2.29 MiB); the linear values are
+        # formed by the readers that need them
+        r = np.logspace(-3, math.log10(30.0), 100000)
+        tracemalloc.start()
+        try:
+            t = eval_potentials(Constant(1.0), Constant(1.0), Constant(1.0), r)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 2.5 * 2 ** 20
+        assert not hasattr(t, "values_V")
 
 
 class TestLimitExponent:
@@ -194,7 +215,7 @@ class TestEsssupRatio:
     def test_underflowing_v_is_not_zero(self):
         # V = K = e^(-1/r) underflows near r = 1e-6, but log K - log V = 0 at every node
         t = eval_potentials(Constant(1.0), ExpInv(-1.0), ExpInv(-1.0), default_radii())
-        assert np.any(t.values_V[t.interval_mask(1e-6, 1.0)] == 0.0)
+        assert np.any(linear(t.log_V)[t.interval_mask(1e-6, 1.0)] == 0.0)
         b = esssup_ratio(t, alpha=0.0, beta=1.0, interval=(1e-6, 1.0))
         assert b.value == 1.0
 
@@ -343,7 +364,7 @@ def reference_esssup_ratio(table, alpha, beta, interval, tol=1e-3):
     mask = table.interval_mask(r_lo, r_hi)
     if not np.any(mask):
         raise InsufficientRange(f"no grid points inside ({r_lo}, {r_hi})")
-    if beta != 0 and np.any(table.values_V[mask] == 0):
+    if beta != 0 and np.any(linear(table.log_V)[mask] == 0):
         raise DivisionByZeroV("V vanishes on the sample while beta > 0")
     log_vals = _reference_log_ratio(table, alpha, beta, mask)
     i_rel = int(np.argmax(log_vals))

@@ -1,4 +1,7 @@
 import math
+import re
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,12 +48,18 @@ def smooth_table(grid):
     return eval_potentials(a, v, k, grid.nodes)
 
 
+def a_cell(table):
+    """A per cell: the geometric mean of its end values, from the logs as
+    the solver forms it."""
+    return np.exp(0.5 * (table.log_A[:-1] + table.log_A[1:]))
+
+
 def bisection_nehari_scale(u, table, nl):
     """Reference projection: bisection on the scaled source integral, with
     f evaluated at t u on every trial."""
     grid, p = u.grid, u.grid.dims.p
     q_norm = weighted_norm(u, table) ** p
-    wk = grid.quad_weights * table.values_K
+    wk = grid.quad_weights * np.exp(table.log_K)
 
     def shifted(t):
         tu = t * u.values
@@ -150,7 +159,7 @@ def reference_gradient_array(du, on, eps, lower):
     with np.errstate(invalid="ignore", divide="ignore"):
         flux_density = np.where((du == 0.0) & (eps == 0.0), 0.0,
                                 (du * du + eps * eps) ** ((p - 2.0) / 2.0) * du)
-    flux = flux_density * (on.a_cell * grid.cell_measure / grid.dr)
+    flux = flux_density * (a_cell(on.table) * grid.cell_measure / grid.dr)
     g = np.zeros(grid.n)
     g[:-1] -= flux
     g[1:] += flux
@@ -172,9 +181,9 @@ def reference_solve_preconditioned(g, u, on, eps, eps_u):
     """The metric P built and factored afresh at u, then solved for g."""
     grid, p = on.grid, on.grid.dims.p
     du = np.diff(u) / grid.dr
-    coef = (p - 1.0) * on.a_cell * (du * du + eps * eps) ** ((p - 2.0) / 2.0)
+    coef = (p - 1.0) * a_cell(on.table) * (du * du + eps * eps) ** ((p - 2.0) / 2.0)
     stiff = coef * grid.cell_measure / grid.dr ** 2
-    diag = (p - 1.0) * grid.quad_weights * on.table.values_V \
+    diag = (p - 1.0) * grid.quad_weights * np.exp(on.table.log_V) \
         * (u * u + eps_u * eps_u) ** ((p - 2.0) / 2.0)
     diag[:-1] += stiff
     diag[1:] += stiff
@@ -603,7 +612,7 @@ class TestNehariAgainstBisection:
         cfg = load_config(example_config("ex2_I"))
         grid = build_grid(cfg.r_min, cfg.r_max, 4000, cfg.dims)
         t = eval_potentials(cfg.spec_A, cfg.spec_V, cfg.spec_K, grid.nodes)
-        wk = grid.quad_weights * t.values_K
+        wk = grid.quad_weights * np.exp(t.log_K)
         assert np.log10(wk.max() / wk.min()) > 55
         vals = np.minimum(1.0, grid.nodes ** -3.0)
         vals[-1] = 0.0
@@ -733,6 +742,24 @@ class TestWholeArrayProjection:
             rel = max(rel, 1e-14)
             self.check(K, nl, ["small"] * 3, rel=rel, source_rel=2.0 * rel)
 
+
+    def test_mixed_root_is_the_compressed_one_to_the_last_bit(self):
+        # a mixed root reads log v on the support from the whole-array log
+        # when no node there sits below its floor, and takes it afresh
+        # otherwise; either way the projection is the compressed one's
+        on, trials = self.trials(Power(1.0, -0.25))
+        trials += [v ** 40 for v in trials[:2]]  # support nodes below the floor
+        nl = NonlinearitySpec("min_powers", 3, 8.5, M=1.0)
+        below = []
+        for v in trials:
+            if _branch(v, on, nl) != "mixed":
+                continue
+            floor = v.max() * math.exp(-(700.0 + on.log_wk_span) / 8.5)
+            below.append(bool(np.any(v[v > 0.0] < floor)))
+            level = solver_module._norm_p(v, np.diff(v) / on.grid.dr, on)
+            assert solver_module._project(v, on, nl, level) == \
+                compressed_project(v, on, nl, level)
+        assert sorted(set(below)) == [False, True]
 
     def test_floors_change_no_bit(self):
         # v is raised to a floor where it vanishes and the terms to e^-700
@@ -1280,6 +1307,23 @@ class TestSolve:
         assert exc.value.stop_reason == "line_search_stalled"
         assert "(line_search_stalled)" in str(exc.value)
 
+    def test_stop_reason_stagnated(self):
+        # tol = 1e-11 lies below the rounding floor of the residual at 1001
+        # nodes: from iteration 37 every accepted step repeats the energy bit
+        # for bit, and the solve stops after 20 repeats instead of running
+        # its whole budget (20000 iterations, about 19 s)
+        grid = build_grid(1e-3, 30.0, 1001, D23)
+        energies = []
+        start = time.process_time()
+        with pytest.raises(NotConverged) as exc:
+            solve_ground_state(unit_table(grid), pure_power(4), grid, tol=1e-11,
+                               on_iterate=lambda k, e: energies.append(e))
+        assert time.process_time() - start < 1.0
+        assert exc.value.stop_reason == "stagnated"
+        assert energies[-21:] == [energies[-21]] * 21 and energies[-22] != energies[-21]
+        floor = float(re.search(r"residual floor (\S+),", str(exc.value)).group(1))
+        assert 1e-11 < floor < 1e-9
+
     def test_rational_nonlinearity_smoke(self):
         grid = build_grid(5e-2, 15.0, 80, D23)
         t = unit_table(grid)
@@ -1298,6 +1342,24 @@ class TestSolve:
         vals = np.array(vals)
         assert np.any(vals[: len(vals) // 2] > 0)
         assert vals[-1] < 0
+
+
+class TestMemory:
+    def test_solve_peak_at_100000_nodes(self):
+        # only u, its energy, the hat-function norms and the metric outlive a
+        # descent phase: the solve's traced peak above the grid and the
+        # table stays near 150 bytes per node (216 when every iteration's
+        # arrays lived on into the next)
+        grid = build_grid(1e-3, 30.0, 100000, D23)
+        table = unit_table(grid)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solve_ground_state(table, pure_power(4), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 18 * 2 ** 20
 
 
 class TestResidual:
