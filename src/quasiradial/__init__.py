@@ -41,7 +41,6 @@ from .potentials import (
     Power,
     essinf_weighted,
     esssup_ratio,
-    estimate_limit_exponent,
     eval_potentials,
     spec_from_json,
     validate_hypotheses,

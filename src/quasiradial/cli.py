@@ -128,8 +128,8 @@ def load_config(obj) -> RunConfig:
         spec_v = spec_from_json(pots["V"])
         spec_k = spec_from_json(pots["K"])
         s_loc = float(pots.get("s_loc", 2.0))
-        if s_loc <= 1:
-            raise ConfigError("potentials.s_loc must exceed 1")
+        if not 1.0 < s_loc < math.inf:
+            raise ConfigError(f"potentials.s_loc must be finite and exceed 1, got {s_loc}")
         asym_o = _endpoint_from_json("origin", obj["asymptotics"]["origin"])
         asym_i = _endpoint_from_json("infinity", obj["asymptotics"]["infinity"])
         nl = NonlinearitySpec.from_json(obj["nonlinearity"])
@@ -154,6 +154,10 @@ def load_config(obj) -> RunConfig:
         solve_tol = float(tols.get("solve_tol", 1e-6))
         if not 0.0 < solve_tol < math.inf:
             raise ConfigError(f"tolerances.solve_tol must be positive and finite, got {solve_tol}")
+        probe_threshold = float(tols.get("probe_threshold", 0.9))
+        if not 0.0 < probe_threshold <= 1.0:  # per-decade ratios below it mean decay
+            raise ConfigError(
+                f"tolerances.probe_threshold must lie in (0, 1], got {probe_threshold}")
         R_origin = [float(x) for x in probe.get("R_origin", [0.1, 0.01, 0.001])]
         R_infinity = [float(x) for x in probe.get("R_infinity", [10.0, 100.0, 1000.0])]
         for key, radii in (("R_origin", R_origin), ("R_infinity", R_infinity)):
@@ -166,7 +170,7 @@ def load_config(obj) -> RunConfig:
             r_min=r_min, r_max=r_max, n_nodes=n_nodes,
             solve_tol=solve_tol,
             max_iter=max_iter,
-            probe_threshold=float(tols.get("probe_threshold", 0.9)),
+            probe_threshold=probe_threshold,
             probe_r_min=probe_r_min, probe_r_max=probe_r_max, probe_n_nodes=probe_n_nodes,
             R_origin=R_origin, R_infinity=R_infinity,
         )

@@ -67,7 +67,7 @@ class EndpointAsymptotics:
     a is the local power rate of the gradient weight, alpha and beta bound the
     source weight against r^alpha * V^beta, gamma bounds V from below via
     r^gamma * V, and R is the radius beyond (or below) which the bounds hold.
-    end must be ORIGIN or INFINITY, beta lie in [0, 1] and R be positive; the
+    end must be ORIGIN or INFINITY, beta lie in [0, 1] and R in (0, inf); the
     hypotheses that depend on the dimensions are checked by validate_endpoint.
     """
 
@@ -85,6 +85,8 @@ class EndpointAsymptotics:
             raise InvalidAsymptotics(f"beta must lie in [0, 1], got {self.beta}")
         if not self.R > 0:
             raise InvalidAsymptotics(f"R must be positive, got {self.R}")
+        if self.R == math.inf:
+            raise InvalidAsymptotics(f"R must be finite, got {self.R}")
 
 
 def validate_endpoint(asym: EndpointAsymptotics, dims: ProblemDims) -> None:

@@ -75,9 +75,10 @@ def f_eval(spec: NonlinearitySpec, t):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if spec.kind == RATIONAL:
             vals = spec.M * t ** (spec.q2 - 1) / (1.0 + t ** (spec.q2 - spec.q1))
-        else:  # the min of the powers, formed in place for an array t
+        else:  # the min of the powers, formed in place for an array t; one if they agree
             vals = t ** (spec.q1 - 1)
-            vals = np.minimum(vals, t ** (spec.q2 - 1), out=vals if np.ndim(t) else None)
+            if spec.q2 != spec.q1:
+                vals = np.minimum(vals, t ** (spec.q2 - 1), out=vals if np.ndim(t) else None)
             vals *= spec.M
         if not np.isfinite(vals).all():  # only beyond t = 1: redo through logs, log M included
             bad = ~np.isfinite(vals)

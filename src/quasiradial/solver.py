@@ -26,7 +26,7 @@ import numpy as np
 
 from .exponents import EndpointAsymptotics, ProblemDims, pointwise_decay_exponent
 from .nonlinearity import PURE_POWER, RATIONAL, NonlinearitySpec, F_eval, f_eval
-from .potentials import PotentialTable, _end_decade
+from .potentials import PotentialTable
 
 
 class BadRange(ValueError):
@@ -625,7 +625,7 @@ def decay_slopes(u: RadialFunction):
             raise Degenerate("too few points in the end decade")
         return float(np.polyfit(np.log(rs[sel]), np.log(vs[sel]), 1)[0])
 
-    return fit(_end_decade(rs, "origin")), fit(_end_decade(rs, "infinity"))
+    return fit(rs <= rs[0] * 10.0), fit(rs >= rs[-1] / 10.0)
 
 
 def initial_bump(grid: RadialGrid) -> np.ndarray:

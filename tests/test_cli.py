@@ -287,6 +287,10 @@ class TestNonPositivePotentials:
     def test_negative_v_exits_two(self, tmp_path, capsys, command):
         self._run(tmp_path, capsys, command, "V", {"kind": "constant", "c": -1})
 
+    @COMMANDS
+    def test_empty_min_exits_two(self, tmp_path, capsys, command):
+        self._run(tmp_path, capsys, command, "V", {"kind": "min", "args": []})
+
     # the specs refuse these when the config is loaded, so also the commands
     # that never tabulate the potentials exit 2
     @pytest.mark.parametrize("command", [["check"], ["region"], ["region-plot"]],
@@ -299,6 +303,47 @@ class TestNonPositivePotentials:
     ], ids=["negative_A", "nan_V_scale"])
     def test_refused_on_loading(self, tmp_path, capsys, command, key, spec):
         self._run(tmp_path, capsys, command, key, spec)
+
+
+class TestBadVerdictSettings:
+    """A non-finite s_loc or R, or a probe threshold outside (0, 1], would turn
+    a check or probe verdict into noise or a crash; each is an invalid
+    config (exit 2)."""
+
+    @pytest.mark.parametrize("s_loc", [math.nan, math.inf, 1.0])
+    def test_bad_s_loc_exits_two(self, tmp_path, capsys, s_loc):
+        cfg = example_config("ex1")
+        cfg["potentials"]["s_loc"] = s_loc
+        path = write_config(tmp_path, cfg)
+        code, doc = run_cli(capsys, ["check", "--config", path])
+        assert code == EXIT_CONFIG
+        assert doc["error"] == "invalid_config"
+        assert "s_loc" in doc["detail"]
+
+    @pytest.mark.parametrize("threshold", [math.nan, -1.0, 0.0, 1.5, 5.0, math.inf])
+    def test_bad_probe_threshold_exits_two(self, tmp_path, capsys, threshold):
+        cfg = example_config("ex1")
+        cfg["tolerances"]["probe_threshold"] = threshold
+        path = write_config(tmp_path, cfg)
+        code, doc = run_cli(capsys, ["probe", "--config", path, "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert doc["error"] == "invalid_config"
+        assert "probe_threshold" in doc["detail"]
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("end", ["origin", "infinity"])
+    def test_infinite_r_exits_two(self, tmp_path, capsys, end):
+        # [R, inf) would be empty at infinity
+        cfg = example_config("ex1")
+        cfg["asymptotics"][end]["R"] = math.inf
+        code, doc = run_cli(capsys, ["check", "--config", write_config(tmp_path, cfg)])
+        assert code == EXIT_CONFIG
+        assert "R must be finite" in doc["detail"]
+
+    def test_threshold_one_is_allowed(self):
+        cfg = example_config("ex1")
+        cfg["tolerances"]["probe_threshold"] = 1.0
+        assert load_config(cfg).probe_threshold == 1.0
 
 
 class TestBadNonlinearity:

@@ -173,6 +173,7 @@ class TestQ2LowerBound:
         ("infinity", float("nan"), 1.0, "beta must lie in [0, 1], got nan"),
         ("origin", 1.0, 0.0, "R must be positive, got 0.0"),
         ("infinity", 0.0, float("nan"), "R must be positive, got nan"),
+        ("infinity", 0.0, float("inf"), "R must be finite, got inf"),
     ])
     def test_endpoint_data_is_checked_when_built(self, end, beta, R, detail):
         # the checks that need no dimensions run once, when the data is built

@@ -70,6 +70,27 @@ class TestFEval:
             assert np.all(np.isfinite(vals)), spec
             np.testing.assert_allclose(vals, [ref(t) for t in ts], rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("M", [1.0, 1e-250])
+    @pytest.mark.parametrize("make", [pure_power, lambda q, M: minp(q, q, M=M)],
+                             ids=["pure_power", "min_powers"])
+    def test_single_power_is_the_min_of_two_bit_for_bit(self, monkeypatch, make, M):
+        # one power where q1 = q2, equal to the min of the two to the bit, the
+        # log redo past overflow included (u^8 overflows beyond u = 1e38.5)
+        t = np.concatenate([[0.0], np.logspace(-4, 40, 441)])
+        q = 9.0
+        with np.errstate(over="ignore", divide="ignore"):
+            vals = np.minimum(t ** (q - 1), t ** (q - 1)) * M
+            expected = np.where(np.isfinite(vals), vals,
+                                np.exp(np.log(M) + (q - 1) * np.log(t)))
+
+        def no_min(*args, **kwargs):
+            raise AssertionError("a single power takes no min")
+
+        monkeypatch.setattr(nonlinearity.np, "minimum", no_min)
+        got = f_eval(make(q, M=M), t)
+        assert not np.isfinite(vals).all()
+        assert got.tobytes() == expected.tobytes()
+
     def test_finite_entries_are_the_direct_form(self):
         t = np.concatenate([-np.logspace(-3, 30, 50), [0.0], np.logspace(-3, 30, 50)])
         spec = rat(3, 9, M=2.5)
