@@ -1,11 +1,12 @@
 """Radial potential models and exact hypothesis checks.
 
 Potentials are closed-form expression trees (powers, exponentials of 1/r,
-min/max combinations, piecewise splices).  The solver and the probes read
-them as tables of exact log-values, so factors like e^{1/r} stay usable
-where the potentials overflow.  The hypothesis checks sample nothing: in
-s = log r each checked quantity is piecewise c + e s + k e^(-s), whose sup
-on a piece lies at an end, at s = log(k / e) or in the limit s -> +-inf.
+min/max combinations, piecewise splices), each held as one closed form: its
+log in s = log r, piecewise c + e s + k e^(-s).  The solver and the probes
+read tables of these log-values, so factors like e^{1/r} stay usable where
+the potentials overflow.  The hypothesis checks sample nothing: each checked
+quantity is again such a piece list, whose sup on a piece lies at an end, at
+s = log(k / e) or in the limit s -> +-inf.
 """
 
 from __future__ import annotations
@@ -177,10 +178,6 @@ class PotentialSpec:
         if not values.get("parts", True):
             raise ValueError(f"{type(self).__name__} needs at least one part")
 
-    def evaluate_log(self, r):
-        """Natural log of the potential, computed without overflow."""
-        raise NotImplementedError
-
     @cached_property
     def pieces(self):
         """The log of the potential at r = e^s as a piece list, formed once;
@@ -191,38 +188,25 @@ class PotentialSpec:
 
 @dataclass(frozen=True)
 class Power(PotentialSpec):
-    c: float = 1.0
-    e: float = 0.0
-
-    def evaluate_log(self, r):
-        """c = 0 is the zero potential, log -inf."""
-        return _log(self.c) + self.e * np.log(r)
+    c: float
+    e: float
 
 
 @dataclass(frozen=True)
 class Constant(PotentialSpec):
-    c: float = 1.0
-
-    def evaluate_log(self, r):
-        return np.full_like(np.asarray(r, dtype=float), _log(self.c))
+    c: float
 
 
 @dataclass(frozen=True)
 class ExpInv(PotentialSpec):
     """e^{scale / r}: singular at the origin for scale > 0."""
 
-    scale: float = 1.0
-
-    def evaluate_log(self, r):
-        return self.scale / np.asarray(r, dtype=float)
+    scale: float
 
 
 @dataclass(frozen=True)
 class MinOf(PotentialSpec):
     parts: tuple
-
-    def evaluate_log(self, r):
-        return np.minimum.reduce([s.evaluate_log(r) for s in self.parts])
 
     @cached_property
     def pieces(self):
@@ -232,9 +216,6 @@ class MinOf(PotentialSpec):
 @dataclass(frozen=True)
 class MaxOf(PotentialSpec):
     parts: tuple
-
-    def evaluate_log(self, r):
-        return np.maximum.reduce([s.evaluate_log(r) for s in self.parts])
 
     @cached_property
     def pieces(self):
@@ -248,11 +229,6 @@ class Piecewise(PotentialSpec):
     breakpoint: float
     inner: PotentialSpec
     outer: PotentialSpec
-
-    def evaluate_log(self, r):
-        r = np.asarray(r, dtype=float)
-        return np.where(r < self.breakpoint, self.inner.evaluate_log(r),
-                        self.outer.evaluate_log(r))
 
     @cached_property
     def pieces(self):
@@ -286,6 +262,17 @@ def spec_from_json(obj) -> PotentialSpec:
 # Tables
 # ---------------------------------------------------------------------------
 
+def _tabulate(pcs, r, log_r):
+    """The log of a potential at radii r from its pieces: k / r where k != 0
+    and c + e log_r otherwise, as each leaf kind computes it.  A piece holds
+    from its start on, so a radius whose log is a piece's start takes it."""
+    out = None
+    for start, (c, e, k) in pcs:
+        vals = k / r if k else c + e * log_r
+        out = vals if out is None else np.where(log_r < start, out, vals)
+    return out
+
+
 @dataclass
 class PotentialTable:
     """A, V, K from their specs on a strictly increasing positive radius grid.
@@ -304,11 +291,17 @@ class PotentialTable:
             raise ValueError("radii must be a 1-d grid with at least 2 points")
         if not np.all(r > 0) or not np.all(np.diff(r) > 0):
             raise ValueError("radii must be positive and strictly increasing")
-        self.log_A, self.log_V, self.log_K = (s.evaluate_log(r) for s in self.specs)
+        log_r = np.log(r)
+        self.log_A, self.log_V, self.log_K = (_tabulate(s.pieces, r, log_r) for s in self.specs)
         # positivity is judged on the exact log-values, since a genuinely
         # positive potential may underflow the linear range
         if any(np.any(np.isneginf(x) | np.isnan(x)) for x in (self.log_A, self.log_K)):
             raise NonPositive("A and K must be strictly positive")
+
+    @property
+    def log_A_cell(self):
+        """log A per cell, the mean of its ends' logs: A's geometric mean, as on a log grid."""
+        return 0.5 * (self.log_A[:-1] + self.log_A[1:])
 
 
 def eval_potentials(spec_A: PotentialSpec, spec_V: PotentialSpec,
@@ -409,9 +402,9 @@ def validate_hypotheses(specs, dims: ProblemDims,
     Failures are report entries, not exceptions; A or K that vanishes on a
     set of positive length raises NonPositive.  The bounds are essential
     sups and infs over (0, R] and [R, inf), limits at 0 and inf included.
-    Local integrability is checked on [1e-2, 1e2] by the sup of V and of
-    K^s there; the integrability of V r^(N-1) near 0 is reported as a
-    non-gating diagnostic, by its exponent at 0.
+    Local integrability is checked on [1e-2, 1e2] by the logs of the sups
+    of V and of K^s there; the integrability of V r^(N-1) near 0 is
+    reported as a non-gating diagnostic, by its exponent at 0.
     """
     spec_A, spec_V, spec_K = specs
     if any(_vanishes(spec.pieces, -math.inf, math.inf) for spec in (spec_A, spec_K)):
@@ -462,13 +455,14 @@ def validate_hypotheses(specs, dims: ProblemDims,
 
     # local integrability on an interior compact (the hypotheses only ask for
     # integrability away from the endpoints): V and K^s are bounded there
-    # unless their sups overflow the float range
+    # when the logs of their sups are below inf (-inf for a zero V), though
+    # the sups themselves, the reported values, may overflow the float range
     lo, hi = math.log(1e-2), math.log(1e2)
-    sup_V = _exp(_sup(spec_V.pieces, lo, hi))
-    rep.add("V_locally_integrable", math.isfinite(sup_V), value=sup_V,
+    log_sup_V = _sup(spec_V.pieces, lo, hi)
+    rep.add("V_locally_integrable", log_sup_V < math.inf, value=_exp(log_sup_V),
             detail="sup of V on [1e-2, 1e2]")
-    sup_K = _exp(s_loc * _sup(spec_K.pieces, lo, hi))
-    rep.add("K_locally_s_integrable", math.isfinite(sup_K), value=sup_K,
+    log_sup_K = s_loc * _sup(spec_K.pieces, lo, hi)
+    rep.add("K_locally_s_integrable", log_sup_K < math.inf, value=_exp(log_sup_K),
             detail=f"s = {s_loc}, sup of K^s on [1e-2, 1e2]")
 
     # non-gating diagnostic: V r^(N-1) ~ r^b at 0 is integrable there iff b > -1

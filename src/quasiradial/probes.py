@@ -29,7 +29,7 @@ class TooFewSamples(ValueError):
     """A decay verdict needs at least three probe samples."""
 
 
-def logsumexp(a, axis=None):
+def logsumexp(a, axis):
     """log(sum(exp(a))) over axis (every axis when None), by the formula of
     scipy.special.logsumexp: the largest term is taken out of the sum and
     added back through log1p.  Where that is not finite (a row of -inf, or
@@ -69,8 +69,7 @@ def _log_norm_terms(log_u, grid: RadialGrid, table: PotentialTable):
     """
     p = grid.dims.p
     log_du = _log_abs_diff(log_u[..., 1:], log_u[..., :-1]) - np.log(grid.dr)
-    log_a_cell = 0.5 * (table.log_A[:-1] + table.log_A[1:])
-    grad_terms = log_a_cell + p * log_du + np.log(grid.cell_measure)
+    grad_terms = table.log_A_cell + p * log_du + np.log(grid.cell_measure)
     with np.errstate(divide="ignore"):
         log_w = np.log(grid.quad_weights)
     mass_terms = log_w + table.log_V + p * log_u
@@ -225,7 +224,7 @@ def probe_infinity(table: PotentialTable, q: float, R_list, family: TrialFamily)
     return _probe(table, q, R_list, family, "infinity")
 
 
-def decay_verdict(curve: ProbeCurve, threshold: float = 0.9) -> str:
+def decay_verdict(curve: ProbeCurve, threshold: float) -> str:
     """'decays' when every successive per-decade ratio toward the limit is
     below the threshold, else 'stalls'; 'inconclusive' when no sample has a
     finite log value (an empty family probes nothing)."""

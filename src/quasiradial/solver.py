@@ -284,11 +284,6 @@ def _check_alignment(grid: RadialGrid, table: PotentialTable):
         raise ValueError("potential table must be sampled on the grid nodes")
 
 
-def _a_cell(table: PotentialTable):
-    # geometric mean of endpoint values, consistent with the log grid
-    return np.exp(0.5 * (table.log_A[:-1] + table.log_A[1:]))
-
-
 @dataclass(frozen=True)
 class _OnGrid:
     """A potential table checked against one grid, with the per-cell and
@@ -296,7 +291,7 @@ class _OnGrid:
 
     grid: RadialGrid
     table: PotentialTable
-    a_measure: np.ndarray  # a_cell times the cell measure: the A-term's weight
+    a_measure: np.ndarray  # A per cell times the cell measure: the A-term's weight
     a_flux: np.ndarray  # a_measure / dr: the flux's weight per unit slope
     wv: np.ndarray  # quadrature weight times V per node
     wk: np.ndarray  # quadrature weight times K per node
@@ -308,7 +303,7 @@ class _OnGrid:
 
 def _on_grid(grid: RadialGrid, table: PotentialTable) -> _OnGrid:
     _check_alignment(grid, table)
-    a_measure = _a_cell(table) * grid.cell_measure
+    a_measure = np.exp(table.log_A_cell) * grid.cell_measure
     # V, K, w V or w K may overflow to inf, which later steps detect; no warning
     with np.errstate(over="ignore"):
         wv, wk = (grid.quad_weights * np.exp(x) for x in (table.log_V, table.log_K))
@@ -335,7 +330,11 @@ def _norm_p(u, du, on: _OnGrid, eps=0.0):
     the flux-regularized (u'^2 + eps^2)^(p/2) - eps^p, which makes the value
     p times the quadratic part of the energy."""
     p = on.grid.dims.p
-    dens = _abs_pow(du, p) if eps == 0.0 else (du * du + eps * eps) ** (p / 2.0) - eps ** p
+    if eps == 0.0:
+        dens = _abs_pow(du, p)
+    else:  # inf or NaN where u' is astronomical: the energy is not finite, the trial refused
+        with np.errstate(over="ignore", invalid="ignore"):
+            dens = (du * du + eps * eps) ** (p / 2.0) - eps ** p
     return _dot(dens, on.a_measure) + _dot(on.wv, _abs_pow(u, p))
 
 
@@ -392,7 +391,8 @@ def _gradient_array(du, on: _OnGrid, eps, lower):
     if p == 2.0:
         flux_density = du
     else:
-        with np.errstate(invalid="ignore", divide="ignore"):
+        # an astronomical u' overflows to a residual that cannot converge
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             flux_density = np.where((du == 0.0) & (eps == 0.0), 0.0,
                                     (du * du + eps * eps) ** ((p - 2.0) / 2.0) * du)
     flux = flux_density * on.a_flux
@@ -651,7 +651,7 @@ def _factor_metric(on: _OnGrid, w_a, w_v):
     """
     grid = on.grid
     p = grid.dims.p
-    stiff = (p - 1.0) * _a_cell(on.table) * w_a * grid.cell_measure / grid.dr ** 2
+    stiff = (p - 1.0) * np.exp(on.table.log_A_cell) * w_a * grid.cell_measure / grid.dr ** 2
     with np.errstate(over="ignore"):  # V may overflow to inf
         diag = (p - 1.0) * grid.quad_weights * np.exp(on.table.log_V) * w_v
     diag[:-1] += stiff
@@ -733,13 +733,18 @@ def _direction(u, du, g, on: _OnGrid, hat_norms, metric):
     by the largest hat-function norm."""
     grid = on.grid
     p = grid.dims.p
-    if p != 2.0:
+    d = np.zeros(grid.n)
+    if p == 2.0:
+        d[:-1] = solve_banded(metric, g[:-1])
+    else:
         eps = _eps_for(du)
         eps_u = 1e-10 * float(np.max(np.abs(u)))
-        metric = _factor_metric(on, (du * du + eps * eps) ** ((p - 2.0) / 2.0),
-                                (u * u + eps_u * eps_u) ** ((p - 2.0) / 2.0))
-    d = np.zeros(grid.n)
-    d[:-1] = solve_banded(metric, g[:-1])
+        # at an astronomical u the lagged weights and the solve may overflow;
+        # a slope that is not finite takes the fallback below
+        with np.errstate(over="ignore", invalid="ignore"):
+            metric = _factor_metric(on, (du * du + eps * eps) ** ((p - 2.0) / 2.0),
+                                    (u * u + eps_u * eps_u) ** ((p - 2.0) / 2.0))
+            d[:-1] = solve_banded(metric, g[:-1])
     slope = _dot(g, d)
     if not math.isfinite(slope) or slope <= 0.0:
         d = g / np.max(hat_norms)  # fall back to a raw gradient step

@@ -302,14 +302,14 @@ def test_criterion_9_probe_decay():
     curve_inf = probe_infinity(table, 9.0, [10.0, 100.0, 1000.0], fam_inf)
     vals = [v for _, v in curve_inf.samples]
     assert vals[1] / vals[0] < 0.9 and vals[2] / vals[1] < 0.9
-    assert decay_verdict(curve_inf) == "decays"
+    assert decay_verdict(curve_inf, 0.9) == "decays"
 
     fam_0 = make_trial_family(grid, table, -0.75, "origin")
     curve_0 = probe_origin(table, 3.0, [0.1, 0.01, 0.001], fam_0)
     logs = curve_0.log_values  # ordered by increasing R
     assert logs[1] - logs[2] < math.log(0.9)  # R: 0.1 -> 0.01
     assert logs[0] - logs[1] < math.log(0.9)  # R: 0.01 -> 0.001
-    assert decay_verdict(curve_0) == "decays"
+    assert decay_verdict(curve_0, 0.9) == "decays"
     _report(9, "far probe ratios "
                f"{vals[1] / vals[0]:.2f}, {vals[2] / vals[1]:.2f} < 0.9; "
                "origin probe decays toward 0")

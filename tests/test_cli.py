@@ -246,6 +246,15 @@ class TestCheck:
         names = {c["name"]: c["passed"] for c in doc["checks"]}
         assert names["a_origin_in_range"] is False
 
+    def test_bounded_v_whose_sup_overflows_passes(self, tmp_path, capsys):
+        # V = e^(8/r) below r = 1: the sup e^800 on [1e-2, 1e2] is reported as inf
+        cfg = example_config("ex1")
+        cfg["potentials"]["V"]["inner"]["scale"] = 8.0
+        code, doc = run_cli(capsys, ["check", "--config", write_config(tmp_path, cfg)])
+        assert code == EXIT_OK
+        entry = {c["name"]: c for c in doc["checks"]}["V_locally_integrable"]
+        assert entry["passed"] is True and entry["value"] == "inf"
+
     def test_vanishing_v_tail_fails(self, tmp_path, capsys):
         cfg = example_config("ex1")
         cfg["potentials"]["V"] = {

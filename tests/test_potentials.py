@@ -1,6 +1,8 @@
+import importlib.util
 import math
 import tracemalloc
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from quasiradial.potentials import (
     spec_from_json,
     validate_hypotheses,
 )
+from quasiradial.solver import build_grid
 
 D24 = ProblemDims(N=4, p=2)
 
@@ -49,30 +52,50 @@ def example2_specs(gamma0=4.0, d=10.0):
     return a, v, k
 
 
+def reference_log(spec, r):
+    """The log of a spec at radii r by each kind's own tree arithmetic, which
+    reads no pieces: the second routine the tables and checks are held to."""
+    r = np.asarray(r, dtype=float)
+    if isinstance(spec, Power):
+        return (math.log(spec.c) if spec.c > 0 else -math.inf) + spec.e * np.log(r)
+    if isinstance(spec, Constant):
+        return np.full_like(r, math.log(spec.c) if spec.c > 0 else -math.inf)
+    if isinstance(spec, ExpInv):
+        return spec.scale / r
+    if isinstance(spec, (MinOf, MaxOf)):
+        extremum = np.minimum if isinstance(spec, MinOf) else np.maximum
+        return extremum.reduce([reference_log(part, r) for part in spec.parts])
+    return np.where(r < spec.breakpoint, reference_log(spec.inner, r),
+                    reference_log(spec.outer, r))
+
+
+def table_log(spec, r):
+    """The table's log of spec (as V) at the increasing radii r."""
+    return eval_potentials(Constant(1.0), spec, Constant(1.0), np.asarray(r, dtype=float)).log_V
+
+
 class TestSpecEvaluation:
     def test_power(self):
-        assert math.exp(Power(1, -1).evaluate_log(2.0)) == pytest.approx(0.5, rel=1e-15)
+        assert math.exp(table_log(Power(1, -1), [1.0, 2.0])[1]) == pytest.approx(0.5, rel=1e-15)
 
     def test_example2_min_at_small_r(self):
         spec = MinOf((Power(1, -2), Power(1, -1)))
-        assert math.exp(spec.evaluate_log(0.1)) == pytest.approx(10.0)
-        assert math.exp(spec.evaluate_log(10.0)) == pytest.approx(0.01)
+        np.testing.assert_allclose(np.exp(table_log(spec, [0.1, 10.0])), [10.0, 0.01])
 
     def test_exp_inv(self):
-        assert ExpInv(1.0).evaluate_log(0.5) == pytest.approx(2.0)
+        assert table_log(ExpInv(1.0), [0.5, 1.0])[0] == pytest.approx(2.0)
 
     def test_log_values_at_overflow_scale(self):
         # the table's linear value overflows, the log stays exact
-        spec = ExpInv(1.0)
-        assert spec.evaluate_log(1e-5) == pytest.approx(1e5)
-        t = eval_potentials(Constant(1.0), spec, Constant(1.0), np.array([1e-5, 1.0]))
+        t = eval_potentials(Constant(1.0), ExpInv(1.0), Constant(1.0), np.array([1e-5, 1.0]))
         assert math.isinf(linear(t.log_V)[0])
         assert t.log_V[0] == pytest.approx(1e5)
 
     def test_piecewise(self):
+        # r = 1 is the breakpoint, and takes the outer piece
         spec = Piecewise(1.0, Constant(2.0), Power(1.0, 1.0))
-        r = np.array([0.5, 1.0, 3.0])
-        np.testing.assert_allclose(spec.evaluate_log(r), np.log([2.0, 1.0, 3.0]), rtol=1e-15)
+        np.testing.assert_allclose(table_log(spec, [0.5, 1.0, 3.0]), np.log([2.0, 1.0, 3.0]),
+                                   rtol=1e-15)
 
     def test_json_roundtrip(self):
         pots = example_config("ex1")["potentials"]
@@ -85,7 +108,7 @@ class TestSpecEvaluation:
                                        {"kind": "power", "c": 1, "e": -1}]}
         spec = spec_from_json(obj)
         assert spec == MinOf((Power(1.0, -2.0), Power(1.0, -1.0)))
-        assert math.exp(spec.evaluate_log(0.1)) == pytest.approx(10.0)
+        assert math.exp(table_log(spec, [0.1, 1.0])[0]) == pytest.approx(10.0)
 
     @pytest.mark.parametrize("spec", [partial(Constant, -1.0), partial(Power, -1.0, 0.0),
                                       partial(Power, math.nan, 1.0)])
@@ -255,7 +278,7 @@ class TestEsssupRatio:
     def test_underflowing_v_is_not_zero(self):
         # V = K = e^(-1/r) underflows near r = 1e-6, but log K - log V = 0 on all of (0, 1)
         spec = ExpInv(-1.0)
-        assert math.exp(spec.evaluate_log(1e-6)) == 0.0
+        assert math.exp(reference_log(spec, 1e-6)) == 0.0
         b = esssup_ratio(spec, spec, alpha=0.0, beta=1.0, interval=(0.0, 1.0))
         assert b.value == 1.0
 
@@ -400,6 +423,13 @@ class TestValidateHypotheses:
         assert names["K_locally_s_integrable"].value == pytest.approx(math.exp(200.0), rel=1e-13)
         assert names["V_locally_integrable"].passed and names["K_locally_s_integrable"].passed
 
+    def test_local_integrability_reads_the_log_of_the_sup(self):
+        # V = e^(8/r) near 1e-2 is bounded there, though its sup e^800 overflows
+        cfg = example_config("ex1")
+        cfg["potentials"]["V"]["inner"]["scale"] = 8.0
+        entry = config_report(cfg)[0]["V_locally_integrable"]
+        assert entry.passed and entry.value == math.inf
+
     @pytest.mark.parametrize("which", [0, 2])
     def test_a_or_k_vanishing_far_out_is_rejected(self, which):
         specs = list(example1_specs())
@@ -468,12 +498,12 @@ def _compare(specs, alpha, beta, gamma, interval):
     _, spec_V, spec_K = specs
     r = _dense(interval)
     closed = interval[0] >= 1e-6 and interval[1] <= 1e6
-    log_V = spec_V.evaluate_log(r)
+    log_V = reference_log(spec_V, r)
     if beta > 0 and np.any(log_V == -np.inf):
         with pytest.raises(DivisionByZeroV):
             esssup_ratio(spec_V, spec_K, alpha, beta, interval)
     else:
-        log_q = spec_K.evaluate_log(r) - alpha * np.log(r) - (beta * log_V if beta else 0.0)
+        log_q = reference_log(spec_K, r) - alpha * np.log(r) - (beta * log_V if beta else 0.0)
         _assert_sup(_log(esssup_ratio(spec_V, spec_K, alpha, beta, interval).value),
                     log_q, closed)
     # an inf is minus the sup of the negated quantity
@@ -572,10 +602,56 @@ class TestChecksAgainstTwoRoutines:
 
     def test_random_spec_trees(self):
         # the exact sup is at or above a dense sample's, and within its spacing error
-        rng = np.random.default_rng(13)
-        for _ in range(300):
-            specs = (Constant(1.0), _random_spec(rng, 3), _random_spec(rng, 3))
-            lo = 10 ** rng.uniform(-2, 2)
-            hi = min(lo * 10 ** rng.uniform(0.1, 3), 1e3)
-            _compare(specs, rng.uniform(-3, 3), float(rng.choice([0.0, 0.5, 1.0])),
-                     rng.uniform(-3, 3), (lo, hi))
+        for specs, interval, alpha, beta, gamma in _random_tree_cases():
+            _compare(specs, alpha, beta, gamma, interval)
+
+
+def _random_tree_cases():
+    """300 random (specs, interval, alpha, beta, gamma) with depth-3 trees for V and K."""
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        specs = (Constant(1.0), _random_spec(rng, 3), _random_spec(rng, 3))
+        lo = 10 ** rng.uniform(-2, 2)
+        hi = min(lo * 10 ** rng.uniform(0.1, 3), 1e3)
+        yield (specs, (lo, hi), rng.uniform(-3, 3), float(rng.choice([0.0, 0.5, 1.0])),
+               rng.uniform(-3, 3))
+
+
+def _solve_and_probe_grids(doc):
+    """A config's specs, with the radii of its solve grid and of its probe grid."""
+    cfg = load_config(doc)
+    specs = (cfg.spec_A, cfg.spec_V, cfg.spec_K)
+    for r_min, r_max, n in ((cfg.r_min, cfg.r_max, cfg.n_nodes),
+                            (cfg.probe_r_min, cfg.probe_r_max, cfg.probe_n_nodes)):
+        yield specs, build_grid(r_min, r_max, n, cfg.dims).nodes
+
+
+def _benchmark_inputs():
+    """perfbench/inputs.py, the benchmark's own workload inputs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _table_cases(which):
+    if which == "examples":
+        docs = [example_config(name) for name in ("ex1", "ex2_I", "ex2_II", "ex2_III")]
+    elif which == "benchmark":
+        inputs = _benchmark_inputs()
+        docs = [inputs.unit_config(), inputs.ex1_rational()] \
+            + [doc for _, doc, _ in inputs.FINE_MESH_CASES]
+    else:
+        return ((specs, _dense(interval)) for specs, interval, *_ in _random_tree_cases())
+    return (case for doc in docs for case in _solve_and_probe_grids(doc))
+
+
+@pytest.mark.parametrize("which", ["examples", "benchmark", "random_trees"])
+def test_table_logs_equal_the_tree_arithmetic(which):
+    # tables read the specs' pieces; each node's log keeps the bits of the
+    # tree evaluation, breakpoints and min/max crossings included
+    for specs, r in _table_cases(which):
+        t = eval_potentials(*specs, r)
+        for log, spec in zip((t.log_A, t.log_V, t.log_K), specs):
+            assert log.tobytes() == reference_log(spec, r).tobytes()

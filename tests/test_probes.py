@@ -112,7 +112,7 @@ class TestExample1Probes:
         grid, table = example1_setup()
         fam = make_trial_family(grid, table, 0.5, "infinity")
         curve = probe_infinity(table, 9.0, [10.0, 100.0, 1000.0], fam)
-        assert decay_verdict(curve) == "decays"
+        assert decay_verdict(curve, 0.9) == "decays"
         vals = [v for _, v in curve.samples]
         assert vals[1] / vals[0] < 0.9 and vals[2] / vals[1] < 0.9
 
@@ -120,13 +120,13 @@ class TestExample1Probes:
         grid, table = example1_setup()
         fam = make_trial_family(grid, table, 0.5, "infinity")
         curve = probe_infinity(table, 7.0, [10.0, 100.0, 1000.0], fam)
-        assert decay_verdict(curve) == "stalls"
+        assert decay_verdict(curve, 0.9) == "stalls"
 
     def test_admissible_origin_exponent_decays(self):
         grid, table = example1_setup()
         fam = make_trial_family(grid, table, -0.75, "origin")
         curve = probe_origin(table, 3.0, [0.1, 0.01, 0.001], fam)
-        assert decay_verdict(curve) == "decays"
+        assert decay_verdict(curve, 0.9) == "decays"
         logs = curve.log_values
         assert logs[0] < logs[1] < logs[2]
 
@@ -136,39 +136,39 @@ class TestDecayVerdict:
         curve = ProbeCurve(q=3.0, end="infinity",
                            samples=[(1.0, 1.0), (10.0, 0.5), (100.0, 0.25)],
                            log_values=[0.0, math.log(0.5), math.log(0.25)])
-        assert decay_verdict(curve) == "decays"
+        assert decay_verdict(curve, 0.9) == "decays"
 
     def test_constant_stalls(self):
         curve = ProbeCurve(q=3.0, end="infinity",
                            samples=[(1.0, 1.0), (10.0, 1.0), (100.0, 1.0)],
                            log_values=[0.0, 0.0, 0.0])
-        assert decay_verdict(curve) == "stalls"
+        assert decay_verdict(curve, 0.9) == "stalls"
 
     def test_origin_orientation(self):
         # origin curves shrink toward small R; ordering is toward the limit
         curve = ProbeCurve(q=3.0, end="origin",
                            samples=[(0.001, 1e-6), (0.01, 1e-4), (0.1, 1e-2)],
                            log_values=[math.log(1e-6), math.log(1e-4), math.log(1e-2)])
-        assert decay_verdict(curve) == "decays"
+        assert decay_verdict(curve, 0.9) == "decays"
 
     def test_empty_probe_is_inconclusive(self):
         # an empty family gives -inf logs (samples 0.0): nothing decayed
         curve = ProbeCurve(q=3.0, end="infinity",
                            samples=[(1.0, 0.0), (10.0, 0.0), (100.0, 0.0)],
                            log_values=[-math.inf, -math.inf, -math.inf])
-        assert decay_verdict(curve) == "inconclusive"
+        assert decay_verdict(curve, 0.9) == "inconclusive"
 
     def test_too_few_samples(self):
         curve = ProbeCurve(q=3.0, end="infinity", samples=[(1.0, 1.0), (10.0, 0.5)],
                            log_values=[0.0, math.log(0.5)])
         with pytest.raises(TooFewSamples):
-            decay_verdict(curve)
+            decay_verdict(curve, 0.9)
 
     def test_threshold_configurable(self):
         curve = ProbeCurve(q=3.0, end="infinity",
                            samples=[(1.0, 1.0), (10.0, 0.8), (100.0, 0.64)],
                            log_values=[0.0, math.log(0.8), math.log(0.64)])
-        assert decay_verdict(curve) == "decays"
+        assert decay_verdict(curve, 0.9) == "decays"
         assert decay_verdict(curve, threshold=0.7) == "stalls"
 
 

@@ -2,6 +2,7 @@ import math
 import re
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -992,6 +993,18 @@ class TestScaleOutOfRange:
             assert solver_module._projected_trial(initial_bump(grid), 0.0, 0.0, on, nl) is None
             with pytest.raises(CollapsedToZero, match="no Nehari projection with a finite"):
                 solve_ground_state(on.table, nl, grid)
+
+    def test_astronomical_scale_stalls_without_warnings(self):
+        # the bump projects to a scale near 1.6e167, where the p != 2 flux, the
+        # lagged metric weights, the banded solve and the regularised form
+        # overflow; each is handled (a fallback slope, a refused trial, a
+        # residual that cannot converge), so none of them warns
+        grid, on = self.unit_case(ProblemDims(N=3, p=1.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotConverged) as exc:
+                solve_ground_state(on.table, pure_power(3, M=1e-250), grid)
+        assert exc.value.stop_reason == "line_search_stalled"
 
     def test_overflowing_min_powers_sum_is_no_projection(self):
         # sum w K v^5 overflows at K = 1e307, so the all-small closed form
