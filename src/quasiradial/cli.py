@@ -269,8 +269,9 @@ def _solve_once(cfg: RunConfig, r_min, r_max, n_nodes, start=None):
     """Solve on [r_min, r_max]; a start solution is interpolated in log r as u0."""
     grid = build_grid(r_min, r_max, n_nodes, cfg.dims)
     table = eval_potentials(cfg.spec_A, cfg.spec_V, cfg.spec_K, grid.nodes)
+    # exp is increasing and a NaN max propagates, so the max's exp decides
     with np.errstate(over="ignore"):
-        overflows = not all(np.all(np.isfinite(np.exp(x)))
+        overflows = not all(np.isfinite(np.exp(np.max(x)))
                             for x in (table.log_A, table.log_V, table.log_K))
     if overflows:
         raise ConfigError(

@@ -41,7 +41,9 @@ def logsumexp(a, axis):
         a_max = np.max(a, axis=axis, keepdims=True, initial=-np.inf)
         at_max = a == a_max
         m = np.sum(at_max, axis=axis, keepdims=True, dtype=float)
-        s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=axis, keepdims=True)
+        e = np.where(at_max, -np.inf, a)
+        e -= a_max
+        s = np.sum(np.exp(e, out=e), axis=axis, keepdims=True)
         out = np.log1p(np.where(s == 0, s, s / m)) + np.log(m) + a_max
         bad = ~np.isfinite(out)
         if np.any(bad):
@@ -50,74 +52,108 @@ def logsumexp(a, axis):
     return out[()] if out.ndim == 0 else out
 
 
-def _log_abs_diff(la, lb):
-    """log |e^la - e^lb| computed stably; -inf when the two coincide."""
-    hi = np.maximum(la, lb)
-    lo = np.minimum(la, lb)
+def _log_abs_diff(la, lb, out):
+    """log |e^la - e^lb| computed stably into out; -inf where the two coincide."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        gap = np.where(hi == lo, -np.inf, np.log1p(-np.exp(np.minimum(lo - hi, -1e-300))))
-        out = hi + gap
-    return np.where(np.isneginf(hi), -np.inf, out)
+        gap = np.subtract(la, lb)
+        np.negative(np.abs(gap, out=gap), out=gap)  # lo - hi
+        np.minimum(gap, -1e-300, out=gap)
+        np.negative(np.exp(gap, out=gap), out=gap)
+        np.log1p(gap, out=gap)
+        np.copyto(gap, -np.inf, where=la == lb)
+        np.maximum(la, lb, out=out)
+        out += gap
+    return out
 
 
-def _log_norm_terms(log_u, grid: RadialGrid, table: PotentialTable):
-    """log of each gradient-cell and mass-node term of ||u||^p.
+def _log_norm_terms(log_u, grid: RadialGrid, table: PotentialTable, out):
+    """log of each gradient-cell and mass-node term of ||u||^p, written into out.
 
     log_u holds nodal log-values of one profile (1-D) or of a block of
-    profiles (one per row); the cell terms and then the node terms are
-    concatenated along the last axis.
+    profiles (one per row); out holds the n - 1 cell terms and then the n
+    node terms along its last axis.
     """
     p = grid.dims.p
-    log_du = _log_abs_diff(log_u[..., 1:], log_u[..., :-1]) - np.log(grid.dr)
-    grad_terms = table.log_A_cell + p * log_du + np.log(grid.cell_measure)
+    n = log_u.shape[-1]
+    grad, mass = out[..., :n - 1], out[..., n - 1:]
+    _log_abs_diff(log_u[..., 1:], log_u[..., :-1], grad)
+    grad -= np.log(grid.dr)
+    grad *= p
+    grad += table.log_A_cell
+    grad += np.log(grid.cell_measure)
     with np.errstate(divide="ignore"):
         log_w = np.log(grid.quad_weights)
-    mass_terms = log_w + table.log_V + p * log_u
-    return np.concatenate([grad_terms, mass_terms], axis=-1)
+    np.multiply(log_u, p, out=mass)
+    mass += log_w + table.log_V
+    return out
 
 
 def _log_norm_p(log_u, grid: RadialGrid, table: PotentialTable):
     """log of ||u||^p for a profile (a float) or a block of rows (an array)."""
-    return logsumexp(_log_norm_terms(log_u, grid, table), axis=-1)
+    out = np.empty(log_u.shape[:-1] + (2 * log_u.shape[-1] - 1,))
+    return logsumexp(_log_norm_terms(log_u, grid, table, out), axis=-1)
 
 
 @dataclass
 class TrialFamily:
-    """Normalized cutoff power profiles: nodal log-values, one row each."""
+    """Normalized cutoff power profiles, stored as separable factors.
+
+    Kept row k has the nodal log-values
+    shapes[nu_index[k]] + log_chis[cut_index[k]] - shifts[k]: the shape
+    log min(1, r^-nu) of its exponent, the log of its cutoff, and
+    log ||raw||^p / p of the unnormalized profile.  nus and cuts give each
+    kept row's exponent and inner cut radius.
+    """
 
     grid: RadialGrid
     table: PotentialTable
-    log_profiles: np.ndarray
+    shapes: np.ndarray
+    log_chis: np.ndarray
+    nu_index: np.ndarray
+    cut_index: np.ndarray
+    shifts: np.ndarray
     nus: list
     cuts: list
 
     def __len__(self):
-        return len(self.log_profiles)
+        return len(self.shifts)
 
-    def norm_defects(self):
-        """|log ||u||^p| per profile; all ~0 since profiles are normalized."""
-        return np.abs(_log_norm_p(self.log_profiles, self.grid, self.table)).tolist()
+    def rows(self, at: slice, nodes: slice):
+        """Log-values of the kept rows `at` on the nodes `nodes`, as a new array."""
+        out = self.shapes[self.nu_index[at], nodes]
+        out += self.log_chis[self.cut_index[at], nodes]
+        out -= self.shifts[at, None]
+        return out
+
+    @property
+    def log_profiles(self):
+        """Every kept row at every node, assembled as one dense array."""
+        return self.rows(slice(None), slice(None))
 
 
-def _raw_log_profile(grid, nu, cut_lo, cut_hi):
-    """log of min(1, r^-nu) ramped in above cut_lo and tapered to 0 at cut_hi.
+def _log_cutoffs(log_r, cuts, cut_hi):
+    """log chi per inner cut, one row each: chi ramps in over the octave above
+    the cut, tapers to 0 at cut_hi and is 0 at the outer truncation node.
 
     The outer taper spans half a decade so the profile reaches zero smoothly;
     a one-node drop at the Dirichlet boundary would put an artificial gradient
     spike into the norm.
     """
-    log_r = np.log(grid.nodes)
-    shape = np.minimum(0.0, -nu * log_r)
-    chi = np.clip((log_r - math.log(cut_lo)) / math.log(2.0), 0.0, 1.0)
-    if cut_hi is not None:
-        half_decade = 0.5 * math.log(10.0)
-        chi = np.minimum(
-            chi, np.clip((math.log(cut_hi) - log_r) / half_decade, 0.0, 1.0))
+    # math.log, not np.log: the two can differ in the last bit
+    log_cuts = np.array([[math.log(cut)] for cut in cuts])
+    chi = np.clip((log_r - log_cuts) / math.log(2.0), 0.0, 1.0)
+    half_decade = 0.5 * math.log(10.0)
+    np.minimum(chi, np.clip((math.log(cut_hi) - log_r) / half_decade, 0.0, 1.0), out=chi)
     with np.errstate(divide="ignore"):
-        log_chi = np.log(chi)
-    vals = shape + log_chi
-    vals[-1] = -np.inf
-    return vals
+        np.log(chi, out=chi)
+    chi[:, -1] = -np.inf
+    return chi
+
+
+def _raw_log_profile(shape, log_chis, out):
+    """The unnormalized log-profiles of one exponent, one row per cut: its
+    shape log min(1, r^-nu) plus each cut's log chi, written into out."""
+    return np.add(shape, log_chis, out=out)
 
 
 def make_trial_family(grid: RadialGrid, table: PotentialTable, nu_center: float,
@@ -135,40 +171,55 @@ def make_trial_family(grid: RadialGrid, table: PotentialTable, nu_center: float,
     register), on the infinity side the last full decade, since the outer
     taper itself occupies the final half-decade.  Normalizing shifts every
     log-term by the same constant, so the fraction is read from the raw terms.
+
+    Each exponent's candidates are normalized as one block, in buffers that
+    every block reuses.
     """
     if abs(nu_center) > 1e-9:
         nus = np.linspace(0.5 * nu_center, 1.5 * nu_center, n_exponents)
     else:
         nus = np.linspace(-0.5, 0.5, n_exponents)
-    r_min, r_max = grid.nodes[0], grid.nodes[-1]
+    nodes, n = grid.nodes, grid.n
+    r_min, r_max = nodes[0], nodes[-1]
+    # the edge nodes are a prefix (origin) or a suffix (infinity) and the
+    # edge cells those with an edge node at either end; both are read from
+    # the norm terms' columns, the cells' first
     if end == "origin":
         # inner cuts start clear of the edge half-decade the artifact filter
         # watches, and sweep up so every probed ball contains profile mass
         cuts = np.logspace(math.log10(5.0 * r_min), math.log10(min(0.3, r_max / 10)),
                            n_cuts)
         cut_hi = min(5.0, r_max / 4.0)
-        edge_nodes = grid.nodes <= r_min * math.sqrt(10.0)
+        k = int(np.searchsorted(nodes, r_min * math.sqrt(10.0), side="right"))
+        edge_cells, edge_nodes = slice(0, min(k, n - 1)), slice(n - 1, n - 1 + k)
     elif end == "infinity":
         cuts = np.array([min(0.3, r_max / 100.0)])
         cut_hi = r_max
-        edge_nodes = grid.nodes >= r_max / 10.0
+        k = int(np.searchsorted(nodes, r_max / 10.0, side="left"))
+        edge_cells, edge_nodes = slice(max(k - 1, 0), n - 1), slice(n - 1 + k, 2 * n - 1)
     else:
         raise ValueError(f"unknown end {end!r}")
-    edge_terms = np.concatenate([edge_nodes[:-1] | edge_nodes[1:], edge_nodes])
-    profiles = np.empty((len(nus) * len(cuts), grid.n))
-    kept_nus, kept_cuts = [], []
-    for nu in nus:
-        raw = np.array([_raw_log_profile(grid, nu, cut, cut_hi) for cut in cuts])
-        terms = _log_norm_terms(raw, grid, table)
+    log_r = np.log(nodes)
+    shapes = np.minimum(0.0, -nus[:, None] * log_r)
+    log_chis = _log_cutoffs(log_r, cuts, cut_hi)
+    raw = np.empty((len(cuts), n))
+    terms = np.empty((len(cuts), 2 * n - 1))
+    nu_index, cut_index, shifts = [], [], []
+    for i, shape in enumerate(shapes):
+        _log_norm_terms(_raw_log_profile(shape, log_chis, raw), grid, table, terms)
         log_np = logsumexp(terms, axis=-1)
+        edge = logsumexp(np.concatenate([terms[:, edge_cells], terms[:, edge_nodes]], axis=-1),
+                         axis=-1)
         with np.errstate(invalid="ignore"):
-            edge_fraction = np.exp(logsumexp(terms[:, edge_terms], axis=-1) - log_np)
-        keep = np.isfinite(log_np) & ~(edge_fraction > 0.25)
-        at, n_kept = len(kept_nus), int(keep.sum())
-        profiles[at:at + n_kept] = raw[keep] - (log_np[keep] / grid.dims.p)[:, None]
-        kept_nus += [float(nu)] * n_kept
-        kept_cuts += cuts[keep].tolist()
-    return TrialFamily(grid, table, profiles[:len(kept_nus)], kept_nus, kept_cuts)
+            edge_fraction = np.exp(edge - log_np)
+        keep = np.flatnonzero(np.isfinite(log_np) & ~(edge_fraction > 0.25))
+        nu_index += [i] * len(keep)
+        cut_index += keep.tolist()
+        shifts += (log_np[keep] / grid.dims.p).tolist()
+    return TrialFamily(grid, table, shapes, log_chis,
+                       np.array(nu_index, dtype=np.intp), np.array(cut_index, dtype=np.intp),
+                       np.array(shifts), [float(nus[i]) for i in nu_index],
+                       [float(cuts[j]) for j in cut_index])
 
 
 @dataclass
@@ -200,8 +251,10 @@ def _probe(table, q, R_list, family, end):
         best = -math.inf
         if ball.stop > ball.start:
             for at in range(0, len(family), _PROBE_ROWS):
-                rows = family.log_profiles[at:at + _PROBE_ROWS, ball]
-                best = max(best, float(np.max(logsumexp(base[ball] + q * rows, axis=1))))
+                terms = family.rows(slice(at, at + _PROBE_ROWS), ball)
+                terms *= q
+                terms += base[ball]
+                best = max(best, float(np.max(logsumexp(terms, axis=1))))
         with np.errstate(over="ignore"):
             samples.append((float(R), float(np.exp(best))))
         logs.append(best)

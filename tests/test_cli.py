@@ -255,6 +255,17 @@ class TestCheck:
         entry = {c["name"]: c for c in doc["checks"]}["V_locally_integrable"]
         assert entry["passed"] is True and entry["value"] == "inf"
 
+    def test_solve_refuses_a_v_that_overflows_on_the_grid(self, tmp_path, capsys):
+        # the same V passes check, but e^800 cannot be tabulated for the solver
+        cfg = example_config("ex1")
+        cfg["potentials"]["V"]["inner"]["scale"] = 8.0
+        path = write_config(tmp_path, cfg)
+        code, doc = run_cli(capsys, ["solve", "--config", path,
+                                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert doc["error"] == "invalid_config"
+        assert doc["detail"].startswith("potentials overflow the float range")
+
     def test_vanishing_v_tail_fails(self, tmp_path, capsys):
         cfg = example_config("ex1")
         cfg["potentials"]["V"] = {

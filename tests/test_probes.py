@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from quasiradial.cli import example_config, load_config
+from quasiradial.cli import example_config, load_config, probe_report
 from quasiradial.exponents import ProblemDims, pointwise_decay_exponent
 from quasiradial.potentials import (
     Constant,
@@ -16,8 +17,7 @@ from quasiradial.potentials import (
 from quasiradial.probes import (
     ProbeCurve,
     TooFewSamples,
-    _log_abs_diff,
-    _raw_log_profile,
+    _log_norm_p,
     decay_verdict,
     make_trial_family,
     probe_infinity,
@@ -49,7 +49,7 @@ class TestTrialFamily:
         grid, table = unit_setup()
         fam = make_trial_family(grid, table, 3.0, "infinity")
         assert len(fam) > 0
-        assert max(fam.norm_defects()) < 1e-8
+        assert np.max(np.abs(_log_norm_p(fam.log_profiles, grid, table))) < 1e-8
 
     def test_artifact_profiles_are_filtered(self):
         # exponents well below the normalizability boundary nu = 2 are dropped;
@@ -172,15 +172,52 @@ class TestDecayVerdict:
         assert decay_verdict(curve, threshold=0.7) == "stalls"
 
 
+class TestProbeMemory:
+    # a dense origin family alone would take 3.5 MB (192 rows x 2400 nodes)
+    @pytest.mark.parametrize("name", ["ex1", "ex2_I", "ex2_II", "ex2_III"])
+    def test_probe_report_traced_peak(self, name):
+        cfg = load_config(example_config(name))
+        probe_report(cfg)  # first call: one-time allocations are not the probes'
+        tracemalloc.start()
+        try:
+            probe_report(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # Reference: the per-profile loop the array implementation replaced.  Each
-# profile's norm and edge fraction are assembled on their own, and each probe
-# value is one scalar logsumexp per profile.
+# profile is built on its own, its norm and edge fraction are assembled on
+# their own, and each probe value is one scalar logsumexp per profile.
 # ---------------------------------------------------------------------------
+
+def _ref_log_abs_diff(la, lb):
+    hi = np.maximum(la, lb)
+    lo = np.minimum(la, lb)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        gap = np.where(hi == lo, -np.inf, np.log1p(-np.exp(np.minimum(lo - hi, -1e-300))))
+        out = hi + gap
+    return np.where(np.isneginf(hi), -np.inf, out)
+
+
+def _ref_raw_log_profile(grid, nu, cut_lo, cut_hi):
+    log_r = np.log(grid.nodes)
+    shape = np.minimum(0.0, -nu * log_r)
+    chi = np.clip((log_r - math.log(cut_lo)) / math.log(2.0), 0.0, 1.0)
+    half_decade = 0.5 * math.log(10.0)
+    chi = np.minimum(chi, np.clip((math.log(cut_hi) - log_r) / half_decade, 0.0, 1.0))
+    with np.errstate(divide="ignore"):
+        log_chi = np.log(chi)
+    vals = shape + log_chi
+    vals[-1] = -np.inf
+    return vals
+
 
 def _ref_terms(log_u, grid, table):
     p = grid.dims.p
-    log_du = _log_abs_diff(log_u[1:], log_u[:-1]) - np.log(grid.dr)
+    log_du = _ref_log_abs_diff(log_u[1:], log_u[:-1]) - np.log(grid.dr)
     log_a_cell = 0.5 * (table.log_A[:-1] + table.log_A[1:])
     grad_terms = log_a_cell + p * log_du + np.log(grid.cell_measure)
     with np.errstate(divide="ignore"):
@@ -218,7 +255,7 @@ def _ref_family(grid, table, nu_center, end, n_exponents=16, n_cuts=12):
         combos = [(nu, min(0.3, r_max / 100.0), r_max) for nu in nus]
     profiles, kept_nus, kept_cuts = [], [], []
     for nu, cut_lo, cut_hi in combos:
-        raw = _raw_log_profile(grid, nu, cut_lo, cut_hi)
+        raw = _ref_raw_log_profile(grid, nu, cut_lo, cut_hi)
         log_np = _ref_log_norm_p(raw, grid, table)
         if not math.isfinite(log_np):
             continue
@@ -247,22 +284,38 @@ def _ref_probe_logs(table, q, R_list, grid, profiles, end):
 
 
 class TestProbesAgainstPerProfileLoop:
-    """The array family and probes reproduce the per-profile loop exactly,
-    on the probe grid and exponents that `probe_report` uses."""
+    """The factored family and its probes reproduce the per-profile loop
+    exactly, on the probe grid and exponents that `probe_report` uses."""
 
     @pytest.mark.parametrize("name, end, kept", [
         ("ex1", "origin", 192),     # all 16 x 12 candidates kept
         ("ex1", "infinity", 9),     # the edge filter drops 7 of 16
+        ("ex2_I", "origin", 192),
         ("ex2_I", "infinity", 0),   # the edge filter drops all 16
+        ("ex2_II", "origin", 192),
+        ("ex2_II", "infinity", 0),
+        ("ex2_III", "origin", 192),
+        ("ex2_III", "infinity", 0),
     ])
     def test_identical_family_and_probe(self, name, end, kept):
         cfg = load_config(example_config(name))
         grid = build_grid(cfg.probe_r_min, cfg.probe_r_max, cfg.probe_n_nodes, cfg.dims)
+        self._compare(cfg, grid, end, kept, 16, 12)
+
+    def test_identical_small_family(self):
+        # the family of perfbench's norm check: 4 exponents x 3 cuts, 600 nodes
+        cfg = load_config(example_config("ex1"))
+        grid = build_grid(5e-5, 1e5, 600, cfg.dims)
+        self._compare(cfg, grid, "origin", 12, 4, 3)
+
+    @staticmethod
+    def _compare(cfg, grid, end, kept, n_exponents, n_cuts):
         table = eval_potentials(cfg.spec_A, cfg.spec_V, cfg.spec_K, grid.nodes)
         asym = cfg.asym_origin if end == "origin" else cfg.asym_infinity
         nu = float(pointwise_decay_exponent(asym.a, asym.gamma, cfg.dims))
-        fam = make_trial_family(grid, table, nu, end)
-        ref_profiles, ref_nus, ref_cuts = _ref_family(grid, table, nu, end)
+        fam = make_trial_family(grid, table, nu, end, n_exponents=n_exponents, n_cuts=n_cuts)
+        ref_profiles, ref_nus, ref_cuts = _ref_family(grid, table, nu, end,
+                                                      n_exponents, n_cuts)
 
         assert len(fam) == len(ref_profiles) == kept
         assert fam.log_profiles.shape == (kept, grid.n)
