@@ -67,8 +67,9 @@ class EndpointAsymptotics:
     a is the local power rate of the gradient weight, alpha and beta bound the
     source weight against r^alpha * V^beta, gamma bounds V from below via
     r^gamma * V, and R is the radius beyond (or below) which the bounds hold.
-    end must be ORIGIN or INFINITY, beta lie in [0, 1] and R in (0, inf); the
-    hypotheses that depend on the dimensions are checked by validate_endpoint.
+    end must be ORIGIN or INFINITY, a, alpha and gamma be finite, beta lie in
+    [0, 1] and R in (0, inf); the hypotheses that depend on the dimensions are
+    checked by validate_endpoint.
     """
 
     end: str
@@ -85,8 +86,9 @@ class EndpointAsymptotics:
             raise InvalidAsymptotics(f"beta must lie in [0, 1], got {self.beta}")
         if not self.R > 0:
             raise InvalidAsymptotics(f"R must be positive, got {self.R}")
-        if self.R == math.inf:
-            raise InvalidAsymptotics(f"R must be finite, got {self.R}")
+        for name in ("a", "alpha", "gamma", "R"):
+            if not -math.inf < getattr(self, name) < math.inf:
+                raise InvalidAsymptotics(f"{name} must be finite, got {getattr(self, name)}")
 
 
 def validate_endpoint(asym: EndpointAsymptotics, dims: ProblemDims) -> None:
@@ -102,6 +104,13 @@ def validate_endpoint(asym: EndpointAsymptotics, dims: ProblemDims) -> None:
     if asym.end == INFINITY and not asym.gamma <= p - asym.a:
         raise InvalidAsymptotics(
             f"infinity data needs gamma <= p - a = {p - asym.a}, got {asym.gamma}")
+
+
+def _require(asym: EndpointAsymptotics, end: str, caller: str, dims: ProblemDims) -> None:
+    """Raise InvalidAsymptotics unless `asym` is valid data for endpoint `end`."""
+    if asym.end != end:
+        raise InvalidAsymptotics(f"{caller} expects {end}-end data")
+    validate_endpoint(asym, dims)
 
 
 def gamma_upper_threshold(a, dims: ProblemDims):
@@ -161,13 +170,10 @@ def normalization_reduce(alpha, beta, gamma):
 
 @dataclass(frozen=True)
 class CriticalExponents:
-    """Both critical exponents (None on their poles) plus the alpha thresholds."""
+    """Both critical exponents (None on their poles) and the Sobolev exponent."""
 
     q_star: Optional[float]
     q_double_star: Optional[float]
-    alpha1: float
-    alpha2: float
-    alpha3: float
     p_sobolev: float
 
 
@@ -181,8 +187,7 @@ def critical_exponents(a, alpha, beta, gamma, dims: ProblemDims) -> CriticalExpo
         qss = q_double_star(a, alpha, beta, gamma, dims)
     except GammaSingular:
         qss = None
-    a1, a2, a3 = alpha_triplet(beta, gamma, dims)
-    return CriticalExponents(qs, qss, a1, a2, a3, sobolev_exponent(a, dims))
+    return CriticalExponents(qs, qss, sobolev_exponent(a, dims))
 
 
 def q2_lower_bound(asym: EndpointAsymptotics, dims: ProblemDims):
@@ -192,9 +197,7 @@ def q2_lower_bound(asym: EndpointAsymptotics, dims: ProblemDims):
     The hypotheses gamma <= p - a and a > p - N force gamma < N and gamma
     below the q_double_star pole, so both critical exponents are defined.
     """
-    if asym.end != INFINITY:
-        raise InvalidAsymptotics("q2_lower_bound expects infinity-end data")
-    validate_endpoint(asym, dims)
+    _require(asym, INFINITY, "q2_lower_bound", dims)
     one, p, beta = _exact(1, dims.p, asym.beta)
     qs = q_star(asym.alpha, asym.beta, asym.gamma, dims)
     qss = q_double_star(asym.a, asym.alpha, asym.beta, asym.gamma, dims)
@@ -203,7 +206,7 @@ def q2_lower_bound(asym: EndpointAsymptotics, dims: ProblemDims):
 
 @dataclass(frozen=True)
 class AlphaConstraint:
-    """Side condition on alpha attached to two of the region branches."""
+    """Side condition on alpha left when gamma sits on a critical exponent's pole."""
 
     kind: str  # "alpha_gt_alpha2" or "alpha_gt_alpha1"
     satisfied: bool
@@ -232,49 +235,42 @@ class AdmissibleSet:
 
 
 def _origin_branch(asym: EndpointAsymptotics, dims: ProblemDims):
-    """Return (lower bounds list, upper bound or inf, alpha constraint) for the region slice."""
+    """Return (lower bounds list, upper bound or inf, alpha constraint) for the region slice.
+
+    Each critical exponent solves an inequality linear in q1 whose coefficient
+    changes sign at the exponent's pole: with gamma below the pole the exponent
+    caps q1, above it floors q1, and on it only a condition on alpha is left.
+    """
     p, N, a, alpha, beta, gamma = _exact(
         dims.p, dims.N, asym.a, asym.alpha, asym.beta, asym.gamma)
-    thr = gamma_upper_threshold(a, dims)
-    pbeta = p * beta
-    one = p / p  # 1 in the active arithmetic
-
+    lowers = [p / p, p * beta]  # 1 and p*beta in the active arithmetic
     if gamma == p - a:
         # Both critical exponents coincide; the common value caps the interval.
-        common = p * (alpha - beta * (p - a) + N) / (N - p + a)
-        return [one, pbeta], common, None
-    if gamma < N:
-        qs = q_star(alpha, beta, gamma, dims)
-        qss = q_double_star(a, alpha, beta, gamma, dims)
-        return [one, pbeta], min(qs, qss), None
-    if gamma == N:
-        qss = q_double_star(a, alpha, beta, gamma, dims)
-        constraint = AlphaConstraint("alpha_gt_alpha2", alpha > -(1 - beta) * N)
-        return [one, pbeta], qss, constraint
-    if gamma < thr:
-        qs = q_star(alpha, beta, gamma, dims)
-        qss = q_double_star(a, alpha, beta, gamma, dims)
-        return [one, pbeta, qs], qss, None
-    if gamma == thr:
-        qs = q_star(alpha, beta, gamma, dims)
-        constraint = AlphaConstraint("alpha_gt_alpha1", alpha > -(1 - beta) * gamma)
-        return [one, pbeta, qs], math.inf, constraint
-    qs = q_star(alpha, beta, gamma, dims)
-    qss = q_double_star(a, alpha, beta, gamma, dims)
-    return [one, pbeta, qs, qss], math.inf, None
+        return lowers, p * (alpha - beta * (p - a) + N) / (N - p + a), None
+    ce = critical_exponents(a, alpha, beta, gamma, dims)
+    upper, constraint = math.inf, None
+    # q_double_star's pole lies above N, also where its float value rounds to N
+    thr = gamma_upper_threshold(a, dims) if gamma > N else math.inf
+    for q, pole, kind, alpha_min in ((ce.q_star, N, "alpha_gt_alpha2", -(1 - beta) * N),
+                                     (ce.q_double_star, thr, "alpha_gt_alpha1",
+                                      -(1 - beta) * gamma)):
+        if q is None or gamma == pole:
+            constraint = AlphaConstraint(kind, alpha > alpha_min)
+        elif gamma < pole:
+            upper = min(upper, q)
+        else:
+            lowers.append(q)
+    return lowers, upper, constraint
 
 
 def q1_region_bounds(asym: EndpointAsymptotics, dims: ProblemDims):
     """(lower, upper) with (alpha, q) in the open admissible region at the
     origin iff lower < q < upper, for asym's alpha.
 
-    The region is defined piecewise in gamma; exact branch boundaries dispatch
-    to their own branch.  An unsatisfied alpha constraint gives the empty
-    (inf, -inf).  A raster forms the bounds once per alpha.
+    An unsatisfied alpha constraint gives the empty (inf, -inf).  A raster
+    forms the bounds once per alpha.
     """
-    if asym.end != ORIGIN:
-        raise InvalidAsymptotics("the origin region expects origin-end data")
-    validate_endpoint(asym, dims)
+    _require(asym, ORIGIN, "the origin region", dims)
     lowers, upper, constraint = _origin_branch(asym, dims)
     if constraint is not None and not constraint.satisfied:
         return math.inf, -math.inf
@@ -297,9 +293,7 @@ def q1_admissible_set(asym: EndpointAsymptotics, dims: ProblemDims) -> Admissibl
     The extra q > p floor is the solver-side requirement; the pure region test
     is q1_region_membership.
     """
-    if asym.end != ORIGIN:
-        raise InvalidAsymptotics("q1_admissible_set expects origin-end data")
-    validate_endpoint(asym, dims)
+    _require(asym, ORIGIN, "q1_admissible_set", dims)
     lowers, upper, constraint = _origin_branch(asym, dims)
     (p,) = _exact(dims.p)
     return AdmissibleSet(lower=max(max(lowers), p), upper=upper,
@@ -331,9 +325,7 @@ def xi_witness_origin(asym: EndpointAsymptotics, q1, dims: ProblemDims) -> Witne
     xi are closed, the two q1-dependent constraints strict, hence the
     open/closed endpoint flags.
     """
-    if asym.end != ORIGIN:
-        raise InvalidAsymptotics("xi_witness_origin expects origin-end data")
-    validate_endpoint(asym, dims)
+    _require(asym, ORIGIN, "xi_witness_origin", dims)
     if asym.gamma == dims.p - asym.a:
         raise BoundaryCase("gamma = p - a admits no shift system")
     p, N, a, alpha, beta, gamma, q1 = _exact(
@@ -382,8 +374,7 @@ def xi_witness_infinity(asym: EndpointAsymptotics, q2, dims: ProblemDims) -> Inf
 
     Guarantees xi >= 0 and effective beta in [1/p, 1].
     """
-    if asym.end != INFINITY:
-        raise InvalidAsymptotics("xi_witness_infinity expects infinity-end data")
+    _require(asym, INFINITY, "xi_witness_infinity", dims)
     bound = q2_lower_bound(asym, dims)
     if not q2 > bound:
         raise NotAdmissible(f"q2 = {q2} is not above the threshold {bound}")
@@ -407,21 +398,10 @@ def xi_witness_infinity(asym: EndpointAsymptotics, q2, dims: ProblemDims) -> Inf
 def tail_decay_exponent(asym: EndpointAsymptotics, q2, dims: ProblemDims):
     """Negative exponent delta bounding the far-field integral by C * R^delta.
 
-    The case dispatch mirrors xi_witness_infinity; delta < 0 for every
-    admissible q2.
+    delta = alpha_eff - nu*(q2 - p*beta_eff) + N*(1 - beta_eff) at the weights of
+    xi_witness_infinity, nu being pointwise_decay_exponent; < 0 for admissible q2.
     """
-    witness = xi_witness_infinity(asym, q2, dims)  # validates admissibility
-    p, a, alpha, beta, gamma, q2 = _exact(
-        dims.p, asym.a, asym.alpha, asym.beta, asym.gamma, q2)
-    nu = pointwise_decay_exponent(a, gamma, dims)
-    _, a2, a3 = alpha_triplet(asym.beta, asym.gamma, dims)
-    case = witness.case_id
-    if case == "alpha_ge_alpha1":
-        return nu * (q_double_star(asym.a, asym.alpha, asym.beta, asym.gamma, dims) - q2)
-    if case == "alpha_middle":
-        return nu * (q_star(asym.alpha, asym.beta, asym.gamma, dims) - q2)
-    if case == "beta_one":
-        return alpha - nu * (q2 - p)
-    if case == "beta_above_pinv":
-        return alpha - a2 - nu * (q2 - p * beta)
-    return alpha - a3 - nu * (q2 - 1)
+    w = xi_witness_infinity(asym, q2, dims)  # validates admissibility
+    p, N, q2 = _exact(dims.p, dims.N, q2)
+    nu = pointwise_decay_exponent(asym.a, asym.gamma, dims)
+    return w.alpha_eff - nu * (q2 - p * w.beta_eff) + N * (1 - w.beta_eff)

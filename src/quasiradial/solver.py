@@ -393,8 +393,13 @@ def _gradient_array(du, on: _OnGrid, eps, lower):
     else:
         # an astronomical u' overflows to a residual that cannot converge
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            flux_density = np.where((du == 0.0) & (eps == 0.0), 0.0,
-                                    (du * du + eps * eps) ** ((p - 2.0) / 2.0) * du)
+            s = du * du + eps * eps
+            flux_density = s ** ((p - 2.0) / 2.0) * du
+            # where s leaves the normal float range eps is negligible: the
+            # flux is sign(u') |u'|^(p-1), and 0 at u' = eps = 0
+            off = ~((s >= _TINY) & (s < np.inf))
+            if off.any():
+                flux_density[off] = np.sign(du[off]) * np.abs(du[off]) ** (p - 1.0)
     flux = flux_density * on.a_flux
     g = np.zeros(grid.n)
     g[:-1] -= flux

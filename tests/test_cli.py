@@ -98,6 +98,22 @@ class TestRegion:
         assert doc["q_order_swapped"] is True
         assert (doc["q1"], doc["q2"]) == (9.0, 11.0)
 
+    def test_gamma_on_the_second_pole(self, tmp_path, capsys):
+        # gamma = 10 is q_double_star's pole (1.9*5 - 0.5)/0.9, which rounds
+        # to 10.000000000000002: only the alpha condition is left, and fails
+        cfg = unit_benchmark_config()
+        cfg["dims"] = {"N": 6, "p": 1.9}
+        cfg["asymptotics"]["origin"] = {"a": -0.5, "alpha": 0.0, "beta": 1.0, "gamma": 10.0}
+        cfg["asymptotics"]["infinity"]["gamma"] = 0.0
+        path = write_config(tmp_path, cfg)
+        code, doc = run_cli(capsys, ["region", "--config", path])
+        assert code == EXIT_OK
+        assert doc["q1_alpha_constraints"] == [{"kind": "alpha_gt_alpha1", "satisfied": False}]
+        assert doc["thresholds"]["origin"]["q_double_star"] is None
+        for argv in (["region-plot"], ["solve", "--force"]):
+            code, _ = run_cli(capsys, [*argv, "--config", path, "--out", str(tmp_path)])
+            assert code == EXIT_OK
+
     def test_deterministic_bytes(self, tmp_path, capsys):
         path = write_config(tmp_path, example_config("ex1"))
         main(["region", "--config", path])
@@ -359,6 +375,21 @@ class TestBadVerdictSettings:
         code, doc = run_cli(capsys, ["check", "--config", write_config(tmp_path, cfg)])
         assert code == EXIT_CONFIG
         assert "R must be finite" in doc["detail"]
+
+    @pytest.mark.parametrize("end, rate, value", [
+        ("infinity", "alpha", math.nan), ("infinity", "alpha", -math.inf),
+        ("origin", "alpha", math.nan), ("origin", "a", math.inf),
+        ("infinity", "gamma", math.nan)])
+    def test_non_finite_rate_exits_two(self, tmp_path, capsys, end, rate, value):
+        # a NaN rate drops out of max(1, p*beta, q*, q**) and reads as admissible
+        cfg = example_config("ex1")
+        cfg["asymptotics"][end][rate] = value
+        path = write_config(tmp_path, cfg)
+        for command in ("region", "check"):
+            code, doc = run_cli(capsys, [command, "--config", path])
+            assert code == EXIT_CONFIG
+            assert doc["error"] == "invalid_config"
+            assert doc["detail"] == f"{rate} must be finite, got {value}"
 
     def test_threshold_one_is_allowed(self):
         cfg = example_config("ex1")

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from quasiradial.exponents import (
+    INFINITY_CASES,
+    AdmissibleSet,
+    AlphaConstraint,
     BoundaryCase,
     EndpointAsymptotics,
     GammaSingular,
@@ -15,7 +18,9 @@ from quasiradial.exponents import (
     critical_exponents,
     gamma_upper_threshold,
     normalization_reduce,
+    pointwise_decay_exponent,
     q1_admissible_set,
+    q1_region_bounds,
     q1_region_membership,
     q2_lower_bound,
     q_double_star,
@@ -24,6 +29,7 @@ from quasiradial.exponents import (
     tail_decay_exponent,
     xi_witness_infinity,
     xi_witness_origin,
+    _exact,
 )
 
 D24 = ProblemDims(N=4, p=2)
@@ -35,6 +41,56 @@ def origin(a, alpha, beta, gamma, R=1.0):
 
 def infinity(a, alpha, beta, gamma, R=1.0):
     return EndpointAsymptotics("infinity", a=a, alpha=alpha, beta=beta, gamma=gamma, R=R)
+
+
+# ---------------------------------------------------------------------------
+# Test-only references: the origin region as six gamma-branches, which
+# compare gamma with N and with the rounded q_double_star pole, and the
+# far-field rate delta as one formula per witness case.
+# ---------------------------------------------------------------------------
+
+def reference_origin_branch(asym, dims):
+    """(lowers, upper, alpha constraint), branching on gamma against p - a,
+    N and the rounded q_double_star pole; raises GammaSingular where gamma
+    sits below the rounded pole but on the exact one."""
+    p, N, a, alpha, beta, gamma = _exact(
+        dims.p, dims.N, asym.a, asym.alpha, asym.beta, asym.gamma)
+    thr = gamma_upper_threshold(a, dims)
+    one = p / p
+    if gamma == p - a:
+        return [one, p * beta], p * (alpha - beta * (p - a) + N) / (N - p + a), None
+    if gamma < N:
+        qs = q_star(alpha, beta, gamma, dims)
+        return [one, p * beta], min(qs, q_double_star(a, alpha, beta, gamma, dims)), None
+    if gamma == N:
+        return ([one, p * beta], q_double_star(a, alpha, beta, gamma, dims),
+                AlphaConstraint("alpha_gt_alpha2", alpha > -(1 - beta) * N))
+    qs = q_star(alpha, beta, gamma, dims)
+    if gamma < thr:
+        return [one, p * beta, qs], q_double_star(a, alpha, beta, gamma, dims), None
+    if gamma == thr:
+        return ([one, p * beta, qs], math.inf,
+                AlphaConstraint("alpha_gt_alpha1", alpha > -(1 - beta) * gamma))
+    return [one, p * beta, qs, q_double_star(a, alpha, beta, gamma, dims)], math.inf, None
+
+
+def reference_tail_decay(asym, q2, dims):
+    """delta by the witness case: nu times the gap to the active critical
+    exponent in the two alpha cases, the shifted-weight rate in the others."""
+    case = xi_witness_infinity(asym, q2, dims).case_id
+    p, a, alpha, beta, gamma, q2 = _exact(
+        dims.p, asym.a, asym.alpha, asym.beta, asym.gamma, q2)
+    nu = pointwise_decay_exponent(a, gamma, dims)
+    _, a2, a3 = alpha_triplet(asym.beta, asym.gamma, dims)
+    if case == "alpha_ge_alpha1":
+        return nu * (q_double_star(asym.a, asym.alpha, asym.beta, asym.gamma, dims) - q2)
+    if case == "alpha_middle":
+        return nu * (q_star(asym.alpha, asym.beta, asym.gamma, dims) - q2)
+    if case == "beta_one":
+        return alpha - nu * (q2 - p)
+    if case == "beta_above_pinv":
+        return alpha - a2 - nu * (q2 - p * beta)
+    return alpha - a3 - nu * (q2 - 1)
 
 
 class TestDims:
@@ -264,6 +320,114 @@ class TestAdmissibleSet:
             assert s.lower >= max(1.0, p * beta) - 1e-12
 
 
+def _origin_draw(rng, exact):
+    """Origin data on a 0.1 grid, with gamma on N, on q_double_star's exact
+    pole, on its pole as rounded in floats, on p - a or above p - a."""
+    N = int(rng.integers(3, 7))
+    p = Fraction(int(rng.integers(11, 10 * N)), 10)
+    a = p - N + Fraction(int(rng.integers(1, 10 * N + 1)), 10)
+    beta = Fraction(int(rng.integers(0, 11)), 10)
+    alpha = Fraction(int(rng.integers(-80, 81)), 8)
+    if not exact:
+        p, a, beta, alpha = map(float, (p, a, beta, alpha))
+    if rng.random() < 0.1:
+        # a a few ulps above p - N, where the second pole rounds to N or near it
+        a = p - N + int(rng.integers(1, 40)) * (Fraction(1, 2 ** 50) if exact else math.ulp(N))
+    dims = ProblemDims(N=N, p=p)
+    pole = gamma_upper_threshold(Fraction(a), ProblemDims(N=N, p=Fraction(p)))
+    rounded = gamma_upper_threshold(float(a), ProblemDims(N=N, p=float(p)))
+    above = p - a + Fraction(int(rng.integers(1, 121)), 10)
+    gamma = [N, pole, rounded, p - a, above][int(rng.integers(5))]
+    gamma = Fraction(gamma) if exact else float(gamma)
+    return dims, origin(a, alpha, beta, gamma)
+
+
+class TestOneRuleMatchesBranches:
+    """The one rule per critical exponent against the six gamma-branches:
+    equal values and types, except where the branches raise GammaSingular
+    on gamma sitting on q_double_star's pole while below its rounded value."""
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_origin_region(self, exact):
+        rng = np.random.default_rng(2600 + exact)
+        singular = 0
+        for _ in range(4000):
+            dims, asym = _origin_draw(rng, exact)
+            (p,) = _exact(dims.p)
+            try:
+                lowers, upper, constraint = reference_origin_branch(asym, dims)
+            except GammaSingular:
+                singular += 1
+                lowers = [p / p, p * asym.beta, q_star(asym.alpha, asym.beta, asym.gamma, dims)]
+                upper = math.inf
+                constraint = AlphaConstraint(
+                    "alpha_gt_alpha1", asym.alpha > -(1 - asym.beta) * asym.gamma)
+            bounds = (max(lowers), upper)
+            if constraint is not None and not constraint.satisfied:
+                bounds = (math.inf, -math.inf)
+            assert repr(q1_region_bounds(asym, dims)) == repr(bounds)
+            assert repr(q1_admissible_set(asym, dims)) == repr(
+                AdmissibleSet(max(max(lowers), p), upper, constraint))
+        # floats put some exact poles below their rounded value; Fractions never
+        assert (singular > 0) != exact
+
+    def test_pole_below_its_rounded_value(self):
+        # (1.9*5 - 0.5)/0.9 = 10, so q_double_star's float denominator is 0,
+        # while the threshold rounds to 10.000000000000002
+        dims = ProblemDims(N=6, p=1.9)
+        asym = origin(-0.5, 0.0, 1.0, 10.0)
+        assert gamma_upper_threshold(-0.5, dims) > 10.0
+        with pytest.raises(GammaSingular):
+            reference_origin_branch(asym, dims)
+        s = q1_admissible_set(asym, dims)
+        assert s.alpha_constraint == AlphaConstraint("alpha_gt_alpha1", False)
+        assert q1_region_bounds(asym, dims) == (math.inf, -math.inf)
+        for q in (1.5, 2.0, 4.0, 10.0, 50.0):
+            member = q1_region_membership(asym, q, dims)
+            assert member is False
+            assert member == (not xi_witness_origin(asym, q, dims).empty)
+
+    def test_second_pole_rounding_to_n(self):
+        # a lies 2.8e-16 above p - N: q_double_star's pole N + 1.9e-16 rounds
+        # to N, yet gamma = N lies below it and q_double_star caps q1
+        dims = ProblemDims(N=3, p=2.5)
+        asym = origin(-0.4999999999999997, 0.0, 0.5, 3.0)
+        assert gamma_upper_threshold(asym.a, dims) == 3.0
+        lowers, upper, constraint = reference_origin_branch(asym, dims)
+        s = q1_admissible_set(asym, dims)
+        assert s == AdmissibleSet(max(max(lowers), 2.5), upper, constraint)
+        assert s.alpha_constraint.kind == "alpha_gt_alpha2" and 1e16 < s.upper < math.inf
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_tail_decay(self, exact):
+        rng = np.random.default_rng(2610 + exact)
+        cases = set()
+        for _ in range(3000):
+            # gamma on or below p - a; beta on 1, on 1/p or free; alpha on one
+            # of the witness's three thresholds or free
+            N = int(rng.integers(3, 7))
+            p = Fraction(int(rng.integers(11, 10 * N)), 10)
+            a = p - N + Fraction(int(rng.integers(1, 10 * N + 1)), 10)
+            below = Fraction(int(rng.integers(0, 101)), 10) * int(rng.integers(0, 2))
+            beta = Fraction(int(rng.integers(0, 11)), 10)
+            alpha = Fraction(int(rng.integers(-80, 81)), 8)
+            if not exact:
+                p, a, below, beta, alpha = map(float, (p, a, below, beta, alpha))
+            dims = ProblemDims(N=N, p=p)
+            gamma = p - a - below
+            beta = [p / p, 1 / p, beta][int(rng.integers(3))]
+            alpha = [*alpha_triplet(beta, gamma, dims), alpha][int(rng.integers(4))]
+            asym = infinity(a, alpha, beta, gamma)
+            q2 = q2_lower_bound(asym, dims) + Fraction(int(rng.integers(1, 43)), 7)
+            cases.add(xi_witness_infinity(asym, q2, dims).case_id)
+            delta, ref = tail_decay_exponent(asym, q2, dims), reference_tail_decay(asym, q2, dims)
+            if exact:
+                assert type(delta) is Fraction and delta == ref
+            else:
+                assert delta == pytest.approx(ref, rel=1e-12, abs=1e-12)
+        assert cases == set(INFINITY_CASES)
+
+
 # ---------------------------------------------------------------------------
 # Shift-witness machinery.  The oracle below evaluates, on a dense xi grid,
 # the raw feasibility system that the closed forms are derived from:
@@ -441,7 +605,8 @@ class TestTailDecayExponent:
 
 class TestTailDecayUnifiedForm:
     def test_case_formulas_match_effective_weight_exponent(self):
-        # every per-case value must equal the generic bound exponent
+        # every per-case value of the reference must equal the generic bound
+        # exponent
         #   alpha_eff - nu*(q2 - p*beta_eff) + N*(1 - beta_eff)
         # evaluated at the chosen shift (the three weight regimes coincide at
         # their boundaries, so one formula covers all cases)
@@ -462,7 +627,7 @@ class TestTailDecayUnifiedForm:
             cases_seen.add(w.case_id)
             nu = (p * (N - 1) - (p - 1) * gamma + a) / p ** 2
             generic = w.alpha_eff - nu * (q2 - p * w.beta_eff) + N * (1 - w.beta_eff)
-            delta = tail_decay_exponent(asym, q2, dims)
+            delta = reference_tail_decay(asym, q2, dims)
             assert delta == pytest.approx(generic, rel=1e-9, abs=1e-9)
             checked += 1
         assert len(cases_seen) == 5  # every dispatch branch exercised

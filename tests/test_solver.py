@@ -1398,3 +1398,20 @@ class TestResidual:
             vv[-1] = 0.0
             res.append(residual_weak_form(RadialFunction(grid, vv), t, pure_power(4)))
         assert res[1] > 3 * res[0]
+
+    def test_underflowing_slopes_keep_the_residual_finite(self):
+        # at p = 1.5 a slope near 1e-168 squares to 0, whose power -1/4 is
+        # inf; the flux there is |u'|^(p-1) sign(u'), not inf - inf = NaN
+        grid = build_grid(1e-2, 20.0, 300, ProblemDims(N=3, p=1.5))
+        t = unit_table(grid)
+        vals = initial_bump(grid)
+        vals[:20] = 1e-170 * np.linspace(2.0, 1.0, 20)
+        u = RadialFunction(grid, vals)
+        assert math.isfinite(residual_weak_form(u, t, pure_power(4)))
+        on = solver_module._on_grid(grid, t)
+        du = np.diff(vals) / grid.dr
+        assert np.all((du[:19] != 0.0) & (du[:19] * du[:19] == 0.0))
+        zero = np.zeros(grid.n)
+        g = solver_module._gradient_array(du, on, 0.0, (zero, zero))
+        flux = -np.exp(0.5 * np.log(-du[:19])) * on.a_flux[:19]
+        assert g[1:19] == pytest.approx(flux[:18] - flux[1:], rel=1e-12)
