@@ -28,7 +28,7 @@ from .exponents import (
     xi_witness_infinity,
     xi_witness_origin,
 )
-from .nonlinearity import NonlinearitySpec, F_eval, check_ar, check_growth, f_eval, pure_power
+from .nonlinearity import NonlinearitySpec, F_eval, f_eval, pure_power
 from .potentials import (
     AsymptoticBound,
     Constant,
@@ -55,9 +55,7 @@ from .solver import (
     energy,
     energy_gradient,
     nehari_scale,
-    residual_weak_form,
     solve_ground_state,
-    weighted_norm,
 )
 
 __version__ = "0.1.0"

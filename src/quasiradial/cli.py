@@ -27,8 +27,10 @@ import numpy as np
 
 from ._jsonio import canonical_json
 from .exponents import (
+    BoundaryCase,
     EndpointAsymptotics,
     InvalidAsymptotics,
+    NotAdmissible,
     ProblemDims,
     critical_exponents,
     pointwise_decay_exponent,
@@ -38,6 +40,9 @@ from .exponents import (
     q1_region_membership,  # not called here; the benchmark wraps this module's copy
     q_double_star,
     q_star,
+    tail_decay_exponent,
+    xi_witness_infinity,
+    xi_witness_origin,
 )
 from .nonlinearity import NonlinearitySpec
 from .potentials import (
@@ -188,8 +193,30 @@ def load_config_file(path) -> RunConfig:
         raise ConfigError(str(exc))
 
 
+def witness_report(cfg: RunConfig) -> dict:
+    """The shift witnesses at the configured (q1, q2): the origin's feasible xi
+    interval, and at infinity the chosen xi, the effective weights and the rate
+    delta of the far-field bound C R^delta.  An end without one says why."""
+    (q1, q2), dims = cfg.q_sorted, cfg.dims
+    origin, infinity = {"q": q1}, {"q": q2}
+    try:
+        w = xi_witness_origin(cfg.asym_origin, q1, dims)
+        origin.update(xi_lo=float(w.lo), xi_hi=float(w.hi), closed_lo=w.closed_lo,
+                      closed_hi=w.closed_hi, empty=w.empty)
+    except BoundaryCase as exc:  # gamma = p - a
+        origin["none"] = str(exc)
+    try:
+        w = xi_witness_infinity(cfg.asym_infinity, q2, dims)
+        infinity.update(case=w.case_id, xi=float(w.xi), alpha_eff=float(w.alpha_eff),
+                        beta_eff=float(w.beta_eff),
+                        delta=float(tail_decay_exponent(cfg.asym_infinity, q2, dims)))
+    except NotAdmissible as exc:  # q2 at or below its threshold
+        infinity["none"] = str(exc)
+    return {"origin": origin, "infinity": infinity}
+
+
 def region_report(cfg: RunConfig) -> dict:
-    """Admissible exponent intervals and thresholds for the configured data."""
+    """Admissible exponent intervals, thresholds and witnesses for the configured data."""
     dims = cfg.dims
     s = q1_admissible_set(cfg.asym_origin, dims)
     bound = q2_lower_bound(cfg.asym_infinity, dims)
@@ -214,6 +241,7 @@ def region_report(cfg: RunConfig) -> dict:
             "q_double_star": None if ce.q_double_star is None else float(ce.q_double_star),
             "p_sobolev": float(ce.p_sobolev),
         } for end, ce in ces},
+        "witnesses": witness_report(cfg),
     }
 
 
@@ -625,24 +653,22 @@ def main(argv=None) -> int:
             _emit(doc)
             return EXIT_OK
 
-        if args.command == "solve":
-            check = check_report(cfg)
-            if not check["passed"] and not args.force:
-                _emit({"error": "hypothesis_check_failed", "check": check})
-                return EXIT_HYPOTHESIS
-            if args.sweep is not None:
-                key = args.sweep[0]
-                if key not in ("q", "q1", "q2"):
-                    raise ConfigError(f"unsupported sweep key {key!r}")
-                doc, code = sweep_solves(args.sweep, lambda q: _config_at_q(cfg, key, q),
-                                         out_dir, f"solution_{key}_")
-                _emit(doc)
-                return code
-            rep, code = solve_to_files(cfg, out_dir)
-            _emit(rep)
+        # the one command left, as the subparsers are required: solve
+        check = check_report(cfg)
+        if not check["passed"] and not args.force:
+            _emit({"error": "hypothesis_check_failed", "check": check})
+            return EXIT_HYPOTHESIS
+        if args.sweep is not None:
+            key = args.sweep[0]
+            if key not in ("q", "q1", "q2"):
+                raise ConfigError(f"unsupported sweep key {key!r}")
+            doc, code = sweep_solves(args.sweep, lambda q: _config_at_q(cfg, key, q),
+                                     out_dir, f"solution_{key}_")
+            _emit(doc)
             return code
-
-        raise ConfigError(f"unknown command {args.command!r}")
+        rep, code = solve_to_files(cfg, out_dir)
+        _emit(rep)
+        return code
     except (ConfigError, NonPositive) as exc:
         _emit({"error": "invalid_config", "detail": str(exc)})
         return EXIT_CONFIG

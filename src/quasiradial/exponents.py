@@ -93,7 +93,9 @@ class EndpointAsymptotics:
 
 def validate_endpoint(asym: EndpointAsymptotics, dims: ProblemDims) -> None:
     """Raise InvalidAsymptotics unless `asym` satisfies the hypotheses that
-    depend on dims: the range of a, and gamma against p - a."""
+    depend on dims: the range of a, and gamma against p - a.  What they imply
+    and the formulas divide by, N + a - p > 0 and at infinity gamma < N and
+    nu > 0, is checked as computed: rounding breaks it for some a near p - N."""
     p, N = dims.p, dims.N
     if not (p - N < asym.a <= p):
         raise InvalidAsymptotics(
@@ -104,6 +106,14 @@ def validate_endpoint(asym: EndpointAsymptotics, dims: ProblemDims) -> None:
     if asym.end == INFINITY and not asym.gamma <= p - asym.a:
         raise InvalidAsymptotics(
             f"infinity data needs gamma <= p - a = {p - asym.a}, got {asym.gamma}")
+    if not N + asym.a - p > 0:
+        raise InvalidAsymptotics(
+            f"a = {asym.a} lies within rounding of p - N: N + a - p = {N + asym.a - p}")
+    if asym.end == INFINITY:
+        nu = pointwise_decay_exponent(asym.a, asym.gamma, dims)
+        if not (asym.gamma < N and nu > 0):
+            raise InvalidAsymptotics(
+                f"infinity data needs gamma < N = {N} and nu > 0, got gamma = {asym.gamma}, nu = {nu}")
 
 
 def _require(asym: EndpointAsymptotics, end: str, caller: str, dims: ProblemDims) -> None:
@@ -326,16 +336,17 @@ def xi_witness_origin(asym: EndpointAsymptotics, q1, dims: ProblemDims) -> Witne
     open/closed endpoint flags.
     """
     _require(asym, ORIGIN, "xi_witness_origin", dims)
-    if asym.gamma == dims.p - asym.a:
-        raise BoundaryCase("gamma = p - a admits no shift system")
     p, N, a, alpha, beta, gamma, q1 = _exact(
         dims.p, dims.N, asym.a, asym.alpha, asym.beta, asym.gamma, q1)
+    G = gamma - p + a
+    # either test alone can miss gamma = p - a in floats; the system divides by G
+    if gamma == p - a or G == 0:
+        raise BoundaryCase("gamma = p - a admits no shift system")
     zero = p - p
     m = max(zero, (1 - p * beta) / p)
     M = 1 - beta
     D = p * (N - 1) - (p - 1) * gamma + a
     E = p * (alpha + N) - beta * ((p - 1) * gamma + p - a)
-    G = gamma - p + a
     upper = (q1 - p * beta) / p           # strict: p*beta + p*xi < q1
     lower = (q1 * D / p - E) / G          # strict: D*q1 < p*(E + G*xi)
     lo, closed_lo = (m, True) if m > lower else (lower, False)

@@ -50,11 +50,6 @@ class NonlinearitySpec:
         if self.kind == PURE_POWER and self.q1 != self.q2:
             raise ValueError("pure_power requires q1 == q2")
 
-    @property
-    def theta(self):
-        """The family's superlinearity exponent: q1 for rational, else min(q1, q2)."""
-        return self.q1 if self.kind == RATIONAL else min(self.q1, self.q2)
-
     @staticmethod
     def from_json(obj):
         return NonlinearitySpec(
@@ -195,21 +190,3 @@ def F_eval(spec: NonlinearitySpec, t):
     if np.ndim(t) == 0:
         return float(vals)
     return vals
-
-
-def check_ar(spec: NonlinearitySpec, samples) -> bool:
-    """Superlinearity check: theta * F(t) <= f(t) * t on the given samples."""
-    t = np.asarray(samples, dtype=float)
-    lhs = spec.theta * F_eval(spec, t)
-    rhs = f_eval(spec, t) * t
-    return bool(np.all(lhs <= rhs + 1e-12))
-
-
-def check_growth(spec: NonlinearitySpec, samples) -> bool:
-    """Double-power growth: 0 <= f(t) <= M * min(t^(q1-1), t^(q2-1)) on t >= 0."""
-    t = np.asarray(samples, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("growth check expects nonnegative samples")
-    f = f_eval(spec, t)
-    bound = spec.M * np.minimum(t ** (spec.q1 - 1), t ** (spec.q2 - 1))
-    return bool(np.all(f >= -1e-12) and np.all(f <= bound + 1e-12))

@@ -338,12 +338,6 @@ def _norm_p(u, du, on: _OnGrid, eps=0.0):
     return _dot(dens, on.a_measure) + _dot(on.wv, _abs_pow(u, p))
 
 
-def weighted_norm(u: RadialFunction, table: PotentialTable) -> float:
-    """Norm combining the A-weighted gradient term and the V-weighted mass term."""
-    on = _on_grid(u.grid, table)
-    return _norm_p(u.values, _slopes(u.values, u.grid), on) ** (1.0 / u.grid.dims.p)
-
-
 def _eps_for(du):
     """Flux regularization: 1e-10 times the largest cell slope |u'|, as a
     numpy float so that its powers overflow to inf instead of raising."""
@@ -430,18 +424,6 @@ def _hat_norms(on: _OnGrid):
     ea += on.wv
     ea **= 1.0 / p
     return ea
-
-
-def residual_weak_form(u: RadialFunction, table: PotentialTable,
-                       nl: NonlinearitySpec) -> float:
-    """Largest normalized weak-form defect over the nodal hat-function basis.
-
-    Uses the unregularized p-Laplacian flux.
-    """
-    on = _on_grid(u.grid, table)
-    g = _gradient_array(_slopes(u.values, u.grid), on, 0.0,
-                        _lower_order_terms(u.values, on, nl))
-    return _residual(g, _hat_norms(on))
 
 
 def _residual(g0, hat_norms):
@@ -717,8 +699,8 @@ def _gradient(u, on: _OnGrid, nl, hat_norms):
     """The stop quantities at u and the gradient that descent follows:
     (residual, gap, ||u||^p, du, g), du being _slopes(u).
 
-    Convergence is judged on the unregularized defect g0 reported by
-    residual_weak_form, with the Nehari gap |g0 . u| / ||u||^p; descent
+    Convergence is judged on the unregularized defect g0 per hat-function
+    norm, with the Nehari gap |g0 . u| / ||u||^p; descent
     follows the regularized gradient g, which for p < 2 can differ from g0
     near flat cells (for p = 2 the regularization leaves the flux unchanged
     and g is g0)."""

@@ -24,10 +24,12 @@ from quasiradial.cli import (
 )
 from quasiradial.exponents import (
     EndpointAsymptotics,
+    InvalidAsymptotics,
     ProblemDims,
     q1_region_membership,
     q_double_star,
     q_star,
+    tail_decay_exponent,
 )
 from quasiradial.solver import RadialFunction, build_grid
 
@@ -114,6 +116,45 @@ class TestRegion:
             code, _ = run_cli(capsys, [*argv, "--config", path, "--out", str(tmp_path)])
             assert code == EXIT_OK
 
+    def test_a_within_rounding_of_p_minus_n(self, tmp_path, capsys):
+        # a > p - N in floats, but N + a - p, the Sobolev exponent's
+        # divisor, rounds to 0: refused as the hypotheses are, not a crash
+        cfg = unit_benchmark_config()
+        cfg["dims"] = {"N": 3, "p": 2.54}
+        cfg["asymptotics"]["origin"]["gamma"] = 2.54
+        cfg["asymptotics"]["infinity"] = {
+            "a": -0.4599999999999999, "alpha": 0.0, "beta": 0.0, "gamma": 0.0}
+        path = write_config(tmp_path, cfg)
+        detail = "a = -0.4599999999999999 lies within rounding of p - N: N + a - p = 0.0"
+        code, doc = run_cli(capsys, ["region", "--config", path])
+        assert (code, doc) == (EXIT_CONFIG, {"error": "invalid_asymptotics", "detail": detail})
+        code, doc = run_cli(capsys, ["check", "--config", path])
+        assert code == EXIT_HYPOTHESIS
+        consistent = {c["name"]: c["passed"] for c in doc["checks"]
+                      if c["name"].startswith("asymptotics_")}
+        assert consistent == {"asymptotics_origin_consistent": True,
+                              "asymptotics_infinity_consistent": False}
+        code, doc = run_cli(capsys, ["solve", "--force", "--config", path,
+                                     "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert doc["admissible"] is None and doc["admissibility_warning"] == detail
+        report = json.loads((tmp_path / "solution_report.json").read_text())
+        assert report["admissibility_warning"] == detail
+
+    def test_gamma_rounding_onto_n_at_infinity(self, tmp_path, capsys):
+        # gamma <= p - a, which rounds to N = 5: gamma = N would be q_star's pole
+        cfg = unit_benchmark_config()
+        cfg["dims"] = {"N": 5, "p": 3.9}
+        cfg["asymptotics"]["origin"]["gamma"] = 3.9
+        cfg["asymptotics"]["infinity"] = {
+            "a": -1.0999999999999999, "alpha": 0.0, "beta": 0.0, "gamma": 5.0}
+        path = write_config(tmp_path, cfg)
+        code, doc = run_cli(capsys, ["region", "--config", path])
+        assert code == EXIT_CONFIG
+        assert doc["error"] == "invalid_asymptotics"
+        assert doc["detail"].startswith("infinity data needs gamma < N = 5 and nu > 0, "
+                                        "got gamma = 5.0, nu = ")
+
     def test_deterministic_bytes(self, tmp_path, capsys):
         path = write_config(tmp_path, example_config("ex1"))
         main(["region", "--config", path])
@@ -121,6 +162,100 @@ class TestRegion:
         main(["region", "--config", path])
         second = capsys.readouterr().out
         assert first == second
+
+
+def _near(x, ulps):
+    """x moved by `ulps` floats up (ulps > 0) or down."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+def _float_draw(rng):
+    """Float endpoint data with a and gamma often within 3 ulps of p - N, of
+    p - a, of N and of q_double_star's pole: where rounding decides."""
+    N = int(rng.integers(3, 9))
+    p = round(float(rng.uniform(1.1, N - 0.1)), int(rng.choice([1, 2, 17])))
+    ends = {}
+    for end, side in (("origin", 1.0), ("infinity", -1.0)):
+        if rng.random() < 0.35:
+            a = _near(p - N, int(rng.integers(-3, 4)))
+        else:
+            a = float(rng.uniform(p - N, p))
+        beta = float(rng.choice([0.0, 0.5, 1.0, 1.0 / p, rng.uniform()]))
+        gamma = float(rng.choice([p - a, float(N), (p * (N - 1) + a) / (p - 1),
+                                  p - a + side * rng.uniform(0.0, 12.0)]))
+        gamma = _near(gamma, int(rng.integers(-3, 4)))
+        alpha = float(rng.choice([0.0, rng.uniform(-15.0, 15.0), -(1 - beta) * gamma,
+                                  -(1 - beta) * N]))
+        ends[end] = {"a": a, "alpha": alpha, "beta": beta, "gamma": gamma}
+    q1, q2 = (float(rng.uniform(1.1, 20.0)) for _ in range(2))
+    return {**unit_benchmark_config(), "dims": {"N": N, "p": p}, "asymptotics": ends,
+            "nonlinearity": {"kind": "min_powers", "q1": q1, "q2": q2}}
+
+
+class TestWitnesses:
+    ORIGIN_KEYS = {"q", "xi_lo", "xi_hi", "closed_lo", "closed_hi", "empty"}
+    INFINITY_KEYS = {"q", "case", "xi", "alpha_eff", "beta_eff", "delta"}
+
+    @pytest.mark.parametrize("name, delta", [
+        ("ex1", -0.5), ("ex2_I", -1.0625), ("ex2_II", -1.0625), ("ex2_III", -1.0625)])
+    def test_bundled_examples(self, tmp_path, capsys, name, delta):
+        cfg = load_config(example_config(name))
+        q1, q2 = cfg.q_sorted
+        code, doc = run_cli(capsys, ["region", "--config",
+                                     write_config(tmp_path, example_config(name))])
+        assert code == EXIT_OK
+        w = doc["witnesses"]
+        assert set(w["origin"]) == self.ORIGIN_KEYS and w["origin"]["q"] == q1
+        assert w["origin"]["empty"] == (not q1_region_membership(cfg.asym_origin, q1, cfg.dims))
+        assert set(w["infinity"]) == self.INFINITY_KEYS and w["infinity"]["q"] == q2
+        assert w["infinity"]["delta"] == tail_decay_exponent(cfg.asym_infinity, q2, cfg.dims)
+        assert w["infinity"]["delta"] == delta
+
+    def test_gamma_p_minus_a_at_the_origin_has_no_shift_system(self, tmp_path, capsys):
+        # the unit benchmark's rates: constant potentials, gamma = p at the origin
+        cfg = unit_benchmark_config()
+        cfg["asymptotics"]["infinity"]["gamma"] = 0.0
+        code, doc = run_cli(capsys, ["region", "--config", write_config(tmp_path, cfg)])
+        assert code == EXIT_OK
+        w = doc["witnesses"]
+        assert w["origin"] == {"q": 4.0, "none": "gamma = p - a admits no shift system"}
+        assert set(w["infinity"]) == self.INFINITY_KEYS and w["infinity"]["delta"] == -2.0
+
+    def test_divisor_rounding_to_zero_has_no_shift_system(self, tmp_path, capsys):
+        # gamma != p - a in floats, but gamma - p + a rounds to 0
+        cfg = unit_benchmark_config()
+        cfg["dims"] = {"N": 3, "p": 2.05}
+        cfg["asymptotics"]["origin"] = {"a": 1.9, "alpha": 0.0, "beta": 0.0,
+                                        "gamma": 0.14999999999999997}
+        code, doc = run_cli(capsys, ["region", "--config", write_config(tmp_path, cfg)])
+        assert code == EXIT_OK
+        assert doc["witnesses"]["origin"]["none"] == "gamma = p - a admits no shift system"
+
+    def test_q2_not_above_the_threshold(self, tmp_path, capsys):
+        cfg = example_config("ex2_I")
+        cfg["potentials"]["K"]["args"][0]["e"] = cfg["asymptotics"]["infinity"]["alpha"] = 12.0
+        code, doc = run_cli(capsys, ["region", "--config", write_config(tmp_path, cfg)])
+        assert code == EXIT_OK and doc["admissible"] is False
+        assert doc["witnesses"]["infinity"] == {
+            "q": 8.5, "none": "q2 = 8.5 is not above the threshold 9.076923076923077"}
+        assert set(doc["witnesses"]["origin"]) == self.ORIGIN_KEYS
+
+    def test_float_draws_near_the_poles(self):
+        # a region report is refused as invalid or carries both witnesses
+        rng = np.random.default_rng(27)
+        reported = 0
+        for _ in range(3000):
+            try:
+                cfg = load_config(_float_draw(rng))
+                doc = cli.region_report(cfg)
+            except (cli.ConfigError, InvalidAsymptotics):
+                continue
+            reported += 1
+            for end, keys in (("origin", self.ORIGIN_KEYS), ("infinity", self.INFINITY_KEYS)):
+                assert set(doc["witnesses"][end]) in (keys, {"q", "none"})
+        assert reported > 500
 
 
 class TestRegionPlot:
@@ -417,6 +552,55 @@ class TestBadNonlinearity:
         assert not list(tmp_path.glob("*.csv"))
 
 
+def _without_gamma(cfg):
+    del cfg["asymptotics"]["origin"]["gamma"]
+    return cfg
+
+
+class TestConfigRefusals:
+    @pytest.mark.parametrize("edit, detail", [
+        (_without_gamma, "asymptotics.origin is missing field 'gamma'"),
+        (lambda cfg: {**cfg, "schema_version": 2}, "unsupported schema_version 2"),
+    ])
+    def test_bad_document_exits_two(self, tmp_path, capsys, edit, detail):
+        path = write_config(tmp_path, edit(example_config("ex1")))
+        for command in ("region", "check", "probe", "solve"):
+            code, doc = run_cli(capsys, [command, "--config", path, "--out", str(tmp_path)])
+            assert (code, doc) == (EXIT_CONFIG, {"error": "invalid_config", "detail": detail})
+
+    @pytest.mark.parametrize("text", [None, "{", "[1, 2"])
+    def test_unreadable_or_malformed_file_exits_two(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text)
+        code, doc = run_cli(capsys, ["region", "--config", str(path)])
+        assert code == EXIT_CONFIG and doc["error"] == "invalid_config"
+
+    @pytest.mark.parametrize("argv, detail", [
+        (["example", "ex2_I", "--sweep", "q=3:4:1"], "example sweeps support the key 'd' only"),
+        (["solve", "--sweep", "foo=3:4:1"], "unsupported sweep key 'foo'"),
+    ])
+    def test_unsupported_sweep_key_exits_two(self, tmp_path, capsys, argv, detail):
+        if argv[0] == "solve":
+            argv = [*argv, "--config", write_config(tmp_path, example_config("ex1"))]
+        code, doc = run_cli(capsys, [*argv, "--out", str(tmp_path)])
+        assert (code, doc) == (EXIT_CONFIG, {"error": "invalid_config", "detail": detail})
+        assert list(tmp_path.glob("*.csv")) == []
+
+    def test_forced_solve_reports_invalid_asymptotics(self, tmp_path, capsys):
+        # the solve does not need the rates to hold; its report says they fail
+        cfg = example_config("ex1")
+        cfg["asymptotics"]["infinity"]["gamma"] = 3.5  # above p - a
+        path = write_config(tmp_path, cfg)
+        code, doc = run_cli(capsys, ["solve", "--config", path, "--out", str(tmp_path)])
+        assert code == EXIT_HYPOTHESIS
+        code, doc = run_cli(capsys, ["solve", "--force", "--config", path,
+                                     "--out", str(tmp_path)])
+        assert code == EXIT_OK and doc["stop_reason"] == "converged"
+        assert doc["admissible"] is None
+        assert doc["admissibility_warning"] == "infinity data needs gamma <= p - a = 3.0, got 3.5"
+
+
 class TestSolve:
     def test_benchmark_requires_force(self, tmp_path, capsys):
         path = write_config(tmp_path, unit_benchmark_config())
@@ -638,6 +822,15 @@ class TestTruncationSensitivity:
         assert sens["domain"] == [0.04, 1000.0]
         assert sens["energy_rel_diff"] == pytest.approx(2.60150605029286e-05, rel=1e-3)
 
+    def test_three_decades_are_not_shrunk(self, tmp_path, capsys):
+        # [1e-2, 10] shrunk by a decade per side would leave one decade
+        cfg = unit_benchmark_config()
+        cfg["grid"]["r_max"] = 10.0
+        code, doc = run_cli(capsys, ["solve", "--force", "--config",
+                                     write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert doc["truncation_sensitivity"] == {"skipped": "domain too narrow to shrink"}
+
     def test_zero_start_reports_failed(self):
         cfg = cli.load_config(unit_benchmark_config())
         grid = build_grid(cfg.r_min, cfg.r_max, cfg.n_nodes, cfg.dims)
@@ -665,6 +858,7 @@ class TestExampleCommand:
         code, doc = run_cli(capsys, ["example", "ex1", "--out", str(tmp_path)])
         assert code == EXIT_OK
         assert doc["thresholds_asserted"]["q_star_infinity"] == 8.0
+        assert doc["region"]["witnesses"]["infinity"]["delta"] == -0.5
         assert doc["check"]["passed"] is True
         assert doc["solve"]["residual"] < 1e-5
         assert doc["solve"]["stop_reason"] == "converged"

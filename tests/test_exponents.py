@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -237,6 +238,34 @@ class TestQ2LowerBound:
             EndpointAsymptotics(end, a=-1, alpha=0, beta=beta, gamma=3, R=R)
         assert str(exc.value) == detail
 
+    @pytest.mark.parametrize("N, p, a, gamma, detail", [
+        # N + a - p rounds to 0: the Sobolev exponent divided by it
+        (3, 2.54, -0.4599999999999999, 0.0, "N + a - p = 0.0"),
+        (3, 2.54, -0.4599999999999999, 3.0, "N + a - p = 0.0"),
+        # N + a - p > 0 as computed, but p - a rounds to N and gamma = N
+        # takes q_star's pole
+        (5, 3.9, -1.0999999999999999, 5.0, "gamma < N = 5 and nu > 0, got gamma = 5.0"),
+        # gamma < N, but p(N-1) - (p-1) gamma + a, q_double_star's divisor
+        # and p^2 nu, rounds to 0
+        (8, 1.1959452804259767, -6.804054719574022, 7.999999999999999, "nu = 0.0"),
+    ])
+    def test_rounding_that_breaks_the_hypotheses(self, N, p, a, gamma, detail):
+        # a lies a few ulps above p - N, so a > p - N and gamma <= p - a
+        # pass in floats while their exact consequences fail
+        dims = ProblemDims(N=N, p=p)
+        assert p - N < a and gamma <= p - a
+        with pytest.raises(InvalidAsymptotics, match=re.escape(detail)):
+            q2_lower_bound(infinity(a, 0, 0, gamma), dims)
+        if gamma == 0.0:  # the same a at the origin
+            with pytest.raises(InvalidAsymptotics, match=re.escape("N + a - p = 0.0")):
+                q1_admissible_set(origin(a, 0, 0, p - a), dims)
+
+    def test_exact_data_beside_p_minus_n_is_kept(self):
+        # in exact arithmetic the two computed checks follow from the others
+        dims = ProblemDims(N=3, p=Fraction(127, 50))
+        a = Fraction(-23, 50) + Fraction(1, 10**30)
+        assert q2_lower_bound(infinity(a, 0, 0, dims.p - a), dims) > 0
+
 
 class TestRegionMembership:
     def test_example1_origin(self):
@@ -467,6 +496,13 @@ class TestWitnessOrigin:
     def test_boundary_case_raises(self):
         with pytest.raises(BoundaryCase):
             xi_witness_origin(origin(-1, 0, 0.5, 3), 4, D24)
+
+    def test_gamma_minus_p_plus_a_rounding_to_zero_raises(self):
+        # gamma != p - a in floats, yet gamma - p + a, the system's divisor, is 0
+        dims, a, gamma = ProblemDims(N=3, p=2.05), 1.9, 0.14999999999999997
+        assert gamma != 2.05 - a and gamma - 2.05 + a == 0
+        with pytest.raises(BoundaryCase):
+            xi_witness_origin(origin(a, 0, 0, gamma), 4, dims)
 
     def test_interval_points_satisfy_raw_system(self):
         rng = np.random.default_rng(41)

@@ -9,8 +9,6 @@ from quasiradial.nonlinearity import (
     NonlinearitySpec,
     F_eval,
     _rational_primitive_scalar,
-    check_ar,
-    check_growth,
     f_eval,
     pure_power,
 )
@@ -22,6 +20,30 @@ def minp(q1, q2, **kw):
 
 def rat(q1, q2, **kw):
     return NonlinearitySpec(kind="rational", q1=q1, q2=q2, **kw)
+
+
+# References for the two hypotheses on f that every family meets by
+# construction: superlinearity and double-power growth.
+
+def theta(spec):
+    """The family's superlinearity exponent: q1 for rational, else min(q1, q2)."""
+    return spec.q1 if spec.kind == "rational" else min(spec.q1, spec.q2)
+
+
+def check_ar(spec, samples) -> bool:
+    """Superlinearity check: theta * F(t) <= f(t) * t on the given samples."""
+    t = np.asarray(samples, dtype=float)
+    return bool(np.all(theta(spec) * F_eval(spec, t) <= f_eval(spec, t) * t + 1e-12))
+
+
+def check_growth(spec, samples) -> bool:
+    """Double-power growth: 0 <= f(t) <= M * min(t^(q1-1), t^(q2-1)) on t >= 0."""
+    t = np.asarray(samples, dtype=float)
+    if np.any(t < 0):
+        raise ValueError("growth check expects nonnegative samples")
+    f = f_eval(spec, t)
+    bound = spec.M * np.minimum(t ** (spec.q1 - 1), t ** (spec.q2 - 1))
+    return bool(np.all(f >= -1e-12) and np.all(f <= bound + 1e-12))
 
 
 class TestFEval:
@@ -98,9 +120,9 @@ class TestFEval:
         np.testing.assert_array_equal(f_eval(spec, t), direct)
 
     def test_defaults(self):
-        assert minp(3, 5).theta == 3
-        assert rat(3, 5).theta == 3
-        assert pure_power(4).theta == 4
+        assert theta(minp(3, 5)) == 3
+        assert theta(rat(3, 5)) == 3
+        assert theta(pure_power(4)) == 4
 
     def test_json_roundtrip(self):
         obj = {"kind": "min_powers", "q1": 3, "q2": 9, "M": 1.5}
@@ -312,7 +334,7 @@ class TestSuperlinearity:
     def test_pure_power_equality(self):
         spec = pure_power(4)
         t = np.logspace(-2, 2, 200)
-        lhs = spec.theta * F_eval(spec, t)
+        lhs = theta(spec) * F_eval(spec, t)
         rhs = f_eval(spec, t) * t
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 

@@ -61,6 +61,14 @@ class TestTrialFamily:
         assert 1.5 not in fam.nus
 
 
+    def test_zero_center_sweeps_a_symmetric_band(self):
+        # [0.5, 1.5] * nu_center would collapse to a point at nu_center = 0
+        grid, table = unit_setup()
+        fam = make_trial_family(grid, table, 0.0, "origin")
+        assert len(fam) == 16 * 12
+        assert sorted(set(fam.nus)) == np.linspace(-0.5, 0.5, 16).tolist()
+
+
 class TestProbeMonotonicity:
     def test_origin_nondecreasing_in_radius(self):
         grid, table = unit_setup()
@@ -157,6 +165,25 @@ class TestDecayVerdict:
                            samples=[(1.0, 0.0), (10.0, 0.0), (100.0, 0.0)],
                            log_values=[-math.inf, -math.inf, -math.inf])
         assert decay_verdict(curve, 0.9) == "inconclusive"
+
+    def test_repeated_radius_is_skipped(self):
+        # a zero-decade step carries no rate
+        curve = ProbeCurve(q=3.0, end="infinity",
+                           samples=[(1.0, 1.0), (1.0, 1.0), (10.0, 0.5), (100.0, 0.25)],
+                           log_values=[0.0, 0.0, math.log(0.5), math.log(0.25)])
+        assert decay_verdict(curve, 0.9) == "decays"
+
+    def test_samples_below_the_floor(self):
+        # two -inf samples in a row have already decayed; a finite value
+        # after a -inf one has grown back
+        decayed = ProbeCurve(q=3.0, end="infinity",
+                             samples=[(1.0, 1.0), (10.0, 0.0), (100.0, 0.0)],
+                             log_values=[0.0, -math.inf, -math.inf])
+        assert decay_verdict(decayed, 0.9) == "decays"
+        regrown = ProbeCurve(q=3.0, end="infinity",
+                             samples=[(1.0, 0.0), (10.0, 0.5), (100.0, 0.25)],
+                             log_values=[-math.inf, math.log(0.5), math.log(0.25)])
+        assert decay_verdict(regrown, 0.9) == "stalls"
 
     def test_too_few_samples(self):
         curve = ProbeCurve(q=3.0, end="infinity", samples=[(1.0, 1.0), (10.0, 0.5)],

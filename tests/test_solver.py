@@ -26,16 +26,30 @@ from quasiradial.solver import (
     energy_gradient,
     initial_bump,
     nehari_scale,
-    residual_weak_form,
     solve_ground_state,
     unit_sphere_area,
-    weighted_norm,
 )
 
 from shooting_oracle import ground_state_center
 
 D24 = ProblemDims(N=4, p=2)
 D23 = ProblemDims(N=3, p=2)
+
+
+def weighted_norm(u, table):
+    """Norm combining the A-weighted gradient term and the V-weighted mass term."""
+    on = solver_module._on_grid(u.grid, table)
+    return solver_module._norm_p(u.values, solver_module._slopes(u.values, u.grid),
+                                 on) ** (1.0 / u.grid.dims.p)
+
+
+def residual_weak_form(u, table, nl):
+    """Largest normalized weak-form defect over the nodal hat-function basis,
+    with the unregularized p-Laplacian flux: the defect a solve stops on."""
+    on = solver_module._on_grid(u.grid, table)
+    g = solver_module._gradient_array(solver_module._slopes(u.values, u.grid), on, 0.0,
+                                      solver_module._lower_order_terms(u.values, on, nl))
+    return solver_module._residual(g, solver_module._hat_norms(on))
 
 
 def unit_table(grid):
