@@ -53,7 +53,6 @@ from .solver import (
     build_grid,
     decay_slopes,
     energy,
-    energy_gradient,
     nehari_scale,
     solve_ground_state,
 )

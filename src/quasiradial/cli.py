@@ -286,11 +286,12 @@ def probe_report(cfg: RunConfig):
 
 
 def _write_csv(path, header, rows):
-    """CSV with \r\n line ends, floats to 17 significant digits, built as one string."""
-    lines = [",".join(header)] + [",".join([format(v, ".17g") if isinstance(v, float)
-                                            else str(v) for v in row]) for row in rows]
+    """CSV with \r\n line ends, floats to 17 significant digits, built as one
+    string: one % formats every value, floats by %.17g and the rest by %s."""
+    fmt = "".join([",".join(["%.17g" if isinstance(v, float) else "%s" for v in row]) + "\r\n"
+                   for row in rows])
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+        fh.write(",".join(header) + "\r\n" + fmt % tuple(v for row in rows for v in row))
 
 
 def _solve_once(cfg: RunConfig, r_min, r_max, n_nodes, start=None):

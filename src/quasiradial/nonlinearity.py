@@ -66,7 +66,9 @@ def f_eval(spec: NonlinearitySpec, t):
 
     M f is finite wherever it is a float: entries that overflow are redone through logs.
     """
-    t = np.maximum(np.asarray(t, dtype=float), 0.0)
+    t = np.asarray(t, dtype=float)
+    if np.signbit(t).any():  # the clamp copies; t with no sign bit set is its own clamp
+        t = np.maximum(t, 0.0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if spec.kind == RATIONAL:
             vals = spec.M * t ** (spec.q2 - 1) / (1.0 + t ** (spec.q2 - spec.q1))

@@ -98,7 +98,10 @@ def factor_banded(ab) -> BandedFactor:
         lo = a[1::2] / b[:-1:2]
         hi = c[1::2] / b[2::2]
         levels.append((lo, hi, np.array((a[2::2], c[:-1:2])), b[::2].copy()))
-        a, b, c = -lo * a[:-1:2], b[1::2] - lo * c[:-1:2] - hi * a[2::2], -hi * c[2::2]
+        # one at a time, each array dropped once nothing reads it
+        b = b[1::2] - lo * c[:-1:2] - hi * a[2::2]
+        a = -lo * a[:-1:2]
+        c = -hi * c[2::2]
     try:
         inverse = np.linalg.inv(np.diag(b) + np.diag(a[1:], -1) + np.diag(c[:-1], 1))
     except np.linalg.LinAlgError:
@@ -112,7 +115,8 @@ def solve_banded(factor: BandedFactor, rhs):
     and the unknowns are substituted back from the last level up, each
     level's in place of its own right-hand side.  Each level's right-hand
     side is a new array, with a 0 ghost row where the factor has one, so
-    neither the factor nor rhs is written to."""
+    neither the factor nor rhs is written to; the arrays of a level are
+    dropped once the level above has read its unknowns."""
     levels = factor.levels
     sizes = [2 * len(lo) + 1 for lo, _, _, _ in levels] + [len(factor.inverse)]
     d = np.zeros(sizes[0])
@@ -126,10 +130,10 @@ def solve_banded(factor: BandedFactor, rhs):
         np.subtract(above[1::2], below, below)
         below -= hi * right
     d[:] = np.dot(factor.inverse, d)
-    for (_, _, coupling, b_even), (d, left, right, x) in zip(reversed(levels), reversed(reduced)):
-        coupled = coupling * x
-        right -= coupled[0]
-        left -= coupled[1]
+    for _, _, coupling, b_even in reversed(levels):
+        d, left, right, x = reduced.pop()
+        right -= coupling[0] * x
+        left -= coupling[1] * x
         even = d[::2]
         even /= b_even
         d[1::2] = x
@@ -292,7 +296,6 @@ class _OnGrid:
     grid: RadialGrid
     table: PotentialTable
     a_measure: np.ndarray  # A per cell times the cell measure: the A-term's weight
-    a_flux: np.ndarray  # a_measure / dr: the flux's weight per unit slope
     wv: np.ndarray  # quadrature weight times V per node
     wk: np.ndarray  # quadrature weight times K per node
     # log(w K), formed from log w + log K so that astronomically weighted
@@ -308,8 +311,7 @@ def _on_grid(grid: RadialGrid, table: PotentialTable) -> _OnGrid:
     with np.errstate(over="ignore"):
         wv, wk = (grid.quad_weights * np.exp(x) for x in (table.log_V, table.log_K))
     log_wk = np.log(grid.quad_weights) + table.log_K
-    return _OnGrid(grid, table, a_measure, a_measure / grid.dr, wv, wk, log_wk,
-                   float(log_wk.max() - log_wk.min()))
+    return _OnGrid(grid, table, a_measure, wv, wk, log_wk, float(log_wk.max() - log_wk.min()))
 
 
 def _slopes(u, grid: RadialGrid):
@@ -319,23 +321,40 @@ def _slopes(u, grid: RadialGrid):
     return du
 
 
-def _abs_pow(x, p):
-    """|x|^p; for p = 2 formed as x x, which gives the same bits in one pass."""
-    return x * x if p == 2.0 else np.abs(x) ** p
+def _abs_pow(x, p, out):
+    """|x|^p, written into out (which may be x; None for a new array); for
+    p = 2 formed as x x, which gives the same bits in one pass."""
+    if p == 2.0:
+        return np.multiply(x, x, out=out)
+    out = np.abs(x, out=out)
+    out **= p
+    return out
 
 
 def _norm_p(u, du, on: _OnGrid, eps=0.0):
-    """p-th power of the weighted norm, the A-term plus the V-term; du is
-    _slopes(u).  With eps = 0 the A-term density is |u'|^p; otherwise it is
-    the flux-regularized (u'^2 + eps^2)^(p/2) - eps^p, which makes the value
-    p times the quadratic part of the energy."""
+    """p-th power of the weighted norm, the A-term plus the V-term.  du is
+    _slopes(u), and serves as scratch: it is overwritten with the A-term
+    density, then with |u|^p one _dot block at a time.  With eps = 0 the
+    A-term density is |u'|^p; otherwise it is the flux-regularized
+    (u'^2 + eps^2)^(p/2) - eps^p, which makes the value p times the quadratic
+    part of the energy."""
     p = on.grid.dims.p
     if eps == 0.0:
-        dens = _abs_pow(du, p)
+        _abs_pow(du, p, du)
     else:  # inf or NaN where u' is astronomical: the energy is not finite, the trial refused
         with np.errstate(over="ignore", invalid="ignore"):
-            dens = (du * du + eps * eps) ** (p / 2.0) - eps ** p
-    return _dot(dens, on.a_measure) + _dot(on.wv, _abs_pow(u, p))
+            np.multiply(du, du, out=du)
+            du += eps * eps
+            du **= p / 2.0
+            du -= eps ** p
+    a_term = _dot(du, on.a_measure)
+    n, block = len(u), _DOT_BLOCK
+    if n <= block:  # then du, one entry short, cannot hold |u|^p
+        return a_term + _dot(on.wv, _abs_pow(u, p, None))
+    # the V-term summed block by block as _dot sums it
+    return a_term + float(sum(np.dot(on.wv[i:i + block],
+                                     _abs_pow(u[i:i + block], p, du[:min(block, n - i)]))
+                              for i in range(0, n, block)))
 
 
 def _eps_for(du):
@@ -360,7 +379,8 @@ _LOG_MAX = math.log(np.finfo(float).max)
 
 
 def _lower_order_terms(u, on: _OnGrid, nl):
-    """Nodal V and K terms of the gradient: w V |u|^(p-2) u and w K f(u).
+    """Nodal V and K terms of the gradient, w V |u|^(p-2) u and then w K f(u),
+    yielded one at a time, so that a reader that drops each one holds only one.
 
     f is evaluated only where u^(q-1) is a normal float for the largest
     exponent q, the exponent of f near 0; below that the power underflows,
@@ -369,48 +389,48 @@ def _lower_order_terms(u, on: _OnGrid, nl):
     p = on.grid.dims.p
     with np.errstate(invalid="ignore", divide="ignore"):
         zero_order = u if p == 2.0 else np.where(u == 0.0, 0.0, np.abs(u) ** (p - 2.0) * u)
-        source = on.wk * 0.0
+    yield on.wv * zero_order
+    del zero_order
     live = u > _TINY ** (1.0 / (max(nl.q1, nl.q2) - 1.0))
-    source[live] = on.wk[live] * f_eval(nl, u[live])
-    return on.wv * zero_order, source
+    f = f_eval(nl, u[live])
+    f *= on.wk[live]
+    with np.errstate(invalid="ignore"):
+        source = on.wk * 0.0
+    source[live] = f
+    del live, f
+    yield source
 
 
-def _gradient_array(du, on: _OnGrid, eps, lower):
+def _gradient_array(u, on: _OnGrid, eps, lower):
     """Exact gradient of the discrete energy at u; outer Dirichlet node excluded.
 
-    du is _slopes(u) and lower is _lower_order_terms at u, which does not
-    depend on eps."""
+    lower yields the nodal V and K terms at u (_lower_order_terms, which does
+    not depend on eps); they are added after the flux, one at a time."""
     grid = on.grid
     p = grid.dims.p
-    if p == 2.0:
-        flux_density = du
-    else:
+    flux = _slopes(u, grid)  # for p = 2 the flux density is u' itself
+    if p != 2.0:
+        du = flux
         # an astronomical u' overflows to a residual that cannot converge
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             s = du * du + eps * eps
-            flux_density = s ** ((p - 2.0) / 2.0) * du
+            flux = s ** ((p - 2.0) / 2.0) * du
             # where s leaves the normal float range eps is negligible: the
             # flux is sign(u') |u'|^(p-1), and 0 at u' = eps = 0
             off = ~((s >= _TINY) & (s < np.inf))
             if off.any():
-                flux_density[off] = np.sign(du[off]) * np.abs(du[off]) ** (p - 1.0)
-    flux = flux_density * on.a_flux
+                flux[off] = np.sign(du[off]) * np.abs(du[off]) ** (p - 1.0)
+        del du, s, off
+    flux *= np.divide(on.a_measure, grid.dr)  # the flux's weight per unit slope
     g = np.zeros(grid.n)
     g[:-1] -= flux
     g[1:] += flux
-    g += lower[0]
-    g -= lower[1]
+    del flux
+    terms = iter(lower)
+    g += next(terms)
+    g -= next(terms)
     g[-1] = 0.0
     return g
-
-
-def energy_gradient(u: RadialFunction, table: PotentialTable,
-                    nl: NonlinearitySpec) -> RadialFunction:
-    """Gradient of the discrete energy with respect to nodal values."""
-    on = _on_grid(u.grid, table)
-    du = _slopes(u.values, u.grid)
-    g = _gradient_array(du, on, _eps_for(du), _lower_order_terms(u.values, on, nl))
-    return RadialFunction(u.grid, g)
 
 
 def _hat_norms(on: _OnGrid):
@@ -428,7 +448,9 @@ def _hat_norms(on: _OnGrid):
 
 def _residual(g0, hat_norms):
     """Largest defect g0 per hat-function norm, outer node excluded."""
-    return float((np.abs(g0[:-1]) / hat_norms[:-1]).max())
+    defect = np.abs(g0[:-1])
+    defect /= hat_norms[:-1]
+    return float(defect.max())
 
 
 def nehari_scale(u: RadialFunction, table: PotentialTable,
@@ -651,6 +673,7 @@ def _factor_metric(on: _OnGrid, w_a, w_v):
     ab[0, 1:] = -stiff[: m - 1]
     ab[1, :] = diag[:m] + 1e-300
     ab[2, : m - 1] = -stiff[: m - 1]
+    del stiff, diag  # not alive beside the copies that factor_banded makes
     return factor_banded(ab)
 
 
@@ -659,21 +682,27 @@ _MIN_STEP = 1e-14
 _MAX_STEP = 64.0
 
 
+def _clamped_step(u, d, t):
+    """The step u - t d in one new array, clamped nonnegative and zero at
+    the outer node."""
+    trial = np.multiply(t, d, out=np.empty(len(u)))
+    np.subtract(u, trial, out=trial)
+    np.maximum(trial, 0.0, out=trial)
+    trial[-1] = 0.0
+    return trial
+
+
 def _projected_trial(u, d, t, on: _OnGrid, nl):
     """The step u - t d, clamped nonnegative (zero at the outer node) and
-    scaled onto the Nehari set, with its energy: (trial, E), or None when
-    the step has no projection or no finite energy.
+    scaled onto the Nehari set, with its energy and the scale s: (trial, E,
+    s), or None when the step has no projection or no finite energy.
 
     The quadratic part is p-homogeneous, so the energy at scale s is
     s^p ||v||_reg^p / p - source, with the regularized norm taken on the
     unscaled trial v (eps scales with s).  For p = 2 the regularization
     leaves the form unchanged and ||v||_reg^p is the level."""
-    trial = np.multiply(t, d, out=np.empty(len(u)))
-    np.subtract(u, trial, out=trial)  # u - t d in one array
-    np.maximum(trial, 0.0, out=trial)
-    trial[-1] = 0.0
-    du = _slopes(trial, on.grid)
-    level = _norm_p(trial, du, on)
+    trial = _clamped_step(u, d, t)
+    level = _norm_p(trial, _slopes(trial, on.grid), on)
     try:
         scale, source = _project(trial, on, nl, level)
     except NoProjection:
@@ -681,13 +710,17 @@ def _projected_trial(u, d, t, on: _OnGrid, nl):
     if not math.isfinite(scale) or scale <= 0.0:
         return None
     p = on.grid.dims.p
-    reg = level if p == 2.0 else _norm_p(trial, du, on, _eps_for(du))
+    if p == 2.0:
+        reg = level
+    else:
+        du = _slopes(trial, on.grid)
+        reg = _norm_p(trial, du, on, _eps_for(du))
     trial *= scale
     try:
         e = float(scale) ** p * reg / p - source
     except OverflowError:  # s^p
         return None
-    return (trial, e) if math.isfinite(e) else None
+    return (trial, e, scale) if math.isfinite(e) else None
 
 
 # accepted steps in a row that leave the energy bit for bit unchanged before
@@ -697,68 +730,85 @@ _STAGNANT_STEPS = 20
 
 def _gradient(u, on: _OnGrid, nl, hat_norms):
     """The stop quantities at u and the gradient that descent follows:
-    (residual, gap, ||u||^p, du, g), du being _slopes(u).
+    (residual, gap, ||u||^p, g).
 
     Convergence is judged on the unregularized defect g0 per hat-function
     norm, with the Nehari gap |g0 . u| / ||u||^p; descent
     follows the regularized gradient g, which for p < 2 can differ from g0
     near flat cells (for p = 2 the regularization leaves the flux unchanged
-    and g is g0)."""
-    du = _slopes(u, on.grid)
+    and g is g0).  For p = 2 the lower-order terms are formed one at a time;
+    otherwise both gradients read the pair."""
     lower = _lower_order_terms(u, on, nl)
-    g0 = _gradient_array(du, on, 0.0, lower)
-    norm_p = _norm_p(u, du, on)
-    g = g0 if on.grid.dims.p == 2.0 else _gradient_array(du, on, _eps_for(du), lower)
-    return _residual(g0, hat_norms), abs(_dot(g0, u)) / norm_p, norm_p, du, g
+    if on.grid.dims.p == 2.0:
+        g = g0 = _gradient_array(u, on, 0.0, lower)
+    else:
+        lower = tuple(lower)
+        g0 = _gradient_array(u, on, 0.0, lower)
+        g = _gradient_array(u, on, _eps_for(_slopes(u, on.grid)), lower)
+    del lower
+    norm_p = _norm_p(u, _slopes(u, on.grid), on)
+    return _residual(g0, hat_norms), abs(_dot(g0, u)) / norm_p, norm_p, g
 
 
-def _direction(u, du, g, on: _OnGrid, hat_norms, metric):
+def _direction(u, g, on: _OnGrid, hat_norms, metric):
     """The preconditioned descent direction d at u and its slope g . d:
-    (d, slope, metric).  For p = 2 metric is the solve's one factor; for
-    other p the metric is factored afresh with the weights lagged at u.
-    Where P^-1 g is not a descent direction, d is the raw gradient scaled
-    by the largest hat-function norm."""
+    (d, slope).  For p = 2 metric is the solve's one factor; for other p it
+    is None, and the metric is factored afresh with the weights lagged at u
+    and dropped on return.  Where P^-1 g is not a descent direction, d is
+    the raw gradient scaled by the largest hat-function norm."""
     grid = on.grid
     p = grid.dims.p
-    d = np.zeros(grid.n)
-    if p == 2.0:
-        d[:-1] = solve_banded(metric, g[:-1])
+    if metric is not None:
+        x = solve_banded(metric, g[:-1])
     else:
+        du = _slopes(u, grid)
         eps = _eps_for(du)
         eps_u = 1e-10 * float(np.max(np.abs(u)))
         # at an astronomical u the lagged weights and the solve may overflow;
         # a slope that is not finite takes the fallback below
         with np.errstate(over="ignore", invalid="ignore"):
-            metric = _factor_metric(on, (du * du + eps * eps) ** ((p - 2.0) / 2.0),
-                                    (u * u + eps_u * eps_u) ** ((p - 2.0) / 2.0))
-            d[:-1] = solve_banded(metric, g[:-1])
+            w_a = (du * du + eps * eps) ** ((p - 2.0) / 2.0)
+            del du
+            x = solve_banded(_factor_metric(on, w_a, (u * u + eps_u * eps_u) ** ((p - 2.0) / 2.0)),
+                             g[:-1])
+    d = np.zeros(grid.n)
+    d[:-1] = x
     slope = _dot(g, d)
     if not math.isfinite(slope) or slope <= 0.0:
         d = g / np.max(hat_norms)  # fall back to a raw gradient step
         slope = _dot(g, d)
-    return d, slope, metric
+    return d, slope
 
 
 def _line_search(u, i_cur, d, slope, on: _OnGrid, nl):
-    """The step from u along -d (see solve_ground_state), as (trial, E), or
-    None when no step length down to _MIN_STEP passes."""
+    """The step from u along -d (see solve_ground_state), as _projected_trial
+    gives it, or None when no step length down to _MIN_STEP passes.  One
+    trial array is alive at a time."""
     t, step = 1.0, None
     while t > _MIN_STEP:
-        trial = _projected_trial(u, d, t, on, nl)
-        if trial is not None and trial[1] <= i_cur - 1e-4 * t * slope:
-            step = trial
+        step = _projected_trial(u, d, t, on, nl)
+        if step is not None and step[1] <= i_cur - 1e-4 * t * slope:
             break
+        step = None  # a refused trial is dropped before the next is formed
         t *= 0.5
-    if step is not None and t == 1.0:
-        # an accepted unit step is doubled while the projected energy
-        # falls; every iteration starts again from t = 1
-        while t < _MAX_STEP:
-            t *= 2.0
-            longer = _projected_trial(u, d, t, on, nl)
-            if longer is None or longer[1] >= step[1]:
-                break
-            step = longer
-    return step
+    if step is None or t < 1.0:
+        return step
+    # an accepted unit step is doubled while the projected energy falls;
+    # every iteration starts again from t = 1.  The last trial taken is held
+    # as its step length, energy and scale while the next is formed, and is
+    # formed again at the end, with the same operations and so the same bits
+    taken, step = (t,) + step[1:], None
+    while t < _MAX_STEP:
+        t *= 2.0
+        step = _projected_trial(u, d, t, on, nl)
+        if step is None or step[1] >= taken[1]:
+            break
+        taken, step = (t,) + step[1:], None
+    del step
+    t, e, scale = taken
+    trial = _clamped_step(u, d, t)
+    trial *= scale
+    return trial, e, scale
 
 
 def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
@@ -782,26 +832,29 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
     exhausted above tolerance.
 
     An iteration runs three phases, _gradient, _direction and _line_search;
-    only u, its energy, the hat-function norms and the metric outlive one.
+    only u, its energy and the hat-function norms outlive one, and for p = 2
+    the metric, which is then factored once, first.  For other p each
+    direction factors its own metric, so one factor is alive at a time.
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     on = _on_grid(grid, table)
+    # for p = 2 the lagged weights are 1, so P is factored once per solve,
+    # before the other arrays of the solve exist
+    metric = _factor_metric(on, 1.0, 1.0) if grid.dims.p == 2.0 else None
     # the start is the projection of u0, taken as a line-search trial
     step = _projected_trial(initial_bump(grid) if u0 is None else u0, 0.0, 0.0, on, nl)
     if step is None:
         raise CollapsedToZero("the initial guess has no Nehari projection with a finite energy")
-    u, i_cur = step
+    u, i_cur, _ = step
     hat_norms = _hat_norms(on)
-    # for p = 2 the lagged weights are 1, so P is factored once per solve
-    metric = _factor_metric(on, 1.0, 1.0) if grid.dims.p == 2.0 else None
     stagnant = 0  # accepted steps in a row that left the energy unchanged
     # pass k tests u and, unless it stops there, takes step k; pass
     # max_iter + 1 only tests, and the report counts at most max_iter
     for k in range(1, max_iter + 2):
-        residual, gap, norm_p, du, g = _gradient(u, on, nl, hat_norms)
+        residual, gap, norm_p, g = _gradient(u, on, nl, hat_norms)
         if residual <= tol and gap <= tol:
             stop_reason = "converged"
             break
@@ -811,15 +864,15 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
         if k > max_iter:
             stop_reason = "budget_exhausted"
             break
-        d, slope, metric = _direction(u, du, g, on, hat_norms, metric)
-        del du, g  # the gradient's arrays die before the line search
+        d, slope = _direction(u, g, on, hat_norms, metric)
+        del g  # the gradient dies before the line search
         step = _line_search(u, i_cur, d, slope, on, nl)
         del d  # and the direction before the next gradient
         if step is None:
             stop_reason = "line_search_stalled"
             break
         stagnant = stagnant + 1 if step[1] == i_cur else 0
-        u, i_cur = step
+        u, i_cur, _ = step
         if on_iterate is not None:
             on_iterate(k, i_cur)
         if u.max() < 1e-300:
@@ -832,6 +885,7 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
         raise NotConverged(
             f"{residual_is} {residual:.3e}, gap {gap:.3e} after {iterations} iterations",
             stop_reason)
+    del on, metric, hat_norms, g, step  # the report reads u only
     uf = RadialFunction(grid, u)
     try:
         slope0, slope_inf = decay_slopes(uf)

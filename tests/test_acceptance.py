@@ -29,11 +29,11 @@ from quasiradial.solver import (
     RadialFunction,
     build_grid,
     energy,
-    energy_gradient,
     solve_ground_state,
 )
 
 from shooting_oracle import ground_state_center
+from test_solver import energy_gradient
 
 D24 = ProblemDims(N=4, p=2)
 

@@ -780,7 +780,10 @@ class TestWriteCsv:
         (["alpha", "q", "member"], [(-10.0, 1.0, 1), (5.0, 15.0, 0), (0.5, 2.0, True),
                                     (0.5, 2.0, False), (np.int64(7), np.float64(2.5), -3)]),
         (["R", "value"], []),
-    ], ids=["floats", "ints_and_bools", "header_only"])
+        (["r", "u"], list(zip(np.logspace(-3.0, 4.0, 1600).tolist(),
+                              [math.inf, math.nan, -0.0, 0.0, -math.inf]
+                              + np.exp(-np.linspace(0.0, 745.0, 1595)).tolist()))),
+    ], ids=["floats", "ints_and_bools", "header_only", "1600_rows"])
     def test_bytes_equal_csv_writer(self, tmp_path, header, rows):
         cli._write_csv(tmp_path / "new.csv", header, rows)
         reference_write_csv(tmp_path / "old.csv", header, rows)
@@ -792,6 +795,8 @@ class TestWriteCsv:
         for header, rows in (
                 (["alpha", "q", "member"], cli.region_plot_rows(cfg, (-10.0, 5.0),
                                                                 (1.0, 15.0), 16)),
+                (["alpha", "q", "member"], cli.region_plot_rows(cfg, (-10.0, 5.0),
+                                                                (1.0, 15.0), 64)),
                 (["r", "u"], list(zip(grid.nodes.tolist(),
                                       np.exp(-grid.nodes).tolist())))):
             cli._write_csv(tmp_path / "new.csv", header, rows)
