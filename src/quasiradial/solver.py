@@ -7,10 +7,11 @@ The energy
 is discretized on a log-spaced radial grid: cell-constant derivatives, nodal
 values for the zero-order terms, and quadrature weights that integrate the
 r^(N-1) surface measure exactly per cell.  A nonnegative nontrivial critical
-point is computed by descent on the Nehari-projected energy: a gradient step
-preconditioned by the linearized quadratic metric, a positive-part clamp, and
-re-projection, with an Armijo line search that backtracks from the unit
-step and expands an accepted unit step while the projected energy falls.
+point is computed by descent on the Nehari-projected energy: a step along a
+conjugate direction in the metric of the linearized quadratic form, a
+positive-part clamp, and re-projection, with an Armijo line search that
+backtracks from the unit step and expands an accepted unit step while the
+projected energy falls.
 
 Boundary conditions: homogeneous Dirichlet at the outer truncation radius,
 natural (free) at the inner one.
@@ -116,11 +117,17 @@ def solve_banded(factor: BandedFactor, rhs):
     level's in place of its own right-hand side.  Each level's right-hand
     side is a new array, with a 0 ghost row where the factor has one, so
     neither the factor nor rhs is written to; the arrays of a level are
-    dropped once the level above has read its unknowns."""
+    dropped once the level above has read its unknowns.
+
+    The result is a view of the top level's array, which has one entry
+    more, 0 where the solution is finite: its base is the solution of the
+    system bordered by an uncoupled row with right-hand side 0, such as
+    the outer Dirichlet node's, with no copy."""
     levels = factor.levels
     sizes = [2 * len(lo) + 1 for lo, _, _, _ in levels] + [len(factor.inverse)]
-    d = np.zeros(sizes[0])
-    d[:len(rhs)] = rhs
+    top = np.zeros(max(sizes[0], len(rhs) + 1))
+    top[:len(rhs)] = rhs
+    d = top[:sizes[0]]
     reduced = []  # per level: its right-hand side, two views of it, the level below's rows
     for (lo, hi, _, _), size in zip(levels, sizes[1:]):
         above, d = d, np.zeros(size)
@@ -137,7 +144,7 @@ def solve_banded(factor: BandedFactor, rhs):
         even = d[::2]
         even /= b_even
         d[1::2] = x
-    return d[:len(rhs)]
+    return top[:len(rhs)]
 
 
 def _brentq(f, xa, xb, args, xtol, rtol):
@@ -376,6 +383,9 @@ def energy(u: RadialFunction, table: PotentialTable, nl: NonlinearitySpec) -> fl
 
 _TINY = np.finfo(float).tiny
 _LOG_MAX = math.log(np.finfo(float).max)
+# the K-term's f is formed on blocks of this many nodes, so that its
+# temporaries (about 70 kB) stay small beside the gradient on fine meshes
+_F_BLOCK = 4096
 
 
 def _lower_order_terms(u, on: _OnGrid, nl):
@@ -384,20 +394,23 @@ def _lower_order_terms(u, on: _OnGrid, nl):
 
     f is evaluated only where u^(q-1) is a normal float for the largest
     exponent q, the exponent of f near 0; below that the power underflows,
-    which is slow in libm, and the K-term is taken as w K * 0: 0, or NaN
-    where w K overflowed, so that the overflow still shows."""
+    which is slow in libm, and the K-term is taken as 0 * w K: 0, or NaN
+    where w K overflowed, so that the overflow still shows.  f is formed
+    _F_BLOCK nodes at a time into the K-term's own array, so that its
+    temporaries stay small beside the gradient."""
     p = on.grid.dims.p
     with np.errstate(invalid="ignore", divide="ignore"):
         zero_order = u if p == 2.0 else np.where(u == 0.0, 0.0, np.abs(u) ** (p - 2.0) * u)
     yield on.wv * zero_order
     del zero_order
-    live = u > _TINY ** (1.0 / (max(nl.q1, nl.q2) - 1.0))
-    f = f_eval(nl, u[live])
-    f *= on.wk[live]
+    threshold = _TINY ** (1.0 / (max(nl.q1, nl.q2) - 1.0))
+    source = np.zeros(len(u))
+    for i in range(0, len(u), _F_BLOCK):
+        live = u[i:i + _F_BLOCK] > threshold
+        source[i:i + _F_BLOCK][live] = f_eval(nl, u[i:i + _F_BLOCK][live])
+    del live
     with np.errstate(invalid="ignore"):
-        source = on.wk * 0.0
-    source[live] = f
-    del live, f
+        source *= on.wk
     yield source
 
 
@@ -728,38 +741,57 @@ def _projected_trial(u, d, t, on: _OnGrid, nl):
 _STAGNANT_STEPS = 20
 
 
-def _gradient(u, on: _OnGrid, nl, hat_norms):
-    """The stop quantities at u and the gradient that descent follows:
-    (residual, gap, ||u||^p, g).
+def _gradient(u, on: _OnGrid, nl):
+    """The gradient that descent follows and the one convergence is judged
+    on: (g, g0).
 
-    Convergence is judged on the unregularized defect g0 per hat-function
-    norm, with the Nehari gap |g0 . u| / ||u||^p; descent
-    follows the regularized gradient g, which for p < 2 can differ from g0
-    near flat cells (for p = 2 the regularization leaves the flux unchanged
-    and g is g0).  For p = 2 the lower-order terms are formed one at a time;
-    otherwise both gradients read the pair."""
+    Descent follows the regularized gradient g, which for p < 2 can differ
+    from the unregularized g0 near flat cells; for p = 2 the regularization
+    leaves the flux unchanged and g is g0.  For p = 2 the lower-order terms
+    are formed one at a time; otherwise both gradients read the pair."""
     lower = _lower_order_terms(u, on, nl)
     if on.grid.dims.p == 2.0:
-        g = g0 = _gradient_array(u, on, 0.0, lower)
-    else:
-        lower = tuple(lower)
-        g0 = _gradient_array(u, on, 0.0, lower)
-        g = _gradient_array(u, on, _eps_for(_slopes(u, on.grid)), lower)
-    del lower
+        g = _gradient_array(u, on, 0.0, lower)
+        return g, g
+    lower = tuple(lower)
+    g0 = _gradient_array(u, on, 0.0, lower)
+    return _gradient_array(u, on, _eps_for(_slopes(u, on.grid)), lower), g0
+
+
+def _stop_quantities(u, g0, on: _OnGrid):
+    """What convergence is judged on at u: (residual, gap, ||u||^p), the
+    largest defect g0 per hat-function norm and the Nehari gap
+    |g0 . u| / ||u||^p.  The hat-function norms are formed here and dropped
+    on return."""
     norm_p = _norm_p(u, _slopes(u, on.grid), on)
-    return _residual(g0, hat_norms), abs(_dot(g0, u)) / norm_p, norm_p, g
+    return _residual(g0, _hat_norms(on)), abs(_dot(g0, u)) / norm_p, norm_p
 
 
-def _direction(u, g, on: _OnGrid, hat_norms, metric):
-    """The preconditioned descent direction d at u and its slope g . d:
-    (d, slope).  For p = 2 metric is the solve's one factor; for other p it
-    is None, and the metric is factored afresh with the weights lagged at u
-    and dropped on return.  Where P^-1 g is not a descent direction, d is
-    the raw gradient scaled by the largest hat-function norm."""
+def _direction(u, g, on: _OnGrid, hat_max, metric, last):
+    """The descent direction d at u, its slope g . d and what the next
+    step's direction reads of it: (d, slope, (d, z, g . z)).
+
+    z = P^-1 g is the preconditioned gradient.  For p = 2 metric is the
+    solve's one factor; for other p it is None, and the metric is factored
+    afresh with the weights lagged at u and dropped on return.  z is the
+    base of solve_banded's result, which holds the outer node's 0.
+
+    d = z + beta d_last, with last = (d_last, g_last . z_last, g . z_last)
+    from the last step; d_last is written over.  beta is Polak-Ribiere's
+    clipped to [-beta_FR, beta_FR] (Gilbert and Nocedal, SIAM J. Optim. 2
+    (1992)), both in the metric P:
+
+        beta_FR = g . z / g_last . z_last,
+        beta_PR = (g . z - g . z_last) / g_last . z_last.
+
+    The search restarts, d = z, where last is None, and where g . d is not
+    finite and positive.  Where z is not a descent direction either, d is
+    the raw gradient divided by hat_max, the largest hat-function norm,
+    and the next step restarts too: None in place of the triple."""
     grid = on.grid
     p = grid.dims.p
     if metric is not None:
-        x = solve_banded(metric, g[:-1])
+        z = solve_banded(metric, g[:-1]).base
     else:
         du = _slopes(u, grid)
         eps = _eps_for(du)
@@ -769,15 +801,24 @@ def _direction(u, g, on: _OnGrid, hat_norms, metric):
         with np.errstate(over="ignore", invalid="ignore"):
             w_a = (du * du + eps * eps) ** ((p - 2.0) / 2.0)
             del du
-            x = solve_banded(_factor_metric(on, w_a, (u * u + eps_u * eps_u) ** ((p - 2.0) / 2.0)),
-                             g[:-1])
-    d = np.zeros(grid.n)
-    d[:-1] = x
-    slope = _dot(g, d)
-    if not math.isfinite(slope) or slope <= 0.0:
-        d = g / np.max(hat_norms)  # fall back to a raw gradient step
+            z = solve_banded(_factor_metric(on, w_a, (u * u + eps_u * eps_u) ** ((p - 2.0) / 2.0)),
+                             g[:-1]).base
+    gz = _dot(g, z)
+    if not math.isfinite(gz) or gz <= 0.0:
+        d = g / hat_max  # fall back to a raw gradient step
+        return d, _dot(g, d), None
+    if last is not None:
+        d, gz_last, g_z_last = last
+        beta_fr = gz / gz_last
+        beta = max(-beta_fr, min((gz - g_z_last) / gz_last, beta_fr))
+        # a d_last far longer than z may overflow: then no descent direction
+        with np.errstate(over="ignore", invalid="ignore"):
+            d *= beta
+            d += z
         slope = _dot(g, d)
-    return d, slope
+        if math.isfinite(slope) and slope > 0.0:
+            return d, slope, (d, z, gz)
+    return z, gz, (z, z, gz)
 
 
 def _line_search(u, i_cur, d, slope, on: _OnGrid, nl):
@@ -820,21 +861,29 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
     """Compute a nonnegative nontrivial critical point of the discrete energy.
 
     Descent on the Nehari-projected energy from u0 (nodal values, the r = 1
-    bump by default; projected as a line-search trial): preconditioned
-    gradient step, positive-part clamp, re-projection and an Armijo line
-    search (slope parameter 1e-4).  The search backtracks from t = 1 with
-    contraction 0.5 down to t = 1e-14.  When t = 1 passes, t is doubled, up
-    to 64, while each doubled trial has a strictly lower projected energy
-    than the last one taken; the last one taken is the step.  Raises
-    CollapsedToZero when only the trivial critical point is reachable (or
-    u0 has no projection) and NotConverged, with its stop_reason, when the
-    line search stalls, the energy stagnates or the iteration budget is
-    exhausted above tolerance.
+    bump by default; projected as a line-search trial): a step along a
+    conjugate direction, positive-part clamp, re-projection and an Armijo
+    line search (slope parameter 1e-4, on the slope g . d of the direction
+    taken).  The direction is d = z + beta d_last, with z = P^-1 g the
+    gradient preconditioned by the linearized quadratic metric P and beta
+    the hybrid Fletcher-Reeves / Polak-Ribiere one (see _direction); the
+    first step, a step whose z is no descent direction (a raw gradient step
+    then) and the step after it, and a step whose g . d is not finite and
+    positive restart with d = z, the preconditioned steepest descent step.
+    The search backtracks from t = 1 with contraction 0.5 down to t = 1e-14.
+    When t = 1 passes, t is doubled, up to 64, while each doubled trial has
+    a strictly lower projected energy than the last one taken; the last one
+    taken is the step.  Raises CollapsedToZero when only the trivial
+    critical point is reachable (or u0 has no projection) and NotConverged,
+    with its stop_reason, when the line search stalls, the energy stagnates
+    or the iteration budget is exhausted above tolerance.
 
-    An iteration runs three phases, _gradient, _direction and _line_search;
-    only u, its energy and the hat-function norms outlive one, and for p = 2
-    the metric, which is then factored once, first.  For other p each
-    direction factors its own metric, so one factor is alive at a time.
+    An iteration runs four phases, _gradient, _stop_quantities, _direction
+    and _line_search; only u, its energy, the last direction and z outlive
+    one, and for p = 2 the metric, which is then factored once, first.  z
+    dies once the next gradient has read it, before the stop test, which
+    forms the hat-function norms and drops them.  For other p each direction
+    factors its own metric, so one factor is alive at a time.
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
@@ -849,12 +898,19 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
     if step is None:
         raise CollapsedToZero("the initial guess has no Nehari projection with a finite energy")
     u, i_cur, _ = step
-    hat_norms = _hat_norms(on)
+    hat_max = float(np.max(_hat_norms(on)))
     stagnant = 0  # accepted steps in a row that left the energy unchanged
+    last = None  # (d, z, g . z) of the last step, or None to restart
     # pass k tests u and, unless it stops there, takes step k; pass
     # max_iter + 1 only tests, and the report counts at most max_iter
     for k in range(1, max_iter + 2):
-        residual, gap, norm_p, g = _gradient(u, on, nl, hat_norms)
+        g, g0 = _gradient(u, on, nl)
+        if last is not None:  # z_last is read once, for beta_PR, and dies
+            d, z, gz = last
+            last = d, gz, _dot(g, z)
+            del d, z
+        residual, gap, norm_p = _stop_quantities(u, g0, on)
+        del g0
         if residual <= tol and gap <= tol:
             stop_reason = "converged"
             break
@@ -864,10 +920,10 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
         if k > max_iter:
             stop_reason = "budget_exhausted"
             break
-        d, slope = _direction(u, g, on, hat_norms, metric)
+        d, slope, last = _direction(u, g, on, hat_max, metric, last)
         del g  # the gradient dies before the line search
         step = _line_search(u, i_cur, d, slope, on, nl)
-        del d  # and the direction before the next gradient
+        del d  # the direction lives on in last
         if step is None:
             stop_reason = "line_search_stalled"
             break
@@ -885,7 +941,7 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
         raise NotConverged(
             f"{residual_is} {residual:.3e}, gap {gap:.3e} after {iterations} iterations",
             stop_reason)
-    del on, metric, hat_norms, g, step  # the report reads u only
+    del on, metric, last, g, step  # the report reads u only
     uf = RadialFunction(grid, u)
     try:
         slope0, slope_inf = decay_slopes(uf)

@@ -807,7 +807,7 @@ class TestWriteCsv:
 class TestTruncationSensitivity:
     def test_ex1_resolve_starts_from_the_solution(self, tmp_path, capsys, monkeypatch):
         # the re-solve on [0.04, 1000] starts from the solution interpolated
-        # in log r, not from the bump, which took 33 iterations
+        # in log r, not from the bump, which took 31 iterations
         solves = []
         solve_ground_state = cli.solve_ground_state
 
@@ -820,7 +820,7 @@ class TestTruncationSensitivity:
         code, doc = run_cli(capsys, ["example", "ex1", "--out", str(tmp_path)])
         assert code == EXIT_OK
         (u0_main, nodes, it_main), (u0_re, nodes_re, it_re) = solves
-        assert u0_main is None and it_main == 33
+        assert u0_main is None and it_main == 31
         assert nodes_re[0] == 0.04 and u0_re.shape == nodes_re.shape
         assert it_re <= 3
         sens = doc["solve"]["truncation_sensitivity"]
