@@ -30,9 +30,13 @@ def _escape(s: str) -> str:
     return "".join(out)
 
 
-def canonical_json(obj, indent=0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+def canonical_json(obj) -> str:
+    return _emit(obj, "")
+
+
+def _emit(obj, pad):
+    """obj as canonical JSON, its nested lines indented by pad plus two spaces."""
+    inner = pad + "  "
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -46,15 +50,13 @@ def canonical_json(obj, indent=0) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = []
-        for key in sorted(obj, key=str):
-            items.append(f'{inner}"{_escape(str(key))}": '
-                         f"{canonical_json(obj[key], indent + 1)}")
+        items = [f'{inner}"{_escape(str(key))}": {_emit(obj[key], inner)}'
+                 for key in sorted(obj, key=str)]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):
         if not len(obj):
             return "[]"
-        items = [f"{inner}{canonical_json(v, indent + 1)}" for v in obj]
+        items = [f"{inner}{_emit(v, inner)}" for v in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     # numpy scalars and Fractions reduce to floats
     try:

@@ -12,7 +12,7 @@ s = log(k / e) or in the limit s -> +-inf.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import InitVar, asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -283,16 +283,16 @@ class PotentialTable:
     """
 
     radii: np.ndarray
-    specs: tuple
+    specs: InitVar[tuple]
 
-    def __post_init__(self):
+    def __post_init__(self, specs):
         r = self.radii = np.asarray(self.radii, dtype=float)
         if r.ndim != 1 or len(r) < 2:
             raise ValueError("radii must be a 1-d grid with at least 2 points")
         if not np.all(r > 0) or not np.all(np.diff(r) > 0):
             raise ValueError("radii must be positive and strictly increasing")
         log_r = np.log(r)
-        self.log_A, self.log_V, self.log_K = (_tabulate(s.pieces, r, log_r) for s in self.specs)
+        self.log_A, self.log_V, self.log_K = (_tabulate(s.pieces, r, log_r) for s in specs)
         # positivity is judged on the exact log-values, since a genuinely
         # positive potential may underflow the linear range
         if any(np.any(np.isneginf(x) | np.isnan(x)) for x in (self.log_A, self.log_K)):
@@ -374,10 +374,9 @@ class CheckResult:
         return asdict(self)
 
 
-@dataclass
 class HypothesisReport:
-    entries: list = field(default_factory=list)
-    bounds: dict = field(default_factory=dict)
+    def __init__(self):
+        self.entries, self.bounds = [], {}
 
     @property
     def passed(self) -> bool:

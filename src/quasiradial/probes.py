@@ -226,7 +226,6 @@ def make_trial_family(grid: RadialGrid, table: PotentialTable, nu_center: float,
 class ProbeCurve:
     """Lower-bound probe values of one supremum at several radii."""
 
-    q: float
     end: str
     samples: list          # list of (R, value)
     log_values: list       # matching log values, safe against underflow
@@ -258,7 +257,7 @@ def _probe(table, q, R_list, family, end):
         with np.errstate(over="ignore"):
             samples.append((float(R), float(np.exp(best))))
         logs.append(best)
-    return ProbeCurve(q=float(q), end=end, samples=samples, log_values=logs)
+    return ProbeCurve(end=end, samples=samples, log_values=logs)
 
 
 def probe_origin(table: PotentialTable, q: float, R_list, family: TrialFamily) -> ProbeCurve:

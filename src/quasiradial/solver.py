@@ -42,7 +42,8 @@ class NotConverged(RuntimeError):
     """Descent stopped above tolerance.
 
     stop_reason is "line_search_stalled" when no step length down to the
-    smallest one lowered the projected energy, "stagnated" when accepted
+    smallest one lowered the projected energy or no finite descent direction
+    exists (g . P^-1 g not finite and positive), "stagnated" when accepted
     steps left the energy bit for bit unchanged _STAGNANT_STEPS times in a
     row (the residual then sits at its rounding floor, which the message
     gives), and "budget_exhausted" when the iteration budget ran out."""
@@ -762,14 +763,17 @@ def _stop_quantities(u, g0, on: _OnGrid):
     """What convergence is judged on at u: (residual, gap, ||u||^p), the
     largest defect g0 per hat-function norm and the Nehari gap
     |g0 . u| / ||u||^p.  The hat-function norms are formed here and dropped
-    on return."""
+    on return.  Raises CollapsedToZero where ||u||^p reads 0."""
     norm_p = _norm_p(u, _slopes(u, on.grid), on)
+    if norm_p == 0.0:
+        raise CollapsedToZero("the iterate's norm underflows")
     return _residual(g0, _hat_norms(on)), abs(_dot(g0, u)) / norm_p, norm_p
 
 
-def _direction(u, g, on: _OnGrid, hat_max, metric, last):
+def _direction(u, g, on: _OnGrid, metric, last):
     """The descent direction d at u, its slope g . d and what the next
-    step's direction reads of it: (d, slope, (d, z, g . z)).
+    step's direction reads of it: (d, slope, (d, z, g . z)), or (None,
+    None, None) where g . z is not finite and positive.
 
     z = P^-1 g is the preconditioned gradient.  For p = 2 metric is the
     solve's one factor; for other p it is None, and the metric is factored
@@ -785,9 +789,8 @@ def _direction(u, g, on: _OnGrid, hat_max, metric, last):
         beta_PR = (g . z - g . z_last) / g_last . z_last.
 
     The search restarts, d = z, where last is None, and where g . d is not
-    finite and positive.  Where z is not a descent direction either, d is
-    the raw gradient divided by hat_max, the largest hat-function norm,
-    and the next step restarts too: None in place of the triple."""
+    finite and positive.  P is symmetric with a positive, strictly dominant
+    diagonal, so g . z > 0 wherever g and z are finite and g is not 0."""
     grid = on.grid
     p = grid.dims.p
     if metric is not None:
@@ -797,7 +800,7 @@ def _direction(u, g, on: _OnGrid, hat_max, metric, last):
         eps = _eps_for(du)
         eps_u = 1e-10 * float(np.max(np.abs(u)))
         # at an astronomical u the lagged weights and the solve may overflow;
-        # a slope that is not finite takes the fallback below
+        # a slope that is not finite then gives no direction
         with np.errstate(over="ignore", invalid="ignore"):
             w_a = (du * du + eps * eps) ** ((p - 2.0) / 2.0)
             del du
@@ -805,8 +808,7 @@ def _direction(u, g, on: _OnGrid, hat_max, metric, last):
                              g[:-1]).base
     gz = _dot(g, z)
     if not math.isfinite(gz) or gz <= 0.0:
-        d = g / hat_max  # fall back to a raw gradient step
-        return d, _dot(g, d), None
+        return None, None, None
     if last is not None:
         d, gz_last, g_z_last = last
         beta_fr = gz / gz_last
@@ -867,9 +869,9 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
     taken).  The direction is d = z + beta d_last, with z = P^-1 g the
     gradient preconditioned by the linearized quadratic metric P and beta
     the hybrid Fletcher-Reeves / Polak-Ribiere one (see _direction); the
-    first step, a step whose z is no descent direction (a raw gradient step
-    then) and the step after it, and a step whose g . d is not finite and
-    positive restart with d = z, the preconditioned steepest descent step.
+    first step and a step whose g . d is not finite and positive restart
+    with d = z, the preconditioned steepest descent step; with no descent
+    direction (g . z not finite and positive) descent stops as stalled.
     The search backtracks from t = 1 with contraction 0.5 down to t = 1e-14.
     When t = 1 passes, t is doubled, up to 64, while each doubled trial has
     a strictly lower projected energy than the last one taken; the last one
@@ -898,7 +900,6 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
     if step is None:
         raise CollapsedToZero("the initial guess has no Nehari projection with a finite energy")
     u, i_cur, _ = step
-    hat_max = float(np.max(_hat_norms(on)))
     stagnant = 0  # accepted steps in a row that left the energy unchanged
     last = None  # (d, z, g . z) of the last step, or None to restart
     # pass k tests u and, unless it stops there, takes step k; pass
@@ -920,9 +921,9 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
         if k > max_iter:
             stop_reason = "budget_exhausted"
             break
-        d, slope, last = _direction(u, g, on, hat_max, metric, last)
+        d, slope, last = _direction(u, g, on, metric, last)
         del g  # the gradient dies before the line search
-        step = _line_search(u, i_cur, d, slope, on, nl)
+        step = None if d is None else _line_search(u, i_cur, d, slope, on, nl)
         del d  # the direction lives on in last
         if step is None:
             stop_reason = "line_search_stalled"
@@ -931,8 +932,6 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
         u, i_cur, _ = step
         if on_iterate is not None:
             on_iterate(k, i_cur)
-        if u.max() < 1e-300:
-            raise CollapsedToZero("iterate vanished under descent")
 
     iterations = min(k, max_iter)
     if stop_reason != "converged":

@@ -646,6 +646,19 @@ class TestSolve:
         assert code == EXIT_COLLAPSED
         assert doc["error"] == "collapsed_to_zero"
 
+    def test_underflowing_norm_exits_five(self, tmp_path, capsys):
+        # with M = 1e250 the bump's Nehari point is so small that ||u||^p
+        # underflows to 0 at the first stop test: the solve collapses
+        cfg = unit_benchmark_config()
+        cfg["nonlinearity"] = {"kind": "pure_power", "q1": 3.5, "q2": 3.5, "M": 1e250}
+        path = write_config(tmp_path, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, doc = run_cli(capsys, ["solve", "--config", path,
+                                         "--out", str(tmp_path), "--force"])
+        assert code == EXIT_COLLAPSED
+        assert doc == {"error": "collapsed_to_zero", "detail": "the iterate's norm underflows"}
+
     def test_iteration_starved_solve_exits_four(self, tmp_path, capsys):
         cfg = unit_benchmark_config()
         cfg["tolerances"]["max_iter"] = 2

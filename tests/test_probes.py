@@ -141,34 +141,34 @@ class TestExample1Probes:
 
 class TestDecayVerdict:
     def test_geometric_decays(self):
-        curve = ProbeCurve(q=3.0, end="infinity",
+        curve = ProbeCurve(end="infinity",
                            samples=[(1.0, 1.0), (10.0, 0.5), (100.0, 0.25)],
                            log_values=[0.0, math.log(0.5), math.log(0.25)])
         assert decay_verdict(curve, 0.9) == "decays"
 
     def test_constant_stalls(self):
-        curve = ProbeCurve(q=3.0, end="infinity",
+        curve = ProbeCurve(end="infinity",
                            samples=[(1.0, 1.0), (10.0, 1.0), (100.0, 1.0)],
                            log_values=[0.0, 0.0, 0.0])
         assert decay_verdict(curve, 0.9) == "stalls"
 
     def test_origin_orientation(self):
         # origin curves shrink toward small R; ordering is toward the limit
-        curve = ProbeCurve(q=3.0, end="origin",
+        curve = ProbeCurve(end="origin",
                            samples=[(0.001, 1e-6), (0.01, 1e-4), (0.1, 1e-2)],
                            log_values=[math.log(1e-6), math.log(1e-4), math.log(1e-2)])
         assert decay_verdict(curve, 0.9) == "decays"
 
     def test_empty_probe_is_inconclusive(self):
         # an empty family gives -inf logs (samples 0.0): nothing decayed
-        curve = ProbeCurve(q=3.0, end="infinity",
+        curve = ProbeCurve(end="infinity",
                            samples=[(1.0, 0.0), (10.0, 0.0), (100.0, 0.0)],
                            log_values=[-math.inf, -math.inf, -math.inf])
         assert decay_verdict(curve, 0.9) == "inconclusive"
 
     def test_repeated_radius_is_skipped(self):
         # a zero-decade step carries no rate
-        curve = ProbeCurve(q=3.0, end="infinity",
+        curve = ProbeCurve(end="infinity",
                            samples=[(1.0, 1.0), (1.0, 1.0), (10.0, 0.5), (100.0, 0.25)],
                            log_values=[0.0, 0.0, math.log(0.5), math.log(0.25)])
         assert decay_verdict(curve, 0.9) == "decays"
@@ -176,23 +176,23 @@ class TestDecayVerdict:
     def test_samples_below_the_floor(self):
         # two -inf samples in a row have already decayed; a finite value
         # after a -inf one has grown back
-        decayed = ProbeCurve(q=3.0, end="infinity",
+        decayed = ProbeCurve(end="infinity",
                              samples=[(1.0, 1.0), (10.0, 0.0), (100.0, 0.0)],
                              log_values=[0.0, -math.inf, -math.inf])
         assert decay_verdict(decayed, 0.9) == "decays"
-        regrown = ProbeCurve(q=3.0, end="infinity",
+        regrown = ProbeCurve(end="infinity",
                              samples=[(1.0, 0.0), (10.0, 0.5), (100.0, 0.25)],
                              log_values=[-math.inf, math.log(0.5), math.log(0.25)])
         assert decay_verdict(regrown, 0.9) == "stalls"
 
     def test_too_few_samples(self):
-        curve = ProbeCurve(q=3.0, end="infinity", samples=[(1.0, 1.0), (10.0, 0.5)],
+        curve = ProbeCurve(end="infinity", samples=[(1.0, 1.0), (10.0, 0.5)],
                            log_values=[0.0, math.log(0.5)])
         with pytest.raises(TooFewSamples):
             decay_verdict(curve, 0.9)
 
     def test_threshold_configurable(self):
-        curve = ProbeCurve(q=3.0, end="infinity",
+        curve = ProbeCurve(end="infinity",
                            samples=[(1.0, 1.0), (10.0, 0.8), (100.0, 0.64)],
                            log_values=[0.0, math.log(0.8), math.log(0.64)])
         assert decay_verdict(curve, 0.9) == "decays"

@@ -247,17 +247,16 @@ def reference_solve(table, nl, grid, tol, max_iter=20000):
     every p, every trial takes two slope passes, and the gradient's terms
     are formed by reference_lower_order_terms and reference_gradient_array.
     The direction is z + beta d_last with the hybrid Fletcher-Reeves /
-    Polak-Ribiere beta, restarted as d = z on the first step, at a raw
-    gradient step and on the step after one, and where g . d is not finite
-    and positive.  Returns (iterations, energies passed to on_iterate,
-    final u)."""
+    Polak-Ribiere beta, restarted as d = z on the first step and where
+    g . d is not finite and positive.  Returns (iterations, energies passed
+    to on_iterate, final u)."""
     on = solver_module._on_grid(grid, table)
     u = initial_bump(grid)
     u = u * nehari_scale(RadialFunction(grid, u), table, nl)
     hat_norms = solver_module._hat_norms(on)
     i_cur = energy(RadialFunction(grid, u), table, nl)
     energies = []
-    last = None  # (d, z, g . z) of the last step when its z was P^-1 g
+    last = None  # (d, z, g . z) of the last step
     for iterations in range(1, max_iter + 1):
         lower = reference_lower_order_terms(u, on, nl)
         residual, gap, _ = reference_defects(u, on, lower, hat_norms)
@@ -268,12 +267,8 @@ def reference_solve(table, nl, grid, tol, max_iter=20000):
         g = reference_gradient_array(np.diff(u) / grid.dr, on, eps, lower)
         z = reference_solve_preconditioned(g, u, on, eps, eps_u)
         gz = float(np.dot(g, z))
-        preconditioned = math.isfinite(gz) and gz > 0.0
-        if not preconditioned:
-            z = g / np.max(hat_norms)
-            gz = float(np.dot(g, z))
         d, slope = z, gz
-        if preconditioned and last is not None:
+        if last is not None:
             d_last, z_last, gz_last = last
             beta_fr = gz / gz_last
             beta_pr = (gz - float(np.dot(g, z_last))) / gz_last
@@ -281,7 +276,7 @@ def reference_solve(table, nl, grid, tol, max_iter=20000):
             slope = float(np.dot(g, d))
             if not math.isfinite(slope) or slope <= 0.0:
                 d, slope = z, gz
-        last = (d, z, gz) if preconditioned else None
+        last = (d, z, gz)
         t, step = 1.0, None
         while t > 1e-14:
             trial = reference_two_pass_trial(u, d, t, on, nl)
@@ -1035,15 +1030,48 @@ class TestScaleOutOfRange:
 
     def test_astronomical_scale_stalls_without_warnings(self):
         # the bump projects to a scale near 1.6e167, where the p != 2 flux, the
-        # lagged metric weights, the banded solve and the regularised form
-        # overflow; each is handled (a fallback slope, a refused trial, a
-        # residual that cannot converge), so none of them warns
+        # lagged metric weights and the banded solve overflow; each is handled
+        # (a slope g . P^-1 g that is not finite, so no descent direction, and
+        # a residual that cannot converge), so none of them warns
         grid, on = self.unit_case(ProblemDims(N=3, p=1.5))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NotConverged) as exc:
                 solve_ground_state(on.table, pure_power(3, M=1e-250), grid)
         assert exc.value.stop_reason == "line_search_stalled"
+
+    def test_no_descent_direction_stops_without_a_line_search(self, monkeypatch):
+        # at the bump's scale near 1.6e167 g . P^-1 g is NaN, so there is no
+        # descent direction: the projected start is the only trial formed
+        grid, on = self.unit_case(ProblemDims(N=3, p=1.5))
+        trials = []
+        projected_trial = solver_module._projected_trial
+
+        def spy(*args):
+            trials.append(args[2])
+            return projected_trial(*args)
+
+        monkeypatch.setattr(solver_module, "_projected_trial", spy)
+        with pytest.raises(NotConverged, match="after 1 iterations") as exc:
+            solve_ground_state(on.table, pure_power(3, M=1e-250), grid)
+        assert exc.value.stop_reason == "line_search_stalled"
+        assert trials == [0.0]
+
+    @pytest.mark.parametrize("dims, nl, K", [
+        (D23, pure_power(3.5, M=1e250), 1.0),
+        (ProblemDims(N=3, p=1.5), pure_power(3, M=1e50), 1e300),
+        (ProblemDims(N=4, p=3), NonlinearitySpec("rational", 4, 6, M=1e50), 1e300),
+        (ProblemDims(N=4, p=2.5), pure_power(4, M=1e-50), 1e300),
+    ], ids=["p2_M1e250", "p1.5_K1e300", "rational_p3_K1e300", "p2.5_K1e300"])
+    def test_underflowing_norm_collapses(self, dims, nl, K):
+        # the Nehari point is so small that ||u||^p underflows to 0 at the
+        # first stop test, before the Nehari gap divides by it
+        grid = build_grid(1e-2, 20.0, 300, dims)
+        table = eval_potentials(Constant(1.0), Constant(1.0), Constant(K), grid.nodes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CollapsedToZero, match="norm underflows"):
+                solve_ground_state(table, nl, grid)
 
     def test_overflowing_min_powers_sum_is_no_projection(self):
         # sum w K v^5 overflows at K = 1e307, so the all-small closed form
