@@ -58,7 +58,8 @@ from .solver import (
     NotConverged,
     _check_range,
     build_grid,
-    solve_ground_state,
+    solve_ground_state,  # not called here; the benchmark wraps this module's copy
+    solve_problem,
 )
 
 SCHEMA_VERSION = 1
@@ -294,27 +295,6 @@ def _write_csv(path, header, rows):
         fh.write(",".join(header) + "\r\n" + fmt % tuple(v for row in rows for v in row))
 
 
-def _solve_once(cfg: RunConfig, r_min, r_max, n_nodes, start=None):
-    """Solve on [r_min, r_max]; a start solution is interpolated in log r as u0."""
-    grid = build_grid(r_min, r_max, n_nodes, cfg.dims)
-    table = eval_potentials(cfg.spec_A, cfg.spec_V, cfg.spec_K, grid.nodes)
-    # exp is increasing and a NaN max propagates, so the max's exp decides
-    with np.errstate(over="ignore"):
-        overflows = not all(np.isfinite(np.exp(np.max(x)))
-                            for x in (table.log_A, table.log_V, table.log_K))
-    if overflows:
-        raise ConfigError(
-            "potentials overflow the float range on the solve grid; "
-            "shrink [r_min, r_max]")
-    u0 = None if start is None else np.interp(
-        np.log(grid.nodes), np.log(start.grid.nodes), start.values)
-    u, rep = solve_ground_state(table, cfg.solver_nonlinearity(), grid,
-                                tol=cfg.solve_tol, max_iter=cfg.max_iter,
-                                asym_origin=cfg.asym_origin,
-                                asym_infinity=cfg.asym_infinity, u0=u0)
-    return grid, u, rep
-
-
 def _truncation_sensitivity_report(cfg: RunConfig, u, rep):
     """Re-solve on a domain shrunk by one decade per side, starting from u,
     and report the relative drift of the energy and of the peak value."""
@@ -325,8 +305,8 @@ def _truncation_sensitivity_report(cfg: RunConfig, u, rep):
     decades = math.log10(r_max / r_min)
     n = max(128, int(cfg.n_nodes * decades / decades_full))
     try:
-        _, u2, rep2 = _solve_once(cfg, r_min, r_max, n, start=u)
-    except (NotConverged, CollapsedToZero, ConfigError) as exc:
+        u2, rep2 = solve_problem(cfg, r_min, r_max, n, start=u)
+    except (NotConverged, CollapsedToZero, BadRange) as exc:
         return {"failed": f"{type(exc).__name__}: {exc}"}
     peak1 = float(np.max(u.values))
     peak2 = float(np.max(u2.values))
@@ -342,14 +322,14 @@ def solve_to_files(cfg: RunConfig, out_dir: Path, prefix="solution"):
 
     Returns (report dict, exit code)."""
     try:
-        grid, u, rep = _solve_once(cfg, cfg.r_min, cfg.r_max, cfg.n_nodes)
+        u, rep = solve_problem(cfg, cfg.r_min, cfg.r_max, cfg.n_nodes)
     except NotConverged as exc:
         return {"error": "not_converged", "detail": str(exc)}, EXIT_NOT_CONVERGED
     except CollapsedToZero as exc:
         return {"error": "collapsed_to_zero", "detail": str(exc)}, EXIT_COLLAPSED
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / f"{prefix}.csv", ["r", "u"],
-               list(zip(grid.nodes.tolist(), u.values.tolist())))
+               list(zip(u.grid.nodes.tolist(), u.values.tolist())))
     report = {"schema_version": SCHEMA_VERSION, **rep.to_dict()}
     # exponent admissibility is warn-only for the solver (exploration is fine)
     try:
@@ -568,11 +548,17 @@ def sweep_solves(sweep, cfg_at, out_dir: Path, prefix, entry=lambda cfg, rep: re
     Returns the document listing entry(cfg, report) per value and the worst exit code."""
     key, lo, hi, step = sweep
     ks = range(math.floor((hi - lo + 1e-12) / step) + 1)
-    try:  # validate every value first; nothing is kept, so a long sweep costs no memory
-        for k in ks:
-            cfg_at(lo + k * step)
-    except ValueError as exc:  # NonlinearitySpec and load_config reject bad values
-        raise ConfigError(f"sweep {key}: {exc}")
+    last = None  # validate every value first; only the last one is kept, so no memory grows
+    for k in ks:
+        v = lo + k * step
+        try:
+            cfg_at(v)
+        except ValueError as exc:  # NonlinearitySpec and load_config reject bad values
+            raise ConfigError(f"sweep {key}: {exc}")
+        # :g rounding is monotone, so values that share a label are neighbours
+        if last is not None and f"{v:g}" == f"{last:g}":
+            raise ConfigError(f"sweep {key}: values {last!r} and {v!r} share the label '{v:g}'")
+        last = v
     results, code = {}, EXIT_OK
     for k in ks:
         label, cfg = f"{lo + k * step:g}", cfg_at(lo + k * step)
@@ -670,7 +656,7 @@ def main(argv=None) -> int:
         rep, code = solve_to_files(cfg, out_dir)
         _emit(rep)
         return code
-    except (ConfigError, NonPositive) as exc:
+    except (BadRange, ConfigError, NonPositive) as exc:
         _emit({"error": "invalid_config", "detail": str(exc)})
         return EXIT_CONFIG
     except InvalidAsymptotics as exc:

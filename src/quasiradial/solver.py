@@ -27,6 +27,7 @@ import numpy as np
 
 from .exponents import EndpointAsymptotics, ProblemDims, pointwise_decay_exponent
 from .nonlinearity import PURE_POWER, RATIONAL, NonlinearitySpec, F_eval, f_eval
+from . import potentials
 from .potentials import PotentialTable
 
 
@@ -963,3 +964,22 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
         stop_reason="converged",
     )
     return uf, report
+
+
+def solve_problem(problem, r_min, r_max, n_nodes, start=None):
+    """solve_ground_state of problem (a cli.RunConfig) on its grid and table over
+    [r_min, r_max], from start (a RadialFunction on any grid) interpolated in log r
+    as u0.  Raises BadRange if a potential overflows the float range on that grid."""
+    grid = build_grid(r_min, r_max, n_nodes, problem.dims)
+    # read from its module at call time, so a wrapper set there (the benchmark's tracer) sees it
+    table = potentials.eval_potentials(problem.spec_A, problem.spec_V, problem.spec_K, grid.nodes)
+    # exp is increasing and a NaN max propagates, so the max's exp decides
+    with np.errstate(over="ignore"):
+        if not all(np.isfinite(np.exp(np.max(x))) for x in (table.log_A, table.log_V, table.log_K)):
+            raise BadRange("potentials overflow the float range on the solve grid; "
+                           "shrink [r_min, r_max]")
+    u0 = None if start is None else np.interp(
+        np.log(grid.nodes), np.log(start.grid.nodes), start.values)
+    return solve_ground_state(table, problem.solver_nonlinearity(), grid, tol=problem.solve_tol,
+                              max_iter=problem.max_iter, asym_origin=problem.asym_origin,
+                              asym_infinity=problem.asym_infinity, u0=u0)

@@ -30,6 +30,7 @@ from quasiradial.solver import (
     build_grid,
     energy,
     solve_ground_state,
+    solve_problem,
 )
 
 from shooting_oracle import ground_state_center
@@ -232,6 +233,7 @@ def test_criterion_5_boundary_continuity():
 def test_criterion_6_solver_oracle_benchmark():
     t0 = time.monotonic()
     center = ground_state_center(h=2e-3)
+    assert center == 4.337387680187417  # the p = 2 oracle's bits, beside its p-Laplacian path
     dims = ProblemDims(N=3, p=2)
     grid = build_grid(1e-3, 30.0, 2000, dims)
     table = eval_potentials(Constant(1.0), Constant(1.0), Constant(1.0), grid.nodes)
@@ -249,12 +251,8 @@ def test_criterion_7_example1_end_to_end():
     cfg = load_config(example_config("ex1"))
     assert cfg.q_sorted == (9.0, 9.0)
     assert q2_lower_bound(cfg.asym_infinity, cfg.dims) == 8.0  # 9 > 8: admissible
-    grid = build_grid(cfg.r_min, cfg.r_max, cfg.n_nodes, cfg.dims)
-    table = eval_potentials(cfg.spec_A, cfg.spec_V, cfg.spec_K, grid.nodes)
-    u, rep = solve_ground_state(table, cfg.solver_nonlinearity(), grid,
-                                tol=1e-5, max_iter=cfg.max_iter,
-                                asym_origin=cfg.asym_origin,
-                                asym_infinity=cfg.asym_infinity)
+    assert cfg.solve_tol == 1e-5
+    u, rep = solve_problem(cfg, cfg.r_min, cfg.r_max, cfg.n_nodes)
     assert np.min(u.values) >= 0.0
     assert np.max(u.values) > 0.0
     assert rep.residual < 1e-5

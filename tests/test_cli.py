@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from quasiradial import cli
+from quasiradial import cli, solver
 from quasiradial.cli import (
     EXIT_COLLAPSED,
     EXIT_CONFIG,
@@ -744,6 +744,17 @@ class TestSolve:
         assert doc["error"] == "invalid_config"
         assert not list(tmp_path.glob("solution_*"))  # rejected before any solve
 
+    def test_sweep_values_that_share_a_label_are_refused(self, tmp_path, capsys):
+        # 4, 4.000005 and 4.00001 print as "4", "4" and "4.00001": the second
+        # solve would overwrite the first one's entry and files
+        path = write_config(tmp_path, unit_benchmark_config())
+        code, doc = run_cli(capsys, ["solve", "--config", path, "--out", str(tmp_path),
+                                     "--force", "--sweep", "q=4:4.00001:0.000005"])
+        assert code == EXIT_CONFIG
+        assert doc == {"error": "invalid_config",
+                       "detail": f"sweep q: values 4.0 and {4 + 0.000005!r} share the label '4'"}
+        assert not list(tmp_path.glob("solution_*"))  # refused before any solve
+
     def test_sweep_values_are_exact_and_config_unchanged(self, tmp_path, capsys,
                                                          monkeypatch):
         base = cli.load_config(unit_benchmark_config())
@@ -822,14 +833,14 @@ class TestTruncationSensitivity:
         # the re-solve on [0.04, 1000] starts from the solution interpolated
         # in log r, not from the bump, which took 31 iterations
         solves = []
-        solve_ground_state = cli.solve_ground_state
+        solve_ground_state = solver.solve_ground_state
 
         def spy(*args, **kwargs):
             u, rep = solve_ground_state(*args, **kwargs)
             solves.append((kwargs["u0"], u.grid.nodes, rep.iterations))
             return u, rep
 
-        monkeypatch.setattr(cli, "solve_ground_state", spy)
+        monkeypatch.setattr(solver, "solve_ground_state", spy)
         code, doc = run_cli(capsys, ["example", "ex1", "--out", str(tmp_path)])
         assert code == EXIT_OK
         (u0_main, nodes, it_main), (u0_re, nodes_re, it_re) = solves

@@ -22,7 +22,6 @@ from scipy.special import logsumexp as scipy_logsumexp
 import quasiradial.probes as probes
 import quasiradial.solver as solver
 from quasiradial.cli import load_config
-from quasiradial.potentials import eval_potentials
 
 
 def _fine_mesh_inputs():
@@ -162,10 +161,7 @@ def kernel_calls():
             stats[name] = [0.0, 0, 0, 0]
             matrices.clear()
             cfg = load_config(doc)
-            grid = solver.build_grid(cfg.r_min, cfg.r_max, cfg.n_nodes, cfg.dims)
-            table = eval_potentials(cfg.spec_A, cfg.spec_V, cfg.spec_K, grid.nodes)
-            solver.solve_ground_state(table, cfg.solver_nonlinearity(), grid,
-                                      tol=cfg.solve_tol, max_iter=cfg.max_iter)
+            solver.solve_problem(cfg, cfg.r_min, cfg.r_max, cfg.n_nodes)
     return stats
 
 

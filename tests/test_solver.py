@@ -26,10 +26,12 @@ from quasiradial.solver import (
     initial_bump,
     nehari_scale,
     solve_ground_state,
+    solve_problem,
     unit_sphere_area,
 )
 
-from shooting_oracle import ground_state_center
+from shooting_oracle import ground_state_center, ground_state_center_p, series_value
+from test_kernels import _fine_mesh_inputs
 
 D24 = ProblemDims(N=4, p=2)
 D23 = ProblemDims(N=3, p=2)
@@ -302,11 +304,15 @@ def _unit_case(n_nodes=2000, dims=D23, nl=None, tol=1e-6):
     return unit_table(grid), nl or pure_power(4), grid, tol
 
 
-def _example_case(name, n_nodes=None):
+def _example_config(name, n_nodes=None):
     doc = example_config(name)
     if n_nodes is not None:
         doc["grid"]["n_nodes"] = n_nodes
-    cfg = load_config(doc)
+    return load_config(doc)
+
+
+def _example_case(name, n_nodes=None):
+    cfg = _example_config(name, n_nodes)
     grid = build_grid(cfg.r_min, cfg.r_max, cfg.n_nodes, cfg.dims)
     table = eval_potentials(cfg.spec_A, cfg.spec_V, cfg.spec_K, grid.nodes)
     return table, cfg.solver_nonlinearity(), grid, cfg.solve_tol
@@ -1113,10 +1119,7 @@ class TestProjectionEvaluations:
         doc["nonlinearity"] = {"kind": "rational", "q1": 3.0, "q2": 9.0}
         doc["grid"]["n_nodes"] = 800
         cfg = load_config(doc)
-        grid = build_grid(cfg.r_min, cfg.r_max, cfg.n_nodes, cfg.dims)
-        solve_ground_state(eval_potentials(cfg.spec_A, cfg.spec_V, cfg.spec_K, grid.nodes),
-                           cfg.solver_nonlinearity(), grid, tol=cfg.solve_tol,
-                           max_iter=cfg.max_iter)
+        solve_problem(cfg, cfg.r_min, cfg.r_max, cfg.n_nodes)
         searched = [ts for ts in projections if ts]
         assert len(searched) > 20
         assert all(len(set(ts)) == len(ts) for ts in searched)
@@ -1185,10 +1188,7 @@ class TestSolve:
         doc["nonlinearity"] = {"kind": "rational", "q1": 3.0, "q2": q2}
         doc["grid"]["n_nodes"] = 800
         cfg = load_config(doc)
-        grid = build_grid(cfg.r_min, cfg.r_max, cfg.n_nodes, cfg.dims)
-        table = eval_potentials(cfg.spec_A, cfg.spec_V, cfg.spec_K, grid.nodes)
-        _, rep = solve_ground_state(table, cfg.solver_nonlinearity(), grid,
-                                    tol=cfg.solve_tol, max_iter=cfg.max_iter)
+        _, rep = solve_problem(cfg, cfg.r_min, cfg.r_max, cfg.n_nodes)
         assert rep.iterations == iterations
         assert rep.energy == pytest.approx(energy, rel=1e-12, abs=0.0)
 
@@ -1214,6 +1214,21 @@ class TestSolve:
         assert rep.stop_reason == "converged"
         assert u.values[0] == pytest.approx(shooting_center, abs=1e-3)
 
+    def test_p3_unit_solve_meets_the_p_laplacian_oracle(self):
+        # (N, p, q) = (4, 3, 4) at 2000 nodes, tol 1e-6.  The oracle's error
+        # falls at least linearly in h, so at h = 2e-3 it is at most its
+        # h-halving difference delta (1.1e-5 relative); the solve may miss it
+        # by as much again, so the bound is 2 delta (measured: -5.8e-6).  The
+        # comparison is at r_min: at p = 3, u(0) - u(1e-3) is 1.7e-5 relative
+        table, nl, grid, tol = _unit_case(dims=ProblemDims(N=4, p=3))
+        u, rep = solve_ground_state(table, nl, grid, tol=tol)
+        assert rep.stop_reason == "converged"
+        fine, coarse = (ground_state_center_p(4, 3.0, 4.0, h) for h in (2e-3, 4e-3))
+        delta = abs(fine - coarse) / fine
+        assert 1e-5 < delta < 1.3e-5
+        oracle = series_value(fine, 4, 3.0, 4.0, grid.nodes[0])
+        assert abs(u.values[0] - oracle) / oracle <= 2.0 * delta
+
     def test_first_step_restarts_from_the_preconditioned_gradient(self):
         # the first step has no last direction: d = P^-1 g, and its accepted
         # energy is, bit for bit, the one plain preconditioned descent took
@@ -1226,13 +1241,9 @@ class TestSolve:
 
     def test_energy_decreases_monotonically(self):
         grid = build_grid(1e-2, 20.0, 300, D23)
-        cases = [(unit_table(grid), pure_power(4), grid, 1e-5)]
-        # ex2_I at 1600 nodes, where most unit steps are lengthened
-        cfg = load_config(example_config("ex2_I"))
-        grid = build_grid(cfg.r_min, cfg.r_max, cfg.n_nodes, cfg.dims)
-        cases.append((eval_potentials(cfg.spec_A, cfg.spec_V, cfg.spec_K, grid.nodes),
-                      cfg.solver_nonlinearity(), grid, cfg.solve_tol))
-        for t, nl, grid, tol in cases:
+        # the unit data, and ex2_I at 1600 nodes, where most unit steps are lengthened
+        for t, nl, grid, tol in ((unit_table(grid), pure_power(4), grid, 1e-5),
+                                 _example_case("ex2_I")):
             energies = []
             solve_ground_state(t, nl, grid, tol=tol,
                                on_iterate=lambda k, e: energies.append(e))
@@ -1303,10 +1314,7 @@ class TestSolve:
     def test_ex2_fine_mesh_iterations(self):
         # backtracking alone, without expansion, needs 2904 iterations here
         cfg = load_config(example_config("ex2_I"))
-        grid = build_grid(cfg.r_min, cfg.r_max, 4000, cfg.dims)
-        t = eval_potentials(cfg.spec_A, cfg.spec_V, cfg.spec_K, grid.nodes)
-        _, rep = solve_ground_state(t, cfg.solver_nonlinearity(), grid,
-                                    tol=cfg.solve_tol, max_iter=cfg.max_iter)
+        _, rep = solve_problem(cfg, cfg.r_min, cfg.r_max, 4000)
         assert rep.iterations <= 1000
         assert rep.energy == pytest.approx(41.75397482417385, rel=1e-6)
 
@@ -1405,11 +1413,8 @@ class TestSolve:
 
         monkeypatch.setattr(solver_module, "initial_bump", bump_at)
         cfg = load_config(example_config("ex1"))
-        grid = build_grid(cfg.r_min, cfg.r_max, cfg.n_nodes, cfg.dims)
-        table = eval_potentials(cfg.spec_A, cfg.spec_V, cfg.spec_K, grid.nodes)
         with pytest.raises(NotConverged) as exc:
-            solve_ground_state(table, cfg.solver_nonlinearity(), grid, tol=cfg.solve_tol,
-                               max_iter=cfg.max_iter)
+            solve_problem(cfg, cfg.r_min, cfg.r_max, cfg.n_nodes)
         assert exc.value.stop_reason == "line_search_stalled"
         assert "(line_search_stalled)" in str(exc.value)
 
@@ -1527,3 +1532,61 @@ class TestResidual:
         g = solver_module._gradient_array(vals, on, 0.0, (zero, zero))
         flux = -np.exp(0.5 * np.log(-du[:19])) * (on.a_measure / grid.dr)[:19]
         assert g[1:19] == pytest.approx(flux[:18] - flux[1:], rel=1e-12)
+
+
+class TestSolveProblem:
+    @pytest.mark.parametrize("case", ["ex1_4000", "unit_p1.5_2000"])
+    def test_same_bits_as_grid_table_and_solve(self, case):
+        # two of the benchmark's fine_mesh cases, as perfbench/inputs.py defines them
+        cfg = load_config(dict((name, doc) for name, doc, _ in
+                               _fine_mesh_inputs().FINE_MESH_CASES)[case])
+        u, rep = solve_problem(cfg, cfg.r_min, cfg.r_max, cfg.n_nodes)
+        grid = build_grid(cfg.r_min, cfg.r_max, cfg.n_nodes, cfg.dims)
+        table = eval_potentials(cfg.spec_A, cfg.spec_V, cfg.spec_K, grid.nodes)
+        u_ref, rep_ref = solve_ground_state(
+            table, cfg.solver_nonlinearity(), grid, tol=cfg.solve_tol, max_iter=cfg.max_iter,
+            asym_origin=cfg.asym_origin, asym_infinity=cfg.asym_infinity)
+        assert u.values.tobytes() == u_ref.values.tobytes()
+        for key in ("energy", "residual", "nehari_gap"):
+            assert repr(getattr(rep, key)) == repr(getattr(rep_ref, key))
+        assert rep.iterations == rep_ref.iterations
+
+    def test_overflowing_v_is_refused(self):
+        # V = e^(8/r) below r = 1 is e^2000 at ex1's r_min, 4e-3
+        doc = example_config("ex1")
+        doc["potentials"]["V"]["inner"]["scale"] = 8.0
+        cfg = load_config(doc)
+        with pytest.raises(BadRange) as exc:
+            solve_problem(cfg, cfg.r_min, cfg.r_max, cfg.n_nodes)
+        assert str(exc.value) == ("potentials overflow the float range on the solve grid; "
+                                  "shrink [r_min, r_max]")
+
+    @pytest.fixture
+    def u0_seen(self, monkeypatch):
+        """The u0 each solve_ground_state call receives; no solve runs."""
+        seen = []
+
+        def spy(table, nl, grid, **kwargs):
+            seen.append((grid, kwargs["u0"]))
+            return None, None
+
+        monkeypatch.setattr(solver_module, "solve_ground_state", spy)
+        return seen
+
+    def test_start_on_another_grid_is_interpolated_in_log_r(self, u0_seen):
+        cfg = _example_config("ex1")
+        coarse = build_grid(1e-2, 100.0, 300, cfg.dims)
+        start = RadialFunction(coarse, np.where(coarse.nodes < 100.0, np.exp(-coarse.nodes), 0.0))
+        solve_problem(cfg, cfg.r_min, cfg.r_max, cfg.n_nodes, start=start)
+        (grid, u0), = u0_seen
+        assert grid.n == 1600
+        expected = np.interp(np.log(grid.nodes), np.log(coarse.nodes), start.values)
+        assert u0.tobytes() == expected.tobytes()
+
+    def test_start_on_the_same_grid_is_passed_bit_for_bit(self, u0_seen):
+        cfg = _example_config("ex1")
+        grid = build_grid(cfg.r_min, cfg.r_max, cfg.n_nodes, cfg.dims)
+        start = RadialFunction(grid, np.where(grid.nodes < cfg.r_max, np.exp(-grid.nodes), 0.0))
+        solve_problem(cfg, cfg.r_min, cfg.r_max, cfg.n_nodes, start=start)
+        (_, u0), = u0_seen
+        assert u0.tobytes() == start.values.tobytes()
