@@ -287,12 +287,12 @@ def probe_report(cfg: RunConfig):
 
 
 def _write_csv(path, header, rows):
-    """CSV with \r\n line ends, floats to 17 significant digits, built as one
-    string: one % formats every value, floats by %.17g and the rest by %s."""
-    fmt = "".join([",".join(["%.17g" if isinstance(v, float) else "%s" for v in row]) + "\r\n"
-                   for row in rows])
+    """CSV with \r\n line ends, floats to 17 significant digits, built as one string: one %
+    formats every value, floats by %.17g and the rest by %s, per the first row's types."""
+    fmt = ",".join(["%.17g" if isinstance(v, float) else "%s" for v in rows[0]]) if rows else ""
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n" + fmt % tuple(v for row in rows for v in row))
+        fh.write(",".join(header) + "\r\n"
+                 + ((fmt + "\r\n") * len(rows)) % tuple(v for row in rows for v in row))
 
 
 def _truncation_sensitivity_report(cfg: RunConfig, u, rep):
@@ -317,7 +317,7 @@ def _truncation_sensitivity_report(cfg: RunConfig, u, rep):
     }
 
 
-def solve_to_files(cfg: RunConfig, out_dir: Path, prefix="solution"):
+def solve_to_files(cfg: RunConfig, out_dir: Path, prefix):
     """Run the ground-state solve and write CSV + report JSON.
 
     Returns (report dict, exit code)."""
@@ -542,7 +542,7 @@ def build_parser():
     return parser
 
 
-def sweep_solves(sweep, cfg_at, out_dir: Path, prefix, entry=lambda cfg, rep: rep):
+def sweep_solves(sweep, cfg_at, out_dir: Path, prefix, entry):
     """Independent solves of cfg_at(lo + k*step), k = 0..floor((hi - lo) / step).
 
     Returns the document listing entry(cfg, report) per value and the worst exit code."""
@@ -650,10 +650,10 @@ def main(argv=None) -> int:
             if key not in ("q", "q1", "q2"):
                 raise ConfigError(f"unsupported sweep key {key!r}")
             doc, code = sweep_solves(args.sweep, lambda q: _config_at_q(cfg, key, q),
-                                     out_dir, f"solution_{key}_")
+                                     out_dir, f"solution_{key}_", lambda cfg, rep: rep)
             _emit(doc)
             return code
-        rep, code = solve_to_files(cfg, out_dir)
+        rep, code = solve_to_files(cfg, out_dir, "solution")
         _emit(rep)
         return code
     except (BadRange, ConfigError, NonPositive) as exc:

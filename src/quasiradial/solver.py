@@ -340,7 +340,7 @@ def _abs_pow(x, p, out):
     return out
 
 
-def _norm_p(u, du, on: _OnGrid, eps=0.0):
+def _norm_p(u, du, on: _OnGrid, eps):
     """p-th power of the weighted norm, the A-term plus the V-term.  du is
     _slopes(u), and serves as scratch: it is overwritten with the A-term
     density, then with |u|^p one _dot block at a time.  With eps = 0 the
@@ -372,15 +372,20 @@ def _eps_for(du):
     return 1e-10 * (np.max(np.abs(du)) if len(du) else np.float64(0.0))
 
 
+def _level(u, on: _OnGrid):
+    """||u||^p in the one form the solve reads, p times the quadratic part of
+    the energy: regularized by _eps_for(u') for p != 2, with eps 0 for p = 2."""
+    du = _slopes(u, on.grid)
+    return _norm_p(u, du, on, 0.0 if on.grid.dims.p == 2.0 else _eps_for(du))
+
+
 def energy(u: RadialFunction, table: PotentialTable, nl: NonlinearitySpec) -> float:
-    """Discrete energy at u; its p-homogeneous quadratic part is formed on u / max |u|."""
-    on = _on_grid(u.grid, table)
+    """Discrete energy at u; its p-homogeneous quadratic part, in the form
+    the solve reads (_level), is formed on u / max |u|."""
+    on, p = _on_grid(u.grid, table), u.grid.dims.p
     s = np.max(np.abs(u.values)) or np.float64(1.0)
-    v = u.values / s
-    dv = _slopes(v, u.grid)
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(s ** u.grid.dims.p * _norm_p(v, dv, on, _eps_for(dv)) / u.grid.dims.p
-                     - _dot(on.wk, F_eval(nl, u.values)))
+        return float(s ** p * _level(u.values / s, on) / p - _dot(on.wk, F_eval(nl, u.values)))
 
 
 _TINY = np.finfo(float).tiny
@@ -461,23 +466,22 @@ def _hat_norms(on: _OnGrid):
     return ea
 
 
-def _residual(g0, hat_norms):
-    """Largest defect g0 per hat-function norm, outer node excluded."""
-    defect = np.abs(g0[:-1])
+def _residual(g, hat_norms):
+    """Largest defect g per hat-function norm, outer node excluded."""
+    defect = np.abs(g[:-1])
     defect /= hat_norms[:-1]
     return float(defect.max())
 
 
 def nehari_scale(u: RadialFunction, table: PotentialTable,
                  nl: NonlinearitySpec) -> float:
-    """Positive scale t with t^p ||u||^p = int K f(tu) tu (natural-constraint hit).
+    """Positive scale t with t^p ||u||^p = int K f(tu) tu, ||u||^p as _level forms it.
 
     See _project, which also gives the source term at that scale.  Raises
     NoProjection when no positive t exists.
     """
     v, on = u.values, _on_grid(u.grid, table)
-    level = _norm_p(v, _slopes(v, u.grid), on)
-    return float(_project(np.maximum(v, 0.0), on, nl, level)[0])
+    return float(_project(np.maximum(v, 0.0), on, nl, _level(v, on))[0])
 
 
 def _project(v, on: _OnGrid, nl, level):
@@ -664,20 +668,30 @@ def initial_bump(grid: RadialGrid) -> np.ndarray:
     return vals
 
 
-def _factor_metric(on: _OnGrid, w_a, w_v):
+def _factor_metric(on: _OnGrid, u):
     """Factor of the linearized quadratic metric P on the free nodes.
 
-    P is the second derivative of the quadratic part of the energy with the
-    p-dependent weights lagged at the current iterate: w_a = (u'^2 +
-    eps^2)^((p-2)/2) per cell and w_v = (u^2 + eps_u^2)^((p-2)/2) per node,
-    where eps and eps_u keep P positive definite for every p.  For p = 2
-    both weights are 1 and P does not depend on the iterate.
+    P is the second derivative of the quadratic part of the energy, on the
+    A and V weights that the energy reads (_OnGrid's), with the p-dependent
+    weights lagged at the iterate u: w_a = (u'^2 + eps^2)^((p-2)/2) per cell
+    and w_v = (u^2 + eps_u^2)^((p-2)/2) per node, where eps = _eps_for(u')
+    and eps_u = 1e-10 max |u| keep P positive definite for every p.  For
+    p = 2 both weights are 1, exact factors, so P does not depend on the
+    iterate and u is not read.  The weights may overflow at an astronomical
+    u; the caller decides whether that warns.
     """
     grid = on.grid
     p = grid.dims.p
-    stiff = (p - 1.0) * np.exp(on.table.log_A_cell) * w_a * grid.cell_measure / grid.dr ** 2
-    with np.errstate(over="ignore"):  # V may overflow to inf
-        diag = (p - 1.0) * grid.quad_weights * np.exp(on.table.log_V) * w_v
+    w_a = w_v = 1.0
+    if p != 2.0:
+        du = _slopes(u, grid)
+        eps, eps_u = _eps_for(du), 1e-10 * float(np.max(np.abs(u)))
+        w_a = (du * du + eps * eps) ** ((p - 2.0) / 2.0)
+        del du
+        w_v = (u * u + eps_u * eps_u) ** ((p - 2.0) / 2.0)
+    stiff = (p - 1.0) * on.a_measure * w_a / grid.dr ** 2
+    diag = (p - 1.0) * on.wv * w_v
+    del w_a, w_v
     diag[:-1] += stiff
     diag[1:] += stiff
     m = grid.n - 1
@@ -712,12 +726,11 @@ def _projected_trial(u, d, t, on: _OnGrid, nl):
     scaled onto the Nehari set, with its energy and the scale s: (trial, E,
     s), or None when the step has no projection or no finite energy.
 
-    The quadratic part is p-homogeneous, so the energy at scale s is
-    s^p ||v||_reg^p / p - source, with the regularized norm taken on the
-    unscaled trial v (eps scales with s).  For p = 2 the regularization
-    leaves the form unchanged and ||v||_reg^p is the level."""
+    One form, _level on the unscaled trial v, gives both the projection and
+    the energy: the quadratic part is p-homogeneous, and eps scales with s,
+    so the energy at scale s is s^p ||v||^p / p - source."""
     trial = _clamped_step(u, d, t)
-    level = _norm_p(trial, _slopes(trial, on.grid), on)
+    level = _level(trial, on)
     try:
         scale, source = _project(trial, on, nl, level)
     except NoProjection:
@@ -725,14 +738,9 @@ def _projected_trial(u, d, t, on: _OnGrid, nl):
     if not math.isfinite(scale) or scale <= 0.0:
         return None
     p = on.grid.dims.p
-    if p == 2.0:
-        reg = level
-    else:
-        du = _slopes(trial, on.grid)
-        reg = _norm_p(trial, du, on, _eps_for(du))
     trial *= scale
     try:
-        e = float(scale) ** p * reg / p - source
+        e = float(scale) ** p * level / p - source
     except OverflowError:  # s^p
         return None
     return (trial, e, scale) if math.isfinite(e) else None
@@ -744,31 +752,22 @@ _STAGNANT_STEPS = 20
 
 
 def _gradient(u, on: _OnGrid, nl):
-    """The gradient that descent follows and the one convergence is judged
-    on: (g, g0).
-
-    Descent follows the regularized gradient g, which for p < 2 can differ
-    from the unregularized g0 near flat cells; for p = 2 the regularization
-    leaves the flux unchanged and g is g0.  For p = 2 the lower-order terms
-    are formed one at a time; otherwise both gradients read the pair."""
-    lower = _lower_order_terms(u, on, nl)
-    if on.grid.dims.p == 2.0:
-        g = _gradient_array(u, on, 0.0, lower)
-        return g, g
-    lower = tuple(lower)
-    g0 = _gradient_array(u, on, 0.0, lower)
-    return _gradient_array(u, on, _eps_for(_slopes(u, on.grid)), lower), g0
+    """The gradient of the form _level reads, which descent follows and the
+    stop test reads; the lower-order terms are formed one at a time."""
+    eps = 0.0 if on.grid.dims.p == 2.0 else _eps_for(_slopes(u, on.grid))
+    return _gradient_array(u, on, eps, _lower_order_terms(u, on, nl))
 
 
-def _stop_quantities(u, g0, on: _OnGrid):
+def _stop_quantities(u, g, on: _OnGrid):
     """What convergence is judged on at u: (residual, gap, ||u||^p), the
-    largest defect g0 per hat-function norm and the Nehari gap
-    |g0 . u| / ||u||^p.  The hat-function norms are formed here and dropped
-    on return.  Raises CollapsedToZero where ||u||^p reads 0."""
-    norm_p = _norm_p(u, _slopes(u, on.grid), on)
+    largest defect g per hat-function norm and the Nehari gap
+    |g . u| / ||u||^p, with ||u||^p as _level forms it.  The hat-function
+    norms are formed once the slopes are dropped, and dropped on return.
+    Raises CollapsedToZero where ||u||^p reads 0."""
+    norm_p = _level(u, on)
     if norm_p == 0.0:
         raise CollapsedToZero("the iterate's norm underflows")
-    return _residual(g0, _hat_norms(on)), abs(_dot(g0, u)) / norm_p, norm_p
+    return _residual(g, _hat_norms(on)), abs(_dot(g, u)) / norm_p, norm_p
 
 
 def _direction(u, g, on: _OnGrid, metric, last):
@@ -777,9 +776,9 @@ def _direction(u, g, on: _OnGrid, metric, last):
     None, None) where g . z is not finite and positive.
 
     z = P^-1 g is the preconditioned gradient.  For p = 2 metric is the
-    solve's one factor; for other p it is None, and the metric is factored
-    afresh with the weights lagged at u and dropped on return.  z is the
-    base of solve_banded's result, which holds the outer node's 0.
+    solve's one factor; for other p it is None, and P is factored afresh at
+    u and dropped on return.  z is the base of solve_banded's result, which
+    holds the outer node's 0.
 
     d = z + beta d_last, with last = (d_last, g_last . z_last, g . z_last)
     from the last step; d_last is written over.  beta is Polak-Ribiere's
@@ -792,21 +791,13 @@ def _direction(u, g, on: _OnGrid, metric, last):
     The search restarts, d = z, where last is None, and where g . d is not
     finite and positive.  P is symmetric with a positive, strictly dominant
     diagonal, so g . z > 0 wherever g and z are finite and g is not 0."""
-    grid = on.grid
-    p = grid.dims.p
     if metric is not None:
         z = solve_banded(metric, g[:-1]).base
     else:
-        du = _slopes(u, grid)
-        eps = _eps_for(du)
-        eps_u = 1e-10 * float(np.max(np.abs(u)))
         # at an astronomical u the lagged weights and the solve may overflow;
         # a slope that is not finite then gives no direction
         with np.errstate(over="ignore", invalid="ignore"):
-            w_a = (du * du + eps * eps) ** ((p - 2.0) / 2.0)
-            del du
-            z = solve_banded(_factor_metric(on, w_a, (u * u + eps_u * eps_u) ** ((p - 2.0) / 2.0)),
-                             g[:-1]).base
+            z = solve_banded(_factor_metric(on, u), g[:-1]).base
     gz = _dot(g, z)
     if not math.isfinite(gz) or gz <= 0.0:
         return None, None, None
@@ -895,7 +886,7 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
     on = _on_grid(grid, table)
     # for p = 2 the lagged weights are 1, so P is factored once per solve,
     # before the other arrays of the solve exist
-    metric = _factor_metric(on, 1.0, 1.0) if grid.dims.p == 2.0 else None
+    metric = _factor_metric(on, None) if grid.dims.p == 2.0 else None
     # the start is the projection of u0, taken as a line-search trial
     step = _projected_trial(initial_bump(grid) if u0 is None else u0, 0.0, 0.0, on, nl)
     if step is None:
@@ -906,13 +897,12 @@ def solve_ground_state(table: PotentialTable, nl: NonlinearitySpec,
     # pass k tests u and, unless it stops there, takes step k; pass
     # max_iter + 1 only tests, and the report counts at most max_iter
     for k in range(1, max_iter + 2):
-        g, g0 = _gradient(u, on, nl)
+        g = _gradient(u, on, nl)
         if last is not None:  # z_last is read once, for beta_PR, and dies
             d, z, gz = last
             last = d, gz, _dot(g, z)
             del d, z
-        residual, gap, norm_p = _stop_quantities(u, g0, on)
-        del g0
+        residual, gap, norm_p = _stop_quantities(u, g, on)
         if residual <= tol and gap <= tol:
             stop_reason = "converged"
             break

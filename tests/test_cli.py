@@ -760,7 +760,7 @@ class TestSolve:
         base = cli.load_config(unit_benchmark_config())
         solved = []
 
-        def record(cfg, out_dir, prefix="solution"):
+        def record(cfg, out_dir, prefix):
             solved.append((prefix, cfg.nonlinearity.q1, cfg.nonlinearity.q2))
             return {}, EXIT_OK
 

@@ -41,12 +41,13 @@ def weighted_norm(u, table):
     """Norm combining the A-weighted gradient term and the V-weighted mass term."""
     on = solver_module._on_grid(u.grid, table)
     return solver_module._norm_p(u.values, solver_module._slopes(u.values, u.grid),
-                                 on) ** (1.0 / u.grid.dims.p)
+                                 on, 0.0) ** (1.0 / u.grid.dims.p)
 
 
 def residual_weak_form(u, table, nl):
     """Largest normalized weak-form defect over the nodal hat-function basis,
-    with the unregularized p-Laplacian flux: the defect a solve stops on."""
+    with the unregularized p-Laplacian flux: the defect a p = 2 solve stops
+    on (for p != 2 a solve reads the regularized flux of energy_gradient)."""
     on = solver_module._on_grid(u.grid, table)
     g = solver_module._gradient_array(u.values, on, 0.0,
                                       solver_module._lower_order_terms(u.values, on, nl))
@@ -109,7 +110,16 @@ def bisection_nehari_scale(u, table, nl):
 
 def project(v, on, nl):
     """solver._project with the level ||v||^p taken from v's own slopes."""
-    return solver_module._project(v, on, nl, solver_module._norm_p(v, np.diff(v) / on.grid.dr, on))
+    return solver_module._project(v, on, nl,
+                                  solver_module._norm_p(v, np.diff(v) / on.grid.dr, on, 0.0))
+
+
+def solve_level(v, on):
+    """||v||^p in the form the solve reads: the flux regularized by
+    _eps_for(v') for p != 2, unregularized for p = 2."""
+    du = np.diff(v) / on.grid.dr
+    return solver_module._norm_p(v, du, on,
+                                 0.0 if on.grid.dims.p == 2.0 else solver_module._eps_for(du))
 
 
 def reference_nehari_scale(v, on, nl):
@@ -120,7 +130,7 @@ def reference_nehari_scale(v, on, nl):
     from scipy.optimize import brentq
 
     p = on.grid.dims.p
-    level = solver_module._norm_p(v, np.diff(v) / on.grid.dr, on)
+    level = solver_module._norm_p(v, np.diff(v) / on.grid.dr, on, 0.0)
     if level == 0.0:
         raise NoProjection("u vanishes")
     supp = v > 0.0
@@ -195,12 +205,11 @@ def reference_gradient_array(du, on, eps, lower):
     return g
 
 
-def reference_defects(u, on, lower, hat_norms):
-    """The stop quantities at u, (residual, Nehari gap, ||u||^p), each pass
-    taking the slopes of u afresh."""
-    g0 = reference_gradient_array(np.diff(u) / on.grid.dr, on, 0.0, lower)
-    norm_p = solver_module._norm_p(u, np.diff(u) / on.grid.dr, on)
-    return solver_module._residual(g0, hat_norms), abs(float(np.dot(g0, u))) / norm_p, norm_p
+def reference_defects(u, g, on, hat_norms):
+    """The stop quantities at u, (residual, Nehari gap, ||u||^p), from the
+    gradient g that descent follows and ||u||^p in the solve's form."""
+    norm_p = solve_level(u, on)
+    return solver_module._residual(g, hat_norms), abs(float(np.dot(g, u))) / norm_p, norm_p
 
 
 def reference_solve_preconditioned(g, u, on, eps, eps_u):
@@ -225,12 +234,12 @@ def reference_solve_preconditioned(g, u, on, eps, eps_u):
 
 def reference_two_pass_trial(u, d, t, on, nl):
     """The line-search trial with two slope passes: one on the trial for the
-    projection's level, one on the scaled trial for its energy, whose
-    quadratic form is assembled afresh."""
+    projection's level in the solve's form, one on the scaled trial for its
+    energy, whose quadratic form is assembled afresh."""
     trial = np.maximum(u - t * d, 0.0)
     trial[-1] = 0.0
     try:
-        scale, source = project(trial, on, nl)
+        scale, source = solver_module._project(trial, on, nl, solve_level(trial, on))
     except NoProjection:
         return None
     if not math.isfinite(scale) or scale <= 0.0:
@@ -248,6 +257,8 @@ def reference_solve(table, nl, grid, tol, max_iter=20000):
     each take the slopes of u afresh, P is factored every iteration for
     every p, every trial takes two slope passes, and the gradient's terms
     are formed by reference_lower_order_terms and reference_gradient_array.
+    One gradient, the regularized one descent follows, is also the one the
+    stop test reads (for p = 2 the regularization leaves it unchanged).
     The direction is z + beta d_last with the hybrid Fletcher-Reeves /
     Polak-Ribiere beta, restarted as d = z on the first step and where
     g . d is not finite and positive.  Returns (iterations, energies passed
@@ -260,13 +271,13 @@ def reference_solve(table, nl, grid, tol, max_iter=20000):
     energies = []
     last = None  # (d, z, g . z) of the last step
     for iterations in range(1, max_iter + 1):
-        lower = reference_lower_order_terms(u, on, nl)
-        residual, gap, _ = reference_defects(u, on, lower, hat_norms)
+        eps = solver_module._eps_for(np.diff(u) / grid.dr)
+        g = reference_gradient_array(np.diff(u) / grid.dr, on, eps,
+                                     reference_lower_order_terms(u, on, nl))
+        residual, gap, _ = reference_defects(u, g, on, hat_norms)
         if residual <= tol and gap <= tol:
             return iterations, energies, u
-        eps = solver_module._eps_for(np.diff(u) / grid.dr)
         eps_u = 1e-10 * float(np.max(np.abs(u)))
-        g = reference_gradient_array(np.diff(u) / grid.dr, on, eps, lower)
         z = reference_solve_preconditioned(g, u, on, eps, eps_u)
         gz = float(np.dot(g, z))
         d, slope = z, gz
@@ -379,10 +390,11 @@ class TestIterationShortcuts:
     of the quadratic form, and the K-term where f's power underflows."""
 
     @pytest.mark.parametrize("p,calls", [
-        (2.0, ["_norm_p"]), (1.5, ["_norm_p", "_eps_for", "_norm_p"])])
+        (2.0, ["_norm_p"]), (1.5, ["_eps_for", "_norm_p"])])
     def test_trial_assembles_the_form_once(self, p, calls, monkeypatch):
-        # for p = 2 the level is the regularized form; otherwise the
-        # regularized form is taken once, on the unscaled trial
+        # one form, taken once on the unscaled trial, gives the projection's
+        # level and the energy: for p = 2 with eps = 0, which the
+        # regularization would leave unchanged; otherwise regularized
         u, d, on = TestProjectionAgainstTwoPasses.smooth_case(ProblemDims(N=3, p=p))
         seen = []
         for name in ("_norm_p", "_eps_for"):
@@ -444,6 +456,38 @@ class TestIterationShortcuts:
         assert np.all(np.isfinite(k_term[~overflowed]))
         with pytest.raises(NotConverged, match="after 1 iterations"):
             solve_ground_state(table, nl, grid, max_iter=50)
+
+
+class TestOneEnergy:
+    """For p != 2 the solve reads one form of the energy: the trial's
+    projection and energy and the stop test's ||u||^p the regularized norm,
+    the stop test and descent the regularized gradient."""
+
+    def test_stop_test_reads_the_descent_gradient(self):
+        table, nl, grid, tol = FUSED_LOOP_CASES["unit_p1.5"]()
+        u, rep = solve_ground_state(table, nl, grid, tol=tol)
+        on = solver_module._on_grid(grid, table)
+        g = energy_gradient(u, table, nl).values
+        assert rep.residual == solver_module._residual(g, solver_module._hat_norms(on))
+        norm_p = solve_level(u.values, on)
+        assert rep.norm_X_p == norm_p
+        assert rep.nehari_gap == abs(solver_module._dot(g, u.values)) / norm_p
+
+    @pytest.mark.parametrize("case", ["unit_p1.5", "unit_N4_p3"])
+    def test_one_gradient_per_iteration_and_one_form_per_trial(self, case, monkeypatch):
+        counts = {"_gradient_array": 0, "_norm_p": 0, "_projected_trial": 0}
+        for name in counts:
+            def spy(*args, real=getattr(solver_module, name), name=name):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(solver_module, name, spy)
+        table, nl, grid, tol = FUSED_LOOP_CASES[case]()
+        _, rep = solve_ground_state(table, nl, grid, tol=tol)
+        assert counts["_gradient_array"] == rep.iterations
+        # each trial forms the form once, and each stop test once more
+        assert counts["_norm_p"] == counts["_projected_trial"] + rep.iterations
+        assert counts["_projected_trial"] > rep.iterations
 
 
 class TestGrid:
@@ -746,7 +790,7 @@ class TestWholeArrayProjection:
     def check(K, nl, branches, rel=1e-14, source_rel=1e-14):
         on, trials = TestWholeArrayProjection.trials(K)
         for v, branch in zip(trials, branches):
-            level = solver_module._norm_p(v, np.diff(v) / on.grid.dr, on)
+            level = solver_module._norm_p(v, np.diff(v) / on.grid.dr, on, 0.0)
             if nl.kind == "min_powers":
                 assert _branch(v, on, nl) == branch
             got = solver_module._project(v, on, nl, level)
@@ -797,7 +841,7 @@ class TestWholeArrayProjection:
                 continue
             floor = v.max() * math.exp(-(700.0 + on.log_wk_span) / 8.5)
             below.append(bool(np.any(v[v > 0.0] < floor)))
-            level = solver_module._norm_p(v, np.diff(v) / on.grid.dr, on)
+            level = solver_module._norm_p(v, np.diff(v) / on.grid.dr, on, 0.0)
             assert solver_module._project(v, on, nl, level) == \
                 compressed_project(v, on, nl, level)
         assert sorted(set(below)) == [False, True]
@@ -810,7 +854,7 @@ class TestWholeArrayProjection:
         trials.append(trials[0] ** 40)  # terms down to e^-720 times the largest
         nl = pure_power(4, M=0.7)
         for v in trials:
-            level = solver_module._norm_p(v, np.diff(v) / on.grid.dr, on)
+            level = solver_module._norm_p(v, np.diff(v) / on.grid.dr, on, 0.0)
             with np.errstate(divide="ignore"):
                 terms = np.log(v) * 4.0 + on.log_wk
             m = terms.max()
@@ -914,7 +958,7 @@ class TestProjectionAgainstTwoPasses:
         on = solver_module._on_grid(grid, smooth_table(grid))
         v = initial_bump(grid)
         v /= v.max()
-        level = solver_module._norm_p(v, np.diff(v) / grid.dr, on)
+        level = solver_module._norm_p(v, np.diff(v) / grid.dr, on, 0.0)
         M = level / float(np.dot(on.wk, v ** 5))
         for q in ((3, 5), (5, 3)):
             nl = NonlinearitySpec("min_powers", *q, M=M)
@@ -944,7 +988,7 @@ class TestProjectionAgainstTwoPasses:
         nl = pure_power(3, M=1e-300)
         u, d, on = self.smooth_case(ProblemDims(N=3, p=1.5))
         du = np.diff(u) / on.grid.dr
-        level = solver_module._norm_p(u, du.copy(), on)  # _norm_p writes into du
+        level = solver_module._norm_p(u, du.copy(), on, 0.0)  # _norm_p writes into du
         reg = solver_module._norm_p(u, du, on, solver_module._eps_for(du))
         scale = project(u, on, nl)[0]
         assert math.isfinite(scale) and scale > 1e100
@@ -963,7 +1007,7 @@ class TestProjectionAgainstTwoPasses:
         u, d, on = self.smooth_case(ProblemDims(N=4, p=3))
         scale = project(u, on, nl)[0]
         assert math.isfinite(scale)
-        level = solver_module._norm_p(u, np.diff(u) / on.grid.dr, on)
+        level = solver_module._norm_p(u, np.diff(u) / on.grid.dr, on, 0.0)
         log_lower = 3.0 * math.log(scale) + math.log(level) + math.log(1.0 / 3.0 - 1.0 / 4.0)
         assert log_lower > math.log(np.finfo(float).max) + 100.0
         with np.errstate(over="ignore", invalid="ignore"):
@@ -994,7 +1038,7 @@ class TestScaleOutOfRange:
         u = initial_bump(grid)
         supp = u > 0.0
         log_v = np.log(u[supp])
-        level = solver_module._norm_p(u, np.diff(u) / grid.dr, on)
+        level = solver_module._norm_p(u, np.diff(u) / grid.dr, on, 0.0)
         scales = []
         for M in (1e-250, 1e-280, 1e-300):
             nl = NonlinearitySpec("rational", 3, 5, M=M)
@@ -1016,7 +1060,7 @@ class TestScaleOutOfRange:
         grid, on = self.unit_case(ProblemDims(N=3, p=1.5))
         nl = NonlinearitySpec("rational", 3, 5, M=M)
         u = initial_bump(grid)
-        s = project(u, on, nl)[0]
+        s = solver_module._project(u, on, nl, solve_level(u, on))[0]
         with np.errstate(over="ignore"):
             assert not np.all(np.isfinite(F_eval(NonlinearitySpec("rational", 3, 5), s * u)))
         trial, e, _ = solver_module._projected_trial(u, 0.0 * u, 0.0, on, nl)
@@ -1156,8 +1200,8 @@ FINE_MESH_CASES = {
     "unit_min_powers_3_5_20000": (
         lambda: _unit_case(20000, nl=NonlinearitySpec("min_powers", 3, 5)), 14, 50.363046325290625),
     "unit_p1.5_2000": (lambda: _unit_case(dims=ProblemDims(N=3, p=1.5), tol=1e-4),
-                       42, 0.42747395271716704),
-    "unit_N4_p3_2000": (lambda: _unit_case(dims=ProblemDims(N=4, p=3)), 34, 46.663623655175485),
+                       39, 0.427473952821717),
+    "unit_N4_p3_2000": (lambda: _unit_case(dims=ProblemDims(N=4, p=3)), 35, 46.66362365517068),
     "ex1_4000": (lambda: _example_case("ex1", 4000), 27, 8.682090493045662),
     "ex2_I_4000": (lambda: _example_case("ex2_I", 4000), 245, 41.75396084638665),
 }
