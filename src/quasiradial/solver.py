@@ -229,10 +229,6 @@ class RadialGrid:
     def n(self):
         return len(self.nodes)
 
-    def integrate(self, nodal_values):
-        """Quadrature of a nodal integrand against the surface measure."""
-        return _dot(self.quad_weights, nodal_values)
-
 
 def _check_range(r_min, r_max, n_nodes):
     """Raise BadRange unless build_grid accepts the interval and node count."""
@@ -291,12 +287,6 @@ class SolveReport:
         return asdict(self)
 
 
-def _check_alignment(grid: RadialGrid, table: PotentialTable):
-    if len(table.radii) != grid.n or not np.allclose(table.radii, grid.nodes,
-                                                     rtol=1e-12, atol=0.0):
-        raise ValueError("potential table must be sampled on the grid nodes")
-
-
 @dataclass(frozen=True)
 class _OnGrid:
     """A potential table checked against one grid, with the per-cell and
@@ -314,7 +304,9 @@ class _OnGrid:
 
 
 def _on_grid(grid: RadialGrid, table: PotentialTable) -> _OnGrid:
-    _check_alignment(grid, table)
+    if len(table.radii) != grid.n or not np.allclose(table.radii, grid.nodes,
+                                                     rtol=1e-12, atol=0.0):
+        raise ValueError("potential table must be sampled on the grid nodes")
     a_measure = np.exp(table.log_A_cell) * grid.cell_measure
     # V, K, w V or w K may overflow to inf, which later steps detect; no warning
     with np.errstate(over="ignore"):
@@ -340,14 +332,22 @@ def _abs_pow(x, p, out):
     return out
 
 
-def _norm_p(u, du, on: _OnGrid, eps):
-    """p-th power of the weighted norm, the A-term plus the V-term.  du is
-    _slopes(u), and serves as scratch: it is overwritten with the A-term
-    density, then with |u|^p one _dot block at a time.  With eps = 0 the
-    A-term density is |u'|^p; otherwise it is the flux-regularized
-    (u'^2 + eps^2)^(p/2) - eps^p, which makes the value p times the quadratic
-    part of the energy."""
+def _eps_for(du):
+    """Flux regularization: 1e-10 times the largest cell slope |u'|, as a
+    numpy float so that its powers overflow to inf instead of raising."""
+    return 1e-10 * (np.max(np.abs(du)) if len(du) else np.float64(0.0))
+
+
+def _level(u, on: _OnGrid):
+    """||u||^p in the one form the solve reads, p times the quadratic part of
+    the energy: the A-term plus the V-term.  The A-term density is |u'|^p for
+    p = 2 (and where every slope is 0), otherwise the flux-regularized
+    (u'^2 + eps^2)^(p/2) - eps^p with eps = _eps_for(u').  The slopes serve
+    as scratch: they are overwritten with the A-term density, then with
+    |u|^p one _dot block at a time."""
     p = on.grid.dims.p
+    du = _slopes(u, on.grid)
+    eps = 0.0 if p == 2.0 else _eps_for(du)
     if eps == 0.0:
         _abs_pow(du, p, du)
     else:  # inf or NaN where u' is astronomical: the energy is not finite, the trial refused
@@ -366,19 +366,6 @@ def _norm_p(u, du, on: _OnGrid, eps):
                               for i in range(0, n, block)))
 
 
-def _eps_for(du):
-    """Flux regularization: 1e-10 times the largest cell slope |u'|, as a
-    numpy float so that its powers overflow to inf instead of raising."""
-    return 1e-10 * (np.max(np.abs(du)) if len(du) else np.float64(0.0))
-
-
-def _level(u, on: _OnGrid):
-    """||u||^p in the one form the solve reads, p times the quadratic part of
-    the energy: regularized by _eps_for(u') for p != 2, with eps 0 for p = 2."""
-    du = _slopes(u, on.grid)
-    return _norm_p(u, du, on, 0.0 if on.grid.dims.p == 2.0 else _eps_for(du))
-
-
 def energy(u: RadialFunction, table: PotentialTable, nl: NonlinearitySpec) -> float:
     """Discrete energy at u; its p-homogeneous quadratic part, in the form
     the solve reads (_level), is formed on u / max |u|."""
@@ -393,84 +380,6 @@ _LOG_MAX = math.log(np.finfo(float).max)
 # the K-term's f is formed on blocks of this many nodes, so that its
 # temporaries (about 70 kB) stay small beside the gradient on fine meshes
 _F_BLOCK = 4096
-
-
-def _lower_order_terms(u, on: _OnGrid, nl):
-    """Nodal V and K terms of the gradient, w V |u|^(p-2) u and then w K f(u),
-    yielded one at a time, so that a reader that drops each one holds only one.
-
-    f is evaluated only where u^(q-1) is a normal float for the largest
-    exponent q, the exponent of f near 0; below that the power underflows,
-    which is slow in libm, and the K-term is taken as 0 * w K: 0, or NaN
-    where w K overflowed, so that the overflow still shows.  f is formed
-    _F_BLOCK nodes at a time into the K-term's own array, so that its
-    temporaries stay small beside the gradient."""
-    p = on.grid.dims.p
-    with np.errstate(invalid="ignore", divide="ignore"):
-        zero_order = u if p == 2.0 else np.where(u == 0.0, 0.0, np.abs(u) ** (p - 2.0) * u)
-    yield on.wv * zero_order
-    del zero_order
-    threshold = _TINY ** (1.0 / (max(nl.q1, nl.q2) - 1.0))
-    source = np.zeros(len(u))
-    for i in range(0, len(u), _F_BLOCK):
-        live = u[i:i + _F_BLOCK] > threshold
-        source[i:i + _F_BLOCK][live] = f_eval(nl, u[i:i + _F_BLOCK][live])
-    del live
-    with np.errstate(invalid="ignore"):
-        source *= on.wk
-    yield source
-
-
-def _gradient_array(u, on: _OnGrid, eps, lower):
-    """Exact gradient of the discrete energy at u; outer Dirichlet node excluded.
-
-    lower yields the nodal V and K terms at u (_lower_order_terms, which does
-    not depend on eps); they are added after the flux, one at a time."""
-    grid = on.grid
-    p = grid.dims.p
-    flux = _slopes(u, grid)  # for p = 2 the flux density is u' itself
-    if p != 2.0:
-        du = flux
-        # an astronomical u' overflows to a residual that cannot converge
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            s = du * du + eps * eps
-            flux = s ** ((p - 2.0) / 2.0) * du
-            # where s leaves the normal float range eps is negligible: the
-            # flux is sign(u') |u'|^(p-1), and 0 at u' = eps = 0
-            off = ~((s >= _TINY) & (s < np.inf))
-            if off.any():
-                flux[off] = np.sign(du[off]) * np.abs(du[off]) ** (p - 1.0)
-        del du, s, off
-    flux *= np.divide(on.a_measure, grid.dr)  # the flux's weight per unit slope
-    g = np.zeros(grid.n)
-    g[:-1] -= flux
-    g[1:] += flux
-    del flux
-    terms = iter(lower)
-    g += next(terms)
-    g -= next(terms)
-    g[-1] = 0.0
-    return g
-
-
-def _hat_norms(on: _OnGrid):
-    """Weighted norm of each nodal hat function (outer node excluded)."""
-    grid = on.grid
-    p = grid.dims.p
-    stiff = on.a_measure / grid.dr ** p
-    ea = np.zeros(grid.n)
-    ea[:-1] += stiff
-    ea[1:] += stiff
-    ea += on.wv
-    ea **= 1.0 / p
-    return ea
-
-
-def _residual(g, hat_norms):
-    """Largest defect g per hat-function norm, outer node excluded."""
-    defect = np.abs(g[:-1])
-    defect /= hat_norms[:-1]
-    return float(defect.max())
 
 
 def nehari_scale(u: RadialFunction, table: PotentialTable,
@@ -752,22 +661,76 @@ _STAGNANT_STEPS = 20
 
 
 def _gradient(u, on: _OnGrid, nl):
-    """The gradient of the form _level reads, which descent follows and the
-    stop test reads; the lower-order terms are formed one at a time."""
-    eps = 0.0 if on.grid.dims.p == 2.0 else _eps_for(_slopes(u, on.grid))
-    return _gradient_array(u, on, eps, _lower_order_terms(u, on, nl))
+    """Exact gradient at u of the form _level reads, which descent follows
+    and the stop test reads; outer Dirichlet node excluded (0 there).
+
+    The slopes are taken once; for p != 2 they also give eps = _eps_for(u').
+    The flux, then w V |u|^(p-2) u, then w K f(u) are added, each dropped
+    once added.  f is evaluated only where u^(q-1) is a normal float for the
+    largest exponent q, the exponent of f near 0; below that the power
+    underflows, which is slow in libm, and the K-term is taken as 0 * w K:
+    0, or NaN where w K overflowed, so that the overflow still shows.  f is
+    formed _F_BLOCK nodes at a time into the K-term's own array, so that its
+    temporaries stay small beside the gradient."""
+    grid = on.grid
+    p = grid.dims.p
+    flux = _slopes(u, grid)  # for p = 2 the flux density is u' itself
+    if p != 2.0:
+        du = flux
+        eps = _eps_for(du)
+        # an astronomical u' overflows to a residual that cannot converge
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            s = du * du + eps * eps
+            flux = s ** ((p - 2.0) / 2.0) * du
+            # where s leaves the normal float range eps is negligible: the
+            # flux is sign(u') |u'|^(p-1), and 0 at u' = eps = 0
+            off = ~((s >= _TINY) & (s < np.inf))
+            if off.any():
+                flux[off] = np.sign(du[off]) * np.abs(du[off]) ** (p - 1.0)
+        del du, s, off
+    flux *= np.divide(on.a_measure, grid.dr)  # the flux's weight per unit slope
+    g = np.zeros(grid.n)
+    g[:-1] -= flux
+    g[1:] += flux
+    del flux
+    with np.errstate(invalid="ignore", divide="ignore"):
+        zero_order = u if p == 2.0 else np.where(u == 0.0, 0.0, np.abs(u) ** (p - 2.0) * u)
+    g += on.wv * zero_order
+    del zero_order
+    threshold = _TINY ** (1.0 / (max(nl.q1, nl.q2) - 1.0))
+    source = np.zeros(len(u))
+    for i in range(0, len(u), _F_BLOCK):
+        live = u[i:i + _F_BLOCK] > threshold
+        source[i:i + _F_BLOCK][live] = f_eval(nl, u[i:i + _F_BLOCK][live])
+    del live
+    with np.errstate(invalid="ignore"):
+        source *= on.wk
+    g -= source
+    g[-1] = 0.0
+    return g
 
 
 def _stop_quantities(u, g, on: _OnGrid):
     """What convergence is judged on at u: (residual, gap, ||u||^p), the
-    largest defect g per hat-function norm and the Nehari gap
-    |g . u| / ||u||^p, with ||u||^p as _level forms it.  The hat-function
-    norms are formed once the slopes are dropped, and dropped on return.
-    Raises CollapsedToZero where ||u||^p reads 0."""
+    largest defect g per hat-function norm (outer node excluded) and the
+    Nehari gap |g . u| / ||u||^p, with ||u||^p as _level forms it.  The
+    hat-function norms are formed once the slopes are dropped, and dropped
+    on return.  Raises CollapsedToZero where ||u||^p reads 0."""
     norm_p = _level(u, on)
     if norm_p == 0.0:
         raise CollapsedToZero("the iterate's norm underflows")
-    return _residual(g, _hat_norms(on)), abs(_dot(g, u)) / norm_p, norm_p
+    grid = on.grid
+    p = grid.dims.p
+    stiff = on.a_measure / grid.dr ** p
+    hat_norms = np.zeros(grid.n)
+    hat_norms[:-1] += stiff
+    hat_norms[1:] += stiff
+    del stiff
+    hat_norms += on.wv
+    hat_norms **= 1.0 / p
+    defect = np.abs(g[:-1])
+    defect /= hat_norms[:-1]
+    return float(defect.max()), abs(_dot(g, u)) / norm_p, norm_p
 
 
 def _direction(u, g, on: _OnGrid, metric, last):
