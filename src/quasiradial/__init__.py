@@ -30,7 +30,6 @@ from .exponents import (
 )
 from .nonlinearity import NonlinearitySpec, F_eval, f_eval, pure_power
 from .potentials import (
-    AsymptoticBound,
     Constant,
     ExpInv,
     MaxOf,

@@ -123,12 +123,20 @@ def _endpoint_from_json(end, obj):
         raise ConfigError(f"asymptotics.{end} is missing field {exc}")
 
 
+def _whole(value, key):
+    """A count read from the config, as an int; a boolean, a fraction, inf or
+    NaN is refused, not truncated."""
+    if isinstance(value, bool) or not (isinstance(value, int) or float(value).is_integer()):
+        raise ConfigError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def load_config(obj) -> RunConfig:
     """Parse and validate one JSON configuration document."""
     try:
-        if int(obj.get("schema_version", 1)) != SCHEMA_VERSION:
+        if _whole(obj.get("schema_version", 1), "schema_version") != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {obj.get('schema_version')}")
-        dims = ProblemDims(N=int(obj["dims"]["N"]), p=float(obj["dims"]["p"]))
+        dims = ProblemDims(N=_whole(obj["dims"]["N"], "dims.N"), p=float(obj["dims"]["p"]))
         pots = obj["potentials"]
         spec_a = spec_from_json(pots["A"])
         spec_v = spec_from_json(pots["V"])
@@ -142,19 +150,19 @@ def load_config(obj) -> RunConfig:
         grid = obj.get("grid", {})
         r_min = float(grid.get("r_min", 1e-4))
         r_max = float(grid.get("r_max", 1e4))
-        n_nodes = int(grid.get("n_nodes", 2000))
+        n_nodes = _whole(grid.get("n_nodes", 2000), "grid.n_nodes")
         tols = obj.get("tolerances", {})
         probe = obj.get("probe", {})
         probe_r_min = float(probe.get("r_min", min(r_min, 5e-5)))
         probe_r_max = float(probe.get("r_max", max(r_max, 1e5)))
-        probe_n_nodes = int(probe.get("n_nodes", 2400))
+        probe_n_nodes = _whole(probe.get("n_nodes", 2400), "probe.n_nodes")
         for key, rng in (("grid", (r_min, r_max, n_nodes)),
                          ("probe", (probe_r_min, probe_r_max, probe_n_nodes))):
             try:
                 _check_range(*rng)
             except BadRange as exc:
                 raise ConfigError(f"{key}: {exc}")
-        max_iter = int(tols.get("max_iter", 20000))
+        max_iter = _whole(tols.get("max_iter", 20000), "tolerances.max_iter")
         if max_iter < 0:
             raise ConfigError(f"tolerances.max_iter must be nonnegative, got {max_iter}")
         solve_tol = float(tols.get("solve_tol", 1e-6))
@@ -258,11 +266,10 @@ def region_plot_rows(cfg: RunConfig, alpha_range, q_range, resolution):
 
 
 def check_report(cfg: RunConfig) -> dict:
-    rep = validate_hypotheses((cfg.spec_A, cfg.spec_V, cfg.spec_K), cfg.dims,
-                              cfg.asym_origin, cfg.asym_infinity, s_loc=cfg.s_loc)
-    out = rep.to_dict()
-    out["schema_version"] = SCHEMA_VERSION
-    return out
+    """The hypothesis check document, with the schema version."""
+    return {"schema_version": SCHEMA_VERSION,
+            **validate_hypotheses((cfg.spec_A, cfg.spec_V, cfg.spec_K), cfg.dims,
+                                  cfg.asym_origin, cfg.asym_infinity, cfg.s_loc)}
 
 
 def probe_report(cfg: RunConfig):

@@ -12,7 +12,7 @@ s = log(k / e) or in the limit s -> +-inf.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, asdict, dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -314,18 +314,6 @@ def eval_potentials(spec_A: PotentialSpec, spec_V: PotentialSpec,
 # Asymptotic bounds
 # ---------------------------------------------------------------------------
 
-QUANTITY_ESSSUP = "esssup_K_over_r_alpha_V_beta"
-QUANTITY_ESSINF = "essinf_r_gamma_V"
-QUANTITY_RATIO_A = "ratio_A_over_r_alpha"
-
-
-@dataclass(frozen=True)
-class AsymptoticBound:
-    quantity: str
-    interval: tuple
-    value: float
-
-
 def _log_interval(interval):
     r_lo, r_hi = interval
     if not 0.0 <= r_lo < r_hi:
@@ -339,7 +327,7 @@ def _ratio(spec_V, spec_K, alpha, beta):
 
 
 def esssup_ratio(spec_V: PotentialSpec, spec_K: PotentialSpec, alpha: float, beta: float,
-                 interval) -> AsymptoticBound:
+                 interval) -> float:
     """Essential sup of K / (r^alpha V^beta) over the radii in `interval`.
 
     The interval's ends may be 0 and inf, where the sup is a limit.
@@ -347,59 +335,29 @@ def esssup_ratio(spec_V: PotentialSpec, spec_K: PotentialSpec, alpha: float, bet
     lo, hi = _log_interval(interval)
     if beta != 0 and _vanishes(spec_V.pieces, lo, hi):
         raise DivisionByZeroV("V vanishes on a set of positive length while beta > 0")
-    return AsymptoticBound(QUANTITY_ESSSUP, (float(interval[0]), float(interval[1])),
-                           _exp(_sup(_ratio(spec_V, spec_K, alpha, beta), lo, hi)))
+    return _exp(_sup(_ratio(spec_V, spec_K, alpha, beta), lo, hi))
 
 
-def essinf_weighted(spec_V: PotentialSpec, gamma: float, interval) -> AsymptoticBound:
+def essinf_weighted(spec_V: PotentialSpec, gamma: float, interval) -> float:
     """Essential inf of r^gamma V over the radii in `interval`; 0 where V vanishes."""
     lo, hi = _log_interval(interval)
-    return AsymptoticBound(QUANTITY_ESSINF, (float(interval[0]), float(interval[1])),
-                           _exp(_inf(_quantity([(1.0, spec_V)], gamma), lo, hi)))
+    return _exp(_inf(_quantity([(1.0, spec_V)], gamma), lo, hi))
 
 
 # ---------------------------------------------------------------------------
 # Hypothesis validation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    value: object = None
-    detail: str = ""
-    gating: bool = True
-
-    def to_dict(self):
-        return asdict(self)
-
-
-class HypothesisReport:
-    def __init__(self):
-        self.entries, self.bounds = [], {}
-
-    @property
-    def passed(self) -> bool:
-        return all(e.passed for e in self.entries if e.gating)
-
-    def add(self, *args, **kwargs):
-        self.entries.append(CheckResult(*args, **kwargs))
-
-    def to_dict(self):
-        return {
-            "passed": self.passed,
-            "checks": [e.to_dict() for e in self.entries],
-            "bounds": {k: asdict(b) for k, b in self.bounds.items()},
-        }
-
-
 def validate_hypotheses(specs, dims: ProblemDims,
                         asym_origin: EndpointAsymptotics,
-                        asym_infinity: EndpointAsymptotics, s_loc) -> HypothesisReport:
+                        asym_infinity: EndpointAsymptotics, s_loc) -> dict:
     """Verify the admissibility hypotheses on concrete potentials, exactly.
 
-    Failures are report entries, not exceptions; A or K that vanishes on a
-    set of positive length raises NonPositive.  The bounds are essential
+    Returns the document {"passed", "checks", "bounds"}: each check is
+    {"name", "passed", "value", "detail", "gating"}, each bound
+    {"quantity", "interval", "value"}, and "passed" holds when every gating
+    check passes.  Failures are checks, not exceptions; A or K that vanishes
+    on a set of positive length raises NonPositive.  The bounds are essential
     sups and infs over (0, R] and [R, inf), limits at 0 and inf included.
     Local integrability is checked on [1e-2, 1e2] by the logs of the sups
     of V and of K^s there; the integrability of V r^(N-1) near 0 is
@@ -408,49 +366,52 @@ def validate_hypotheses(specs, dims: ProblemDims,
     spec_A, spec_V, spec_K = specs
     if any(_vanishes(spec.pieces, -math.inf, math.inf) for spec in (spec_A, spec_K)):
         raise NonPositive("A and K must be strictly positive")
-    rep = HypothesisReport()
+    checks, bounds = [], {}
     p, N = dims.p, dims.N
 
+    def check(name, passed, value, detail):
+        checks.append({"name": name, "passed": passed, "value": value, "detail": detail,
+                       "gating": True})
+
     for label, asym in (("origin", asym_origin), ("infinity", asym_infinity)):
-        ok = p - N < asym.a <= p
-        rep.add(f"a_{label}_in_range", ok,
-                value=asym.a, detail=f"requires a in ({p - N}, {p}]")
+        check(f"a_{label}_in_range", p - N < asym.a <= p, asym.a, f"requires a in ({p - N}, {p}]")
         try:
             validate_endpoint(asym, dims)
-            rep.add(f"asymptotics_{label}_consistent", True)
+            check(f"asymptotics_{label}_consistent", True, None, "")
         except InvalidAsymptotics as exc:
-            rep.add(f"asymptotics_{label}_consistent", False, detail=str(exc))
+            check(f"asymptotics_{label}_consistent", False, None, str(exc))
 
     # each end's interval and the direction of that end in s = log r
-    ends = (("origin", asym_origin, (0.0, asym_origin.R), -1.0),
-            ("infinity", asym_infinity, (asym_infinity.R, math.inf), 1.0))
+    ends = (("origin", asym_origin, (0.0, float(asym_origin.R)), -1.0),
+            ("infinity", asym_infinity, (float(asym_infinity.R), math.inf), 1.0))
 
     # the declared growth rate of A: A / r^a bounded and bounded away from 0
     for end, asym, interval, side in ends:
         ratio = _quantity([(1.0, spec_A)], -asym.a)
         lo, hi = _log_interval(interval)
         band = _exp(_inf(ratio, lo, hi)), _exp(_sup(ratio, lo, hi))
-        rep.add(f"A_rate_{end}", band[0] > 0 and math.isfinite(band[1]),
-                value=_end_exponent(spec_A.pieces, side),
-                detail=f"declared a = {asym.a}, A / r^a in [{band[0]:.3g}, {band[1]:.3g}]")
-        rep.bounds[f"ratio_A_{end}"] = AsymptoticBound(QUANTITY_RATIO_A, interval, band[1])
+        check(f"A_rate_{end}", band[0] > 0 and math.isfinite(band[1]),
+              _end_exponent(spec_A.pieces, side),
+              f"declared a = {asym.a}, A / r^a in [{band[0]:.3g}, {band[1]:.3g}]")
+        bounds[f"ratio_A_{end}"] = {"quantity": "ratio_A_over_r_alpha", "interval": interval,
+                                    "value": band[1]}
 
     # K / (r^alpha V^beta) must stay bounded and r^gamma V bounded away from zero
     for end, asym, interval, side in ends:
         try:
-            bound = esssup_ratio(spec_V, spec_K, asym.alpha, asym.beta, interval)
+            value = esssup_ratio(spec_V, spec_K, asym.alpha, asym.beta, interval)
         except DivisionByZeroV as exc:
-            rep.add(f"esssup_{end}_finite", False, detail=str(exc))
+            check(f"esssup_{end}_finite", False, None, str(exc))
         else:
             b = _end_exponent(_ratio(spec_V, spec_K, asym.alpha, asym.beta), side)
-            rep.bounds[f"esssup_{end}"] = bound
-            rep.add(f"esssup_{end}_finite", math.isfinite(bound.value), value=bound.value,
-                    detail=f"end exponent {b:.3g}")
-        bound = essinf_weighted(spec_V, asym.gamma, interval)
+            bounds[f"esssup_{end}"] = {"quantity": "esssup_K_over_r_alpha_V_beta",
+                                       "interval": interval, "value": value}
+            check(f"esssup_{end}_finite", math.isfinite(value), value, f"end exponent {b:.3g}")
+        value = essinf_weighted(spec_V, asym.gamma, interval)
         b = _end_exponent(_quantity([(1.0, spec_V)], asym.gamma), side)
-        rep.bounds[f"essinf_{end}"] = bound
-        rep.add(f"essinf_{end}_positive", bound.value > 0, value=bound.value,
-                detail=f"end exponent {b:.3g}")
+        bounds[f"essinf_{end}"] = {"quantity": "essinf_r_gamma_V", "interval": interval,
+                                   "value": value}
+        check(f"essinf_{end}_positive", value > 0, value, f"end exponent {b:.3g}")
 
     # local integrability on an interior compact (the hypotheses only ask for
     # integrability away from the endpoints): V and K^s are bounded there
@@ -458,15 +419,17 @@ def validate_hypotheses(specs, dims: ProblemDims,
     # the sups themselves, the reported values, may overflow the float range
     lo, hi = math.log(1e-2), math.log(1e2)
     log_sup_V = _sup(spec_V.pieces, lo, hi)
-    rep.add("V_locally_integrable", log_sup_V < math.inf, value=_exp(log_sup_V),
-            detail="sup of V on [1e-2, 1e2]")
+    check("V_locally_integrable", log_sup_V < math.inf, _exp(log_sup_V),
+          "sup of V on [1e-2, 1e2]")
     log_sup_K = s_loc * _sup(spec_K.pieces, lo, hi)
-    rep.add("K_locally_s_integrable", log_sup_K < math.inf, value=_exp(log_sup_K),
-            detail=f"s = {s_loc}, sup of K^s on [1e-2, 1e2]")
+    check("K_locally_s_integrable", log_sup_K < math.inf, _exp(log_sup_K),
+          f"s = {s_loc}, sup of K^s on [1e-2, 1e2]")
 
     # non-gating diagnostic: V r^(N-1) ~ r^b at 0 is integrable there iff b > -1
     b = _end_exponent(spec_V.pieces, -1.0) + (N - 1)
-    rep.add("diagnostic_v_weight_near_origin", b > -1, value=b, gating=False,
-            detail="informational: V r^(N-1) ~ r^b at 0, integrable near 0 iff b > -1")
+    checks.append({"name": "diagnostic_v_weight_near_origin", "passed": b > -1, "value": b,
+                   "detail": "informational: V r^(N-1) ~ r^b at 0, integrable near 0 iff b > -1",
+                   "gating": False})
 
-    return rep
+    return {"passed": all(c["passed"] for c in checks if c["gating"]),
+            "checks": checks, "bounds": bounds}

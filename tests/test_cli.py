@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import json
 import math
 import os
@@ -18,6 +19,7 @@ from quasiradial.cli import (
     EXIT_NOT_CONVERGED,
     EXIT_OK,
     _parse_sweep,
+    check_report,
     example_config,
     load_config,
     main,
@@ -31,6 +33,7 @@ from quasiradial.exponents import (
     q_star,
     tail_decay_exponent,
 )
+from quasiradial._jsonio import canonical_json
 from quasiradial.solver import RadialFunction, build_grid
 
 
@@ -552,6 +555,43 @@ class TestBadNonlinearity:
         assert not list(tmp_path.glob("*.csv"))
 
 
+def _edited(name, edit):
+    cfg = example_config(name)
+    edit(cfg)
+    return cfg
+
+
+# sha256 of canonical_json(check_report(cfg)) for each config, and whether it passes;
+# recorded before the hypothesis layer returned its document directly
+CHECK_DOCUMENT_PINS = [
+    ("ex1", example_config("ex1"), True,
+     "aff6f5c52504857b45777b442e1862df6aa7ed03a0a49b14c6801843d275909e"),
+    ("ex2_I", example_config("ex2_I"), True,
+     "beb9efff084c021998be8b978fa7c53e3ef3ff65a2da2f952a34fca2743890e2"),
+    ("ex2_II", example_config("ex2_II"), True,
+     "d28f57973b2e73c2b31619e773ede2a670ed409ebc25f25bf32149002c2810ef"),
+    ("ex2_III", example_config("ex2_III"), True,
+     "8cd0c36a03bdc8237865e586ac3459dc8bea96cd73643b807c964d5b8c4e3bfd"),
+    ("ex1_zero_v", _edited("ex1", lambda cfg: cfg["potentials"].update(
+        V={"kind": "constant", "c": 0.0})), False,
+     "9920913e5c549dcca0db103bafdd2e262f00d7984439b5c3cea38c12358bb2c8"),
+    ("ex1_inner_scale_8", _edited("ex1", lambda cfg: cfg["potentials"]["V"]["inner"].update(
+        scale=8.0)), True,
+     "6e30f8b9ac6ff5aee6a28fb8b14c0116c555680feca15ce8fcdd7095e17c33e6"),
+    ("ex2_I_origin_a_2.5", _edited("ex2_I", lambda cfg: cfg["asymptotics"]["origin"].update(
+        a=2.5)), False,
+     "c2ea62bdcc403bb838ba6b3bcc0a90476a0ea1ad07911f4c8357c30e171270c3"),
+]
+
+
+@pytest.mark.parametrize("name, cfg, passed, digest", CHECK_DOCUMENT_PINS,
+                         ids=[pin[0] for pin in CHECK_DOCUMENT_PINS])
+def test_check_document_bytes_are_pinned(name, cfg, passed, digest):
+    doc = check_report(load_config(cfg))
+    assert doc["passed"] is passed
+    assert hashlib.sha256(canonical_json(doc).encode()).hexdigest() == digest
+
+
 def _without_gamma(cfg):
     del cfg["asymptotics"]["origin"]["gamma"]
     return cfg
@@ -567,6 +607,31 @@ class TestConfigRefusals:
         for command in ("region", "check", "probe", "solve"):
             code, doc = run_cli(capsys, [command, "--config", path, "--out", str(tmp_path)])
             assert (code, doc) == (EXIT_CONFIG, {"error": "invalid_config", "detail": detail})
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("dims", "N", 4.6), ("grid", "n_nodes", 1600.9), ("probe", "n_nodes", 2400.7),
+        ("tolerances", "max_iter", 0.5), ("tolerances", "max_iter", True),
+        (None, "schema_version", 1.7), ("grid", "n_nodes", math.inf),
+    ])
+    def test_fractional_or_boolean_count_exits_two(self, tmp_path, capsys, section, key, value):
+        # a count is refused, not truncated into another problem
+        cfg = example_config("ex1")
+        (cfg.setdefault(section, {}) if section else cfg)[key] = value
+        path = write_config(tmp_path, cfg)
+        name = f"{section}.{key}" if section else key
+        for command in ("check", "solve"):
+            code, doc = run_cli(capsys, [command, "--config", path, "--out", str(tmp_path)])
+            detail = f"{name} must be a whole number, got {value!r}"
+            assert (code, doc) == (EXIT_CONFIG, {"error": "invalid_config", "detail": detail})
+
+    def test_whole_valued_floats_read_as_counts(self):
+        cfg = example_config("ex1")
+        cfg["dims"]["N"], cfg["grid"]["n_nodes"], cfg["tolerances"]["max_iter"] = 4.0, 1600.0, 2e4
+        cfg.update(schema_version=1.0, probe={"n_nodes": 2400.0})
+        loaded = load_config(cfg)
+        assert loaded == load_config({**example_config("ex1"), "probe": {"n_nodes": 2400}})
+        assert all(type(n) is int for n in (loaded.dims.N, loaded.n_nodes, loaded.probe_n_nodes,
+                                            loaded.max_iter))
 
     @pytest.mark.parametrize("text", [None, "{", "[1, 2"])
     def test_unreadable_or_malformed_file_exits_two(self, tmp_path, capsys, text):

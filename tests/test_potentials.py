@@ -10,9 +10,6 @@ import pytest
 from quasiradial.cli import example_config, load_config
 from quasiradial.exponents import EndpointAsymptotics, ProblemDims
 from quasiradial.potentials import (
-    QUANTITY_ESSINF,
-    QUANTITY_ESSSUP,
-    QUANTITY_RATIO_A,
     Constant,
     DivisionByZeroV,
     ExpInv,
@@ -183,9 +180,9 @@ class TestEvalPotentials:
 
 
 def report(specs, dims, origin, infinity, s_loc=2.0):
-    """validate_hypotheses' entries by name, and its bounds."""
+    """validate_hypotheses' checks by name, and its bounds."""
     rep = validate_hypotheses(specs, dims, origin, infinity, s_loc)
-    return {e.name: e for e in rep.entries}, rep.bounds
+    return {c["name"]: c for c in rep["checks"]}, rep["bounds"]
 
 
 def config_report(cfg):
@@ -216,52 +213,56 @@ class TestLimitExponent:
     def test_inverse_power_both_ends(self):
         names, bounds = report(example1_specs(), D24, *ex1_asym())
         for end in ("origin", "infinity"):
-            assert names[f"A_rate_{end}"].value == -1.0
-            assert names[f"A_rate_{end}"].passed
-            assert bounds[f"ratio_A_{end}"].value == 1.0
+            assert names[f"A_rate_{end}"]["value"] == -1.0
+            assert names[f"A_rate_{end}"]["passed"]
+            assert bounds[f"ratio_A_{end}"]["value"] == 1.0
 
     def test_example2_a_rates(self):
         names, _ = report(example2_specs(), D24, *rate_asym(-1.0, -2.0))
-        assert names["A_rate_origin"].value == -1.0
-        assert names["A_rate_infinity"].value == -2.0
-        assert names["A_rate_origin"].passed and names["A_rate_infinity"].passed
+        assert names["A_rate_origin"]["value"] == -1.0
+        assert names["A_rate_infinity"]["value"] == -2.0
+        assert names["A_rate_origin"]["passed"] and names["A_rate_infinity"]["passed"]
 
     def test_constant(self):
         names, _ = report((Constant(1.0),) * 3, D24, *rate_asym(0.0, 0.0))
-        assert names["A_rate_origin"].value == 0.0 and names["A_rate_origin"].passed
+        assert names["A_rate_origin"]["value"] == 0.0 and names["A_rate_origin"]["passed"]
 
     def test_pure_power_high_accuracy(self):
         names, bounds = report((Power(3.0, -1.7), Constant(1.0), Constant(1.0)), D24,
                                *rate_asym(-1.7, -1.7))
-        assert names["A_rate_infinity"].value == -1.7
-        assert names["A_rate_infinity"].passed
-        assert bounds["ratio_A_infinity"].value == pytest.approx(3.0, rel=1e-15)
+        assert names["A_rate_infinity"]["value"] == -1.7
+        assert names["A_rate_infinity"]["passed"]
+        assert bounds["ratio_A_infinity"]["value"] == pytest.approx(3.0, rel=1e-15)
 
     def test_a_wrong_rate_or_exponential_factor_fails(self):
         # A = r^-1 declared as r^0, and A = r^-1 e^(1/r), which outgrows every power at 0
         names, bounds = report(example1_specs(), D24, *rate_asym(0.0, -1.0))
-        assert not names["A_rate_origin"].passed and bounds["ratio_A_origin"].value == math.inf
+        assert not names["A_rate_origin"]["passed"]
+        assert bounds["ratio_A_origin"]["value"] == math.inf
         a = MaxOf((Power(1.0, -1.0), ExpInv(1.0)))
         names, _ = report((a, Constant(1.0), Constant(1.0)), D24, *rate_asym(-1.0, 0.0))
-        assert names["A_rate_origin"].value == -math.inf
-        assert not names["A_rate_origin"].passed
+        assert names["A_rate_origin"]["value"] == -math.inf
+        assert not names["A_rate_origin"]["passed"]
 
 
 class TestEsssupRatio:
     def test_example1_origin_ratio_is_one(self):
         _, v, k = example1_specs()
         b = esssup_ratio(v, k, alpha=0.0, beta=1.0, interval=(0.0, 1.0))
-        assert b.value == 1.0
-        assert (b.quantity, b.interval) == (QUANTITY_ESSSUP, (0.0, 1.0))
+        assert b == 1.0 and type(b) is float
+        # the check document names the quantity and the interval it bounds
+        _, bounds = report(example1_specs(), D24, *ex1_asym())
+        assert bounds["esssup_origin"] == {
+            "quantity": "esssup_K_over_r_alpha_V_beta", "interval": (0.0, 1.0), "value": b}
 
     def test_pure_power_ratio(self):
         b = esssup_ratio(Constant(1.0), Power(1.0, 0.5), alpha=0.5, beta=0.0,
                          interval=(0.0, 1.0))
-        assert b.value == 1.0
+        assert b == 1.0
 
     def test_beta_zero_ignores_v(self):
         k = Power(2.0, -0.25)
-        values = [esssup_ratio(v, k, alpha=-0.5, beta=0.0, interval=(0.01, 10.0)).value
+        values = [esssup_ratio(v, k, alpha=-0.5, beta=0.0, interval=(0.01, 10.0))
                   for v in (ExpInv(1.0), Power(5.0, 3.0), Constant(0.0))]
         assert values[0] == values[1] == values[2]  # bit identical, a zero V included
 
@@ -270,7 +271,7 @@ class TestEsssupRatio:
             esssup_ratio(Constant(0.0), Constant(1.0), alpha=0.0, beta=0.5, interval=(0.1, 10.0))
         # a V that vanishes past r = 100 only divides by zero where the interval reaches there
         v = Piecewise(100.0, Power(1.0, -1.5), Constant(0.0))
-        assert esssup_ratio(v, Constant(1.0), 0.0, 0.5, (0.1, 100.0)).value \
+        assert esssup_ratio(v, Constant(1.0), 0.0, 0.5, (0.1, 100.0)) \
             == pytest.approx(100.0 ** 0.75, rel=1e-14)
         with pytest.raises(DivisionByZeroV):
             esssup_ratio(v, Constant(1.0), 0.0, 0.5, (0.1, 100.5))
@@ -280,23 +281,23 @@ class TestEsssupRatio:
         spec = ExpInv(-1.0)
         assert math.exp(reference_log(spec, 1e-6)) == 0.0
         b = esssup_ratio(spec, spec, alpha=0.0, beta=1.0, interval=(0.0, 1.0))
-        assert b.value == 1.0
+        assert b == 1.0
 
     def test_interior_maximum_is_exact(self):
         # r^-1 e^(-1/r) is largest at r = 1, where it is 1/e
         b = esssup_ratio(ExpInv(1.0), Power(1.0, -1.0), alpha=0.0, beta=1.0,
                          interval=(0.0, math.inf))
-        assert b.value == pytest.approx(math.exp(-1.0), rel=1e-15)
+        assert b == pytest.approx(math.exp(-1.0), rel=1e-15)
 
     def test_limits_at_the_ends(self):
         # sups over (0, R] and [R, inf) include the limits at 0 and inf
-        assert esssup_ratio(Constant(1.0), Power(1.0, -1.0), 0.0, 0.0, (0.0, 1.0)).value == math.inf
-        assert esssup_ratio(Constant(1.0), Power(1.0, 1.0), 0.0, 0.0, (1.0, math.inf)).value \
+        assert esssup_ratio(Constant(1.0), Power(1.0, -1.0), 0.0, 0.0, (0.0, 1.0)) == math.inf
+        assert esssup_ratio(Constant(1.0), Power(1.0, 1.0), 0.0, 0.0, (1.0, math.inf)) \
             == math.inf
-        assert esssup_ratio(Constant(1.0), Power(1.0, -1.0), 0.0, 0.0, (1.0, math.inf)).value \
+        assert esssup_ratio(Constant(1.0), Power(1.0, -1.0), 0.0, 0.0, (1.0, math.inf)) \
             == 1.0
         k = MinOf((Power(1.0, 1.0), Power(1.0, -1.0)))
-        assert esssup_ratio(Constant(1.0), k, 0.0, 0.0, (0.0, math.inf)).value == 1.0
+        assert esssup_ratio(Constant(1.0), k, 0.0, 0.0, (0.0, math.inf)) == 1.0
 
     @pytest.mark.parametrize("interval", [(1.0, 1.0), (2.0, 1.0), (-1.0, 1.0),
                                           (math.nan, 1.0), (0.0, math.nan)])
@@ -308,10 +309,10 @@ class TestEsssupRatio:
         # K = r on (0, 0.5]: the sup sits at the interval's end 0.5
         specs = (Power(1.0, -1.0), Constant(1.0), Power(1.0, 1.0))
         b = esssup_ratio(specs[1], specs[2], alpha=0.0, beta=0.0, interval=(0.0, 0.5))
-        assert b.value == pytest.approx(0.5, rel=1e-15)
+        assert b == pytest.approx(0.5, rel=1e-15)
         names, _ = report(specs, D24, EndpointAsymptotics("origin", -1.0, 0.0, 0.0, 0.0, R=0.5),
                           EndpointAsymptotics("infinity", -1.0, 1.0, 0.0, 0.0, R=1.0))
-        assert names["esssup_origin_finite"].passed
+        assert names["esssup_origin_finite"]["passed"]
 
     def test_monotone_in_interval(self):
         rng = np.random.default_rng(5)
@@ -321,74 +322,82 @@ class TestEsssupRatio:
             hi = lo * 10 ** rng.uniform(0.5, 3)
             lo2 = lo * 10 ** rng.uniform(0.0, 0.4)
             hi2 = hi / 10 ** rng.uniform(0.0, 0.4)
-            big = esssup_ratio(v, k, 0.3, 0.0, (lo, hi)).value
-            small = esssup_ratio(v, k, 0.3, 0.0, (lo2, hi2)).value
+            big = esssup_ratio(v, k, 0.3, 0.0, (lo, hi))
+            small = esssup_ratio(v, k, 0.3, 0.0, (lo2, hi2))
             assert big >= small
 
 
 class TestEssinfWeighted:
     def test_exact_inverse_power(self):
         b = essinf_weighted(Power(1.0, -2.5), gamma=2.5, interval=(0.001, 100.0))
-        assert b.value == 1.0
-        assert (b.quantity, b.interval) == (QUANTITY_ESSINF, (0.001, 100.0))
+        assert b == 1.0 and type(b) is float
+        # the check document names the quantity and the interval it bounds
+        specs = (Power(1.0, -1.0), Power(1.0, -2.5), Constant(1.0))
+        _, bounds = report(specs, D24, *(EndpointAsymptotics(end, -1.0, 0.0, 0.0, 2.5, R=1.0)
+                                         for end in ("origin", "infinity")))
+        for end, interval in (("origin", (0.0, 1.0)), ("infinity", (1.0, math.inf))):
+            assert bounds[f"essinf_{end}"] == {
+                "quantity": "essinf_r_gamma_V", "interval": interval, "value": b}
 
     def test_example1_infinity(self):
         b = essinf_weighted(example1_specs()[1], gamma=3.0, interval=(1.0, math.inf))
-        assert b.value == 1.0
+        assert b == 1.0
 
     def test_example1_origin_interior_minimum(self):
         # r^8 e^{1/r} on (0, 1] has its minimum at r = 1/8
         b = essinf_weighted(example1_specs()[1], gamma=8.0, interval=(0.0, 1.0))
         # exact to 1e-12; the grid inf this replaces read 1.7767894262715633e-4, 4e-9 above
-        assert b.value == pytest.approx(EX1_ESSINF_ORIGIN, rel=1e-12)
+        assert b == pytest.approx(EX1_ESSINF_ORIGIN, rel=1e-12)
 
     def test_zero_v_returns_zero(self):
         b = essinf_weighted(Constant(0.0), gamma=1.0, interval=(0.1, 10.0))
-        assert b.value == 0.0
+        assert b == 0.0
 
     def test_monotone_in_interval(self):
         v = example2_specs()[1]
-        outer = essinf_weighted(v, 1.3, (0.01, 100.0)).value
-        inner = essinf_weighted(v, 1.3, (0.1, 10.0)).value
+        outer = essinf_weighted(v, 1.3, (0.01, 100.0))
+        inner = essinf_weighted(v, 1.3, (0.1, 10.0))
         assert outer <= inner
 
 
 class TestValidateHypotheses:
     def test_example1_all_pass(self):
         rep = validate_hypotheses(example1_specs(), D24, *ex1_asym(), 2.0)
-        failed = [e.name for e in rep.entries if e.gating and not e.passed]
+        failed = [e["name"] for e in rep["checks"] if e["gating"] and not e["passed"]]
         assert failed == []
-        assert rep.passed
+        assert rep["passed"] is True
 
     def test_a_out_of_range_fails(self):
         origin, inf = ex1_asym()
         bad = EndpointAsymptotics("origin", a=2.1, alpha=0, beta=1, gamma=8, R=1.0)
         rep = validate_hypotheses(example1_specs(), D24, bad, inf, 2.0)
-        assert not rep.passed
-        names = {e.name: e.passed for e in rep.entries}
+        assert rep["passed"] is False
+        names = {e["name"]: e["passed"] for e in rep["checks"]}
         assert names["a_origin_in_range"] is False
 
     def test_vanishing_v_fails_essinf(self):
         specs = (Power(1.0, -1.0), Constant(0.0), Constant(1.0))
         rep = validate_hypotheses(specs, D24, *ex1_asym(), 2.0)
-        assert not rep.passed
-        names = {e.name: e.passed for e in rep.entries}
+        assert rep["passed"] is False
+        names = {e["name"]: e["passed"] for e in rep["checks"]}
         assert names["essinf_origin_positive"] is False
 
     def test_report_serializes(self):
-        d = validate_hypotheses(example1_specs(), D24, *ex1_asym(), 2.0).to_dict()
+        d = validate_hypotheses(example1_specs(), D24, *ex1_asym(), 2.0)
+        assert set(d) == {"passed", "checks", "bounds"}
         assert d["passed"] is True
         assert any(c["name"] == "esssup_origin_finite" for c in d["checks"])
+        assert all(set(c) == {"name", "passed", "value", "detail", "gating"} for c in d["checks"])
         assert d["bounds"]["essinf_infinity"] == {
-            "quantity": QUANTITY_ESSINF, "interval": (1.0, math.inf), "value": 1.0}
+            "quantity": "essinf_r_gamma_V", "interval": (1.0, math.inf), "value": 1.0}
 
     def test_a_ratio_bounds_reported(self):
         _, bounds = report(example1_specs(), D24, *ex1_asym())
         for label, interval in (("origin", (0.0, 1.0)), ("infinity", (1.0, math.inf))):
             b = bounds[f"ratio_A_{label}"]
-            assert b.quantity == QUANTITY_RATIO_A
-            assert b.interval == interval
-            assert b.value == 1.0  # A = r^-1 exactly
+            assert b["quantity"] == "ratio_A_over_r_alpha"
+            assert b["interval"] == interval
+            assert b["value"] == 1.0  # A = r^-1 exactly
 
     @pytest.mark.parametrize("name", ["ex1", "ex2_I", "ex2_II", "ex2_III"])
     def test_bounds_of_the_bundled_examples_are_exact(self, name):
@@ -396,39 +405,42 @@ class TestValidateHypotheses:
         assert len(bounds) == 6
         for key, b in bounds.items():
             if (name, key) == ("ex1", "essinf_origin"):
-                assert b.value == pytest.approx(EX1_ESSINF_ORIGIN, rel=1e-12)
+                assert b["value"] == pytest.approx(EX1_ESSINF_ORIGIN, rel=1e-12)
             else:
-                assert b.value == 1.0, key
+                assert b["value"] == 1.0, key
 
     @pytest.mark.parametrize("name, b", [("ex1", -math.inf), ("ex2_I", 0.0),
                                          ("ex2_II", -1.0), ("ex2_III", -2.0)])
     def test_v_weight_diagnostic_reads_the_exponent_at_the_origin(self, name, b):
         # V r^(N-1) ~ r^b at 0 is integrable there iff b > -1
         entry = config_report(example_config(name))[0]["diagnostic_v_weight_near_origin"]
-        assert entry.value == b
-        assert entry.passed is (name == "ex2_I")
-        assert not entry.gating
+        assert entry["value"] == b
+        assert entry["passed"] is (name == "ex2_I")
+        assert not entry["gating"]
 
     def test_v_vanishing_only_at_r_passes_the_origin_checks(self):
         # V = e^(1/r) below R = 1 and 0 from R on: the point r = R does not count
         names, bounds = config_report(_vanishing_v_config(True))
-        assert names["esssup_origin_finite"].passed and names["essinf_origin_positive"].passed
-        assert bounds["essinf_origin"].value == pytest.approx(EX1_ESSINF_ORIGIN, rel=1e-12)
-        assert not names["essinf_infinity_positive"].passed
+        assert names["esssup_origin_finite"]["passed"]
+        assert names["essinf_origin_positive"]["passed"]
+        assert bounds["essinf_origin"]["value"] == pytest.approx(EX1_ESSINF_ORIGIN, rel=1e-12)
+        assert not names["essinf_infinity_positive"]["passed"]
 
     def test_local_integrability_reports_the_sup(self):
         # V = K = e^(1/r) near 1e-2: sups e^100 and (e^100)^2 on [1e-2, 1e2]
         names, _ = report(example1_specs(), D24, *ex1_asym())
-        assert names["V_locally_integrable"].value == pytest.approx(math.exp(100.0), rel=1e-13)
-        assert names["K_locally_s_integrable"].value == pytest.approx(math.exp(200.0), rel=1e-13)
-        assert names["V_locally_integrable"].passed and names["K_locally_s_integrable"].passed
+        assert names["V_locally_integrable"]["value"] == pytest.approx(math.exp(100.0), rel=1e-13)
+        assert names["K_locally_s_integrable"]["value"] == pytest.approx(math.exp(200.0),
+                                                                         rel=1e-13)
+        assert names["V_locally_integrable"]["passed"]
+        assert names["K_locally_s_integrable"]["passed"]
 
     def test_local_integrability_reads_the_log_of_the_sup(self):
         # V = e^(8/r) near 1e-2 is bounded there, though its sup e^800 overflows
         cfg = example_config("ex1")
         cfg["potentials"]["V"]["inner"]["scale"] = 8.0
         entry = config_report(cfg)[0]["V_locally_integrable"]
-        assert entry.passed and entry.value == math.inf
+        assert entry["passed"] and entry["value"] == math.inf
 
     @pytest.mark.parametrize("which", [0, 2])
     def test_a_or_k_vanishing_far_out_is_rejected(self, which):
@@ -504,10 +516,10 @@ def _compare(specs, alpha, beta, gamma, interval):
             esssup_ratio(spec_V, spec_K, alpha, beta, interval)
     else:
         log_q = reference_log(spec_K, r) - alpha * np.log(r) - (beta * log_V if beta else 0.0)
-        _assert_sup(_log(esssup_ratio(spec_V, spec_K, alpha, beta, interval).value),
+        _assert_sup(_log(esssup_ratio(spec_V, spec_K, alpha, beta, interval)),
                     log_q, closed)
     # an inf is minus the sup of the negated quantity
-    _assert_sup(-_log(essinf_weighted(spec_V, gamma, interval).value),
+    _assert_sup(-_log(essinf_weighted(spec_V, gamma, interval)),
                 -(gamma * np.log(r) + log_V), closed)
 
 
@@ -555,30 +567,31 @@ class TestChecksAgainstTwoRoutines:
         cfg = load_config(self.CONFIGS[name])
         specs = (cfg.spec_A, cfg.spec_V, cfg.spec_K)
         rep = validate_hypotheses(specs, cfg.dims, cfg.asym_origin, cfg.asym_infinity, cfg.s_loc)
-        entries = [e.name for e in rep.entries if e.name.startswith(("esssup_", "essinf_"))]
+        entries = [e["name"] for e in rep["checks"]
+                   if e["name"].startswith(("esssup_", "essinf_"))]
         assert entries == ["esssup_origin_finite", "essinf_origin_positive",
                            "esssup_infinity_finite", "essinf_infinity_positive"]
-        assert {e.name for e in rep.entries if e.gating and not e.passed} \
+        assert {e["name"] for e in rep["checks"] if e["gating"] and not e["passed"]} \
             == self.FAILED.get(name, set())
         for end, asym in (("origin", cfg.asym_origin), ("infinity", cfg.asym_infinity)):
             interval = (0.0, asym.R) if end == "origin" else (asym.R, math.inf)
-            assert rep.bounds[f"essinf_{end}"].interval == interval
+            assert rep["bounds"][f"essinf_{end}"]["interval"] == interval
             _compare(specs, asym.alpha, asym.beta, asym.gamma, interval)
 
     def test_mismatched_rates_fail_every_end_trend(self):
         failed = set()
         for name in ("ex1_mismatched", "ex2_I_mismatched"):
             names, _ = config_report(self.CONFIGS[name])
-            failed |= {n for n, e in names.items() if not e.passed}
+            failed |= {n for n, e in names.items() if not e["passed"]}
         assert failed >= {"esssup_origin_finite", "essinf_origin_positive",
                           "esssup_infinity_finite", "essinf_infinity_positive"}
 
     def test_vanishing_v_takes_both_special_paths(self):
         names, bounds = config_report(self.CONFIGS["v_zero"])
         # beta = 1 at the origin: the ratio sup is +inf and gets no bound
-        assert names["esssup_origin_finite"].detail.startswith("V vanishes")
+        assert names["esssup_origin_finite"]["detail"].startswith("V vanishes")
         assert "esssup_origin" not in bounds
-        assert bounds["essinf_origin"].value == 0.0
+        assert bounds["essinf_origin"]["value"] == 0.0
 
     @staticmethod
     def _random_intervals(specs, rng, n=50):
