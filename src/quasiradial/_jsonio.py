@@ -1,4 +1,4 @@
-"""Canonical JSON emission: sorted keys, fixed float formatting.
+"""Canonical JSON emission, and the typed readers of config numbers.
 
 Every float is rendered with 17 significant digits so identical inputs
 produce byte-identical output; infinities and NaN are rendered as the strings
@@ -6,6 +6,24 @@ produce byte-identical output; infinities and NaN are rendered as the strings
 """
 
 import math
+import numbers
+
+
+def _real(value, key):
+    """A real number read from a config, as a float; a boolean, a string (also
+    the "inf" that the output writes) or any other non-number is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _whole(value, key):
+    """A count read from a config, as an int; a fraction, inf or NaN is refused,
+    not truncated, and so is anything that _real refuses."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+            isinstance(value, int) or float(value).is_integer()):
+        raise ValueError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def _format_float(x: float) -> str:

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._jsonio import canonical_json
+from ._jsonio import _real, _whole, canonical_json
 from .exponents import (
     BoundaryCase,
     EndpointAsymptotics,
@@ -101,34 +101,20 @@ class RunConfig:
     def q_sorted(self):
         return tuple(sorted((self.nonlinearity.q1, self.nonlinearity.q2)))
 
-    @property
-    def q_order_swapped(self):
-        return self.nonlinearity.q1 > self.nonlinearity.q2
-
     def solver_nonlinearity(self):
         """Nonlinearity with (q1, q2) sorted ascending; the min of the two
         powers is symmetric in the pair."""
         q1, q2 = self.q_sorted
-        nl = self.nonlinearity
-        return NonlinearitySpec(kind=nl.kind, q1=q1, q2=q2, M=nl.M)
+        return replace(self.nonlinearity, q1=q1, q2=q2)
 
 
 def _endpoint_from_json(end, obj):
+    obj = {"R": 1.0, **obj}
     try:
-        return EndpointAsymptotics(
-            end=end, a=float(obj["a"]), alpha=float(obj["alpha"]),
-            beta=float(obj["beta"]), gamma=float(obj["gamma"]),
-            R=float(obj.get("R", 1.0)))
+        return EndpointAsymptotics(end=end, **{k: _real(obj[k], f"asymptotics.{end}.{k}")
+                                               for k in ("a", "alpha", "beta", "gamma", "R")})
     except KeyError as exc:
         raise ConfigError(f"asymptotics.{end} is missing field {exc}")
-
-
-def _whole(value, key):
-    """A count read from the config, as an int; a boolean, a fraction, inf or
-    NaN is refused, not truncated."""
-    if isinstance(value, bool) or not (isinstance(value, int) or float(value).is_integer()):
-        raise ConfigError(f"{key} must be a whole number, got {value!r}")
-    return int(value)
 
 
 def load_config(obj) -> RunConfig:
@@ -136,25 +122,24 @@ def load_config(obj) -> RunConfig:
     try:
         if _whole(obj.get("schema_version", 1), "schema_version") != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {obj.get('schema_version')}")
-        dims = ProblemDims(N=_whole(obj["dims"]["N"], "dims.N"), p=float(obj["dims"]["p"]))
+        dims = ProblemDims(N=_whole(obj["dims"]["N"], "dims.N"),
+                           p=_real(obj["dims"]["p"], "dims.p"))
         pots = obj["potentials"]
-        spec_a = spec_from_json(pots["A"])
-        spec_v = spec_from_json(pots["V"])
-        spec_k = spec_from_json(pots["K"])
-        s_loc = float(pots.get("s_loc", 2.0))
+        spec_a, spec_v, spec_k = (spec_from_json(pots[k]) for k in "AVK")
+        s_loc = _real(pots.get("s_loc", 2.0), "potentials.s_loc")
         if not 1.0 < s_loc < math.inf:
             raise ConfigError(f"potentials.s_loc must be finite and exceed 1, got {s_loc}")
         asym_o = _endpoint_from_json("origin", obj["asymptotics"]["origin"])
         asym_i = _endpoint_from_json("infinity", obj["asymptotics"]["infinity"])
         nl = NonlinearitySpec.from_json(obj["nonlinearity"])
         grid = obj.get("grid", {})
-        r_min = float(grid.get("r_min", 1e-4))
-        r_max = float(grid.get("r_max", 1e4))
+        r_min = _real(grid.get("r_min", 1e-4), "grid.r_min")
+        r_max = _real(grid.get("r_max", 1e4), "grid.r_max")
         n_nodes = _whole(grid.get("n_nodes", 2000), "grid.n_nodes")
         tols = obj.get("tolerances", {})
         probe = obj.get("probe", {})
-        probe_r_min = float(probe.get("r_min", min(r_min, 5e-5)))
-        probe_r_max = float(probe.get("r_max", max(r_max, 1e5)))
+        probe_r_min = _real(probe.get("r_min", min(r_min, 5e-5)), "probe.r_min")
+        probe_r_max = _real(probe.get("r_max", max(r_max, 1e5)), "probe.r_max")
         probe_n_nodes = _whole(probe.get("n_nodes", 2400), "probe.n_nodes")
         for key, rng in (("grid", (r_min, r_max, n_nodes)),
                          ("probe", (probe_r_min, probe_r_max, probe_n_nodes))):
@@ -165,15 +150,17 @@ def load_config(obj) -> RunConfig:
         max_iter = _whole(tols.get("max_iter", 20000), "tolerances.max_iter")
         if max_iter < 0:
             raise ConfigError(f"tolerances.max_iter must be nonnegative, got {max_iter}")
-        solve_tol = float(tols.get("solve_tol", 1e-6))
+        solve_tol = _real(tols.get("solve_tol", 1e-6), "tolerances.solve_tol")
         if not 0.0 < solve_tol < math.inf:
             raise ConfigError(f"tolerances.solve_tol must be positive and finite, got {solve_tol}")
-        probe_threshold = float(tols.get("probe_threshold", 0.9))
+        probe_threshold = _real(tols.get("probe_threshold", 0.9),
+                                "tolerances.probe_threshold")
         if not 0.0 < probe_threshold <= 1.0:  # per-decade ratios below it mean decay
             raise ConfigError(
                 f"tolerances.probe_threshold must lie in (0, 1], got {probe_threshold}")
-        R_origin = [float(x) for x in probe.get("R_origin", [0.1, 0.01, 0.001])]
-        R_infinity = [float(x) for x in probe.get("R_infinity", [10.0, 100.0, 1000.0])]
+        R_origin, R_infinity = ([_real(x, f"probe.{key}") for x in probe.get(key, default)]
+                                for key, default in (("R_origin", [0.1, 0.01, 0.001]),
+                                                     ("R_infinity", [10.0, 100.0, 1000.0])))
         for key, radii in (("R_origin", R_origin), ("R_infinity", R_infinity)):
             # a decay verdict needs three samples, and a ball needs a positive radius
             if len(radii) < 3 or not all(0.0 < R < math.inf for R in radii):
@@ -243,7 +230,7 @@ def region_report(cfg: RunConfig) -> dict:
         "q1_alpha_constraints": constraints,
         "q2_lower_bound": float(bound),
         "q1": q1, "q2": q2,
-        "q_order_swapped": cfg.q_order_swapped,
+        "q_order_swapped": cfg.nonlinearity.q1 > cfg.nonlinearity.q2,
         "admissible": bool(admissible),
         "thresholds": {end: {
             "q_star": None if ce.q_star is None else float(ce.q_star),
@@ -302,28 +289,6 @@ def _write_csv(path, header, rows):
                  + ((fmt + "\r\n") * len(rows)) % tuple(v for row in rows for v in row))
 
 
-def _truncation_sensitivity_report(cfg: RunConfig, u, rep):
-    """Re-solve on a domain shrunk by one decade per side, starting from u,
-    and report the relative drift of the energy and of the peak value."""
-    r_min, r_max = cfg.r_min * 10.0, cfg.r_max / 10.0
-    if not r_min < r_max / 10.0:
-        return {"skipped": "domain too narrow to shrink"}
-    decades_full = math.log10(cfg.r_max / cfg.r_min)
-    decades = math.log10(r_max / r_min)
-    n = max(128, int(cfg.n_nodes * decades / decades_full))
-    try:
-        u2, rep2 = solve_problem(cfg, r_min, r_max, n, start=u)
-    except (NotConverged, CollapsedToZero, BadRange) as exc:
-        return {"failed": f"{type(exc).__name__}: {exc}"}
-    peak1 = float(np.max(u.values))
-    peak2 = float(np.max(u2.values))
-    return {
-        "domain": [r_min, r_max],
-        "energy_rel_diff": abs(rep2.energy - rep.energy) / max(abs(rep.energy), 1e-300),
-        "peak_rel_diff": abs(peak2 - peak1) / max(peak1, 1e-300),
-    }
-
-
 def solve_to_files(cfg: RunConfig, out_dir: Path, prefix):
     """Run the ground-state solve and write CSV + report JSON.
 
@@ -342,13 +307,10 @@ def solve_to_files(cfg: RunConfig, out_dir: Path, prefix):
     try:
         report["admissible"] = region_report(cfg)["admissible"]
     except InvalidAsymptotics as exc:
-        report["admissible"] = None
-        report["admissibility_warning"] = str(exc)
-    else:
-        if not report["admissible"]:
-            report["admissibility_warning"] = (
-                "configured (q1, q2) lie outside the computed admissible ranges")
-    report["truncation_sensitivity"] = _truncation_sensitivity_report(cfg, u, rep)
+        report.update(admissible=None, admissibility_warning=str(exc))
+    if report["admissible"] is False:
+        report["admissibility_warning"] = (
+            "configured (q1, q2) lie outside the computed admissible ranges")
     (out_dir / f"{prefix}_report.json").write_text(canonical_json(report) + "\n")
     return report, EXIT_OK
 
@@ -445,11 +407,9 @@ def smallest_sampled_d(dims: ProblemDims):
 def run_example(name: str, out_dir: Path) -> dict:
     cfg_json = example_config(name)
     cfg = load_config(cfg_json)
-    doc = {"schema_version": SCHEMA_VERSION, "example": name,
-           "config": cfg_json}
-
     region = region_report(cfg)
-    doc["region"] = region
+    doc = {"schema_version": SCHEMA_VERSION, "example": name, "config": cfg_json,
+           "region": region}
 
     if name == "ex1":
         thr = region["thresholds"]["infinity"]
@@ -474,9 +434,7 @@ def run_example(name: str, out_dir: Path) -> dict:
             assert region["thresholds"]["origin"]["q_star"] < 0
     doc["check"] = check_report(cfg)
     doc["probe"] = probe_report(cfg)[0]
-    solve_rep, code = solve_to_files(cfg, out_dir, prefix=f"{name}_solution")
-    doc["solve"] = solve_rep
-    doc["solve_exit_code"] = code
+    doc["solve"], doc["solve_exit_code"] = solve_to_files(cfg, out_dir, prefix=f"{name}_solution")
     return doc
 
 
@@ -592,10 +550,8 @@ def sweep_example_d(name: str, out_dir: Path, sweep):
 
 
 def _config_at_q(cfg: RunConfig, key, q):
-    nl = cfg.nonlinearity
-    return replace(cfg, nonlinearity=NonlinearitySpec(
-        kind=nl.kind, q1=q if key in ("q", "q1") else nl.q1,
-        q2=q if key in ("q", "q2") else nl.q2, M=nl.M))
+    return replace(cfg, nonlinearity=replace(
+        cfg.nonlinearity, **{k: q for k in ("q1", "q2") if key in ("q", k)}))
 
 
 def _emit(doc):

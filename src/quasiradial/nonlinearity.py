@@ -16,6 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._jsonio import _real
+
 MIN_POWERS = "min_powers"
 RATIONAL = "rational"
 PURE_POWER = "pure_power"
@@ -53,8 +55,8 @@ class NonlinearitySpec:
     @staticmethod
     def from_json(obj):
         return NonlinearitySpec(
-            kind=obj["kind"], q1=float(obj["q1"]), q2=float(obj["q2"]),
-            M=float(obj.get("M", 1.0)))
+            kind=obj["kind"], q1=_real(obj["q1"], "nonlinearity.q1"),
+            q2=_real(obj["q2"], "nonlinearity.q2"), M=_real(obj.get("M", 1.0), "nonlinearity.M"))
 
 
 def pure_power(q, M=1.0):

@@ -17,6 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._jsonio import _real
 from .exponents import EndpointAsymptotics, ProblemDims, validate_endpoint, InvalidAsymptotics
 
 
@@ -242,17 +243,17 @@ def spec_from_json(obj) -> PotentialSpec:
     """Rebuild a potential expression tree from its JSON form."""
     kind = obj["kind"]
     if kind == "power":
-        return Power(c=float(obj.get("c", 1.0)), e=float(obj.get("e", 0.0)))
+        return Power(c=_real(obj.get("c", 1.0), "power.c"), e=_real(obj.get("e", 0.0), "power.e"))
     if kind == "constant":
-        return Constant(c=float(obj["c"]))
+        return Constant(c=_real(obj["c"], "constant.c"))
     if kind == "exp_inv":
-        return ExpInv(scale=float(obj.get("scale", 1.0)))
+        return ExpInv(scale=_real(obj.get("scale", 1.0), "exp_inv.scale"))
     if kind == "min":
         return MinOf(tuple(spec_from_json(s) for s in obj["args"]))
     if kind == "max":
         return MaxOf(tuple(spec_from_json(s) for s in obj["args"]))
     if kind == "piecewise":
-        return Piecewise(breakpoint=float(obj["breakpoint"]),
+        return Piecewise(breakpoint=_real(obj["breakpoint"], "piecewise.breakpoint"),
                          inner=spec_from_json(obj["inner"]),
                          outer=spec_from_json(obj["outer"]))
     raise ValueError(f"unknown potential kind {kind!r}")

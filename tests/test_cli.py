@@ -34,7 +34,7 @@ from quasiradial.exponents import (
     tail_decay_exponent,
 )
 from quasiradial._jsonio import canonical_json
-from quasiradial.solver import RadialFunction, build_grid
+from quasiradial.solver import build_grid
 
 
 def unit_benchmark_config():
@@ -611,7 +611,7 @@ class TestConfigRefusals:
     @pytest.mark.parametrize("section, key, value", [
         ("dims", "N", 4.6), ("grid", "n_nodes", 1600.9), ("probe", "n_nodes", 2400.7),
         ("tolerances", "max_iter", 0.5), ("tolerances", "max_iter", True),
-        (None, "schema_version", 1.7), ("grid", "n_nodes", math.inf),
+        (None, "schema_version", 1.7), ("grid", "n_nodes", math.inf), ("dims", "N", "4"),
     ])
     def test_fractional_or_boolean_count_exits_two(self, tmp_path, capsys, section, key, value):
         # a count is refused, not truncated into another problem
@@ -622,6 +622,35 @@ class TestConfigRefusals:
         for command in ("check", "solve"):
             code, doc = run_cli(capsys, [command, "--config", path, "--out", str(tmp_path)])
             detail = f"{name} must be a whole number, got {value!r}"
+            assert (code, doc) == (EXIT_CONFIG, {"error": "invalid_config", "detail": detail})
+
+    @pytest.mark.parametrize("field, name", [
+        ("dims.p", "dims.p"),
+        ("potentials.A.c", "power.c"), ("potentials.A.e", "power.e"),
+        ("potentials.V.breakpoint", "piecewise.breakpoint"),
+        ("potentials.V.inner.scale", "exp_inv.scale"), ("potentials.K.outer.c", "constant.c"),
+        *((key, key) for key in (
+            "potentials.s_loc", "asymptotics.origin.a", "asymptotics.origin.alpha",
+            "asymptotics.origin.beta", "asymptotics.origin.gamma", "asymptotics.origin.R",
+            "asymptotics.infinity.R", "nonlinearity.q1", "nonlinearity.q2", "nonlinearity.M",
+            "grid.r_min", "grid.r_max", "probe.r_min", "probe.r_max",
+            "tolerances.solve_tol", "tolerances.probe_threshold")),
+        ("probe.R_origin.1", "probe.R_origin"), ("probe.R_infinity.2", "probe.R_infinity"),
+    ])
+    @pytest.mark.parametrize("value", [True, "2", "inf"])
+    def test_boolean_or_string_real_exits_two(self, tmp_path, capsys, field, name, value):
+        # a real-valued field is refused, not converted: true would read as 1.0
+        cfg = {**example_config("ex1"),
+               "probe": {"R_origin": [0.1, 0.01, 0.001], "R_infinity": [10.0, 100.0, 1000.0]}}
+        *keys, last = (int(k) if k.isdigit() else k for k in field.split("."))
+        section = cfg
+        for key in keys:
+            section = section[key]
+        section[last] = value
+        path = write_config(tmp_path, cfg)
+        detail = f"{name} must be a number, got {value!r}"
+        for command in ("check", "solve"):
+            code, doc = run_cli(capsys, [command, "--config", path, "--out", str(tmp_path)])
             assert (code, doc) == (EXIT_CONFIG, {"error": "invalid_config", "detail": detail})
 
     def test_whole_valued_floats_read_as_counts(self):
@@ -893,45 +922,34 @@ class TestWriteCsv:
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
-class TestTruncationSensitivity:
-    def test_ex1_resolve_starts_from_the_solution(self, tmp_path, capsys, monkeypatch):
-        # the re-solve on [0.04, 1000] starts from the solution interpolated
-        # in log r, not from the bump, which took 31 iterations
-        solves = []
+class TestOneSolvePerCliSolve:
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """(u0 is None, iterations) of each solve_ground_state call."""
+        seen = []
         solve_ground_state = solver.solve_ground_state
 
         def spy(*args, **kwargs):
             u, rep = solve_ground_state(*args, **kwargs)
-            solves.append((kwargs["u0"], u.grid.nodes, rep.iterations))
+            seen.append((kwargs["u0"] is None, rep.iterations))
             return u, rep
 
         monkeypatch.setattr(solver, "solve_ground_state", spy)
+        return seen
+
+    def test_example_ex1_solves_once_from_the_bump(self, tmp_path, capsys, solves):
         code, doc = run_cli(capsys, ["example", "ex1", "--out", str(tmp_path)])
         assert code == EXIT_OK
-        (u0_main, nodes, it_main), (u0_re, nodes_re, it_re) = solves
-        assert u0_main is None and it_main == 31
-        assert nodes_re[0] == 0.04 and u0_re.shape == nodes_re.shape
-        assert it_re <= 3
-        sens = doc["solve"]["truncation_sensitivity"]
-        assert sens["domain"] == [0.04, 1000.0]
-        assert sens["energy_rel_diff"] == pytest.approx(2.60150605029286e-05, rel=1e-3)
+        assert solves == [(True, 31)]
+        assert doc["solve"]["iterations"] == 31
 
-    def test_three_decades_are_not_shrunk(self, tmp_path, capsys):
-        # [1e-2, 10] shrunk by a decade per side would leave one decade
-        cfg = unit_benchmark_config()
-        cfg["grid"]["r_max"] = 10.0
-        code, doc = run_cli(capsys, ["solve", "--force", "--config",
-                                     write_config(tmp_path, cfg), "--out", str(tmp_path)])
+    def test_sweep_solves_once_per_value(self, tmp_path, capsys, solves):
+        path = write_config(tmp_path, unit_benchmark_config())
+        code, doc = run_cli(capsys, ["solve", "--force", "--config", path,
+                                     "--sweep", "q=4:5:0.5", "--out", str(tmp_path)])
         assert code == EXIT_OK
-        assert doc["truncation_sensitivity"] == {"skipped": "domain too narrow to shrink"}
-
-    def test_zero_start_reports_failed(self):
-        cfg = cli.load_config(unit_benchmark_config())
-        grid = build_grid(cfg.r_min, cfg.r_max, cfg.n_nodes, cfg.dims)
-        doc = cli._truncation_sensitivity_report(cfg, RadialFunction(grid, np.zeros(grid.n)),
-                                                 None)
-        assert list(doc) == ["failed"]
-        assert doc["failed"].startswith("CollapsedToZero: the initial guess")
+        assert list(doc["results"]) == ["4", "4.5", "5"]
+        assert [u0_is_none for u0_is_none, _ in solves] == [True, True, True]
 
 
 class TestProbeCommand:
